@@ -1,19 +1,19 @@
 // End-to-end host orchestration throughput: wall-clock pairs/s and GCUPS of
 // the full batched host path (prep -> transfer -> kernel sim -> readback ->
-// decode) on the S=1000 and S=10000 workloads, comparing the pre-PR
-// legacy-barrier engine against the work-stealing pipelined engine at the
-// same worker count. Writes BENCH_host.json so the perf trajectory tracks
-// orchestration, not just the kernel inner loop (BENCH_kernel.json).
+// decode) on the S=1000 and S=10000 workloads, through the work-stealing
+// execution engine directly and through the backend/dispatch layer. Writes
+// BENCH_host.json so the perf trajectory tracks orchestration, not just the
+// kernel inner loop (BENCH_kernel.json).
 //
-// The report also carries a "scaling" section — pipelined sim wall-clock at
-// each --scaling thread count, each point bit-compared against the
-// threads=1 legacy (serial-schedule) reference — and keeps every
-// machine-dependent fact (worker threads, hardware concurrency, the whole
-// scaling curve) inside provenance/machine/scaling blocks that
+// The report also carries a "scaling" section — engine sim wall-clock at
+// each --scaling thread count, each point bit-compared against the serial
+// schedule (the engine on a 1-thread pool at batch_window 1) — and keeps
+// every machine-dependent fact (worker threads, hardware concurrency, the
+// whole scaling curve) inside provenance/machine/scaling blocks that
 // scripts/bench_diff.py skips, so cross-machine diffs gate only on
 // machine-independent shape. --identity-smoke runs just the threads 2-vs-1
-// bit-identity gate (both engine modes) and exits with the verdict; the
-// default scripts/verify.sh run uses it as a cheap parallel-sweep check.
+// bit-identity gate and exits with the verdict; the default
+// scripts/verify.sh run uses it as a cheap parallel-sweep check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -44,11 +44,10 @@ struct EngineTiming {
   double gcups = 0.0;
 };
 
-/// Best-of-N wall-clock of a full align_pairs run under `mode`.
+/// Best-of-N wall-clock of a full align_pairs run.
 EngineTiming time_engine(const std::vector<core::PairInput>& pairs,
-                         core::PimAlignerConfig config, core::EngineMode mode,
-                         ThreadPool& workers, double banded_cells, int reps) {
-  config.engine = mode;
+                         core::PimAlignerConfig config, ThreadPool& workers,
+                         double banded_cells, int reps) {
   config.workers = &workers;
   EngineTiming timing;
   timing.seconds = 1e100;
@@ -73,7 +72,6 @@ EngineTiming time_dispatch(const std::vector<core::PairInput>& pairs,
                            core::BackendKind backend_kind,
                            core::RoutePolicy policy, ThreadPool& workers,
                            double banded_cells, int reps) {
-  config.engine = core::EngineMode::kPipelined;
   config.workers = &workers;
   EngineTiming timing;
   timing.seconds = 1e100;
@@ -102,10 +100,8 @@ struct WorkloadResult {
   std::size_t pairs = 0;
   std::size_t read_length = 0;
   std::size_t threads = 0;  // real ThreadPool size the section ran with
-  EngineTiming legacy;
   EngineTiming pipelined;
   EngineTiming dispatch;
-  double speedup = 0.0;
 };
 
 /// One full align_pairs run: outputs + modeled report + wall seconds.
@@ -116,9 +112,7 @@ struct RunResult {
 };
 
 RunResult run_once(const std::vector<core::PairInput>& pairs,
-                   core::PimAlignerConfig config, core::EngineMode mode,
-                   ThreadPool& workers) {
-  config.engine = mode;
+                   core::PimAlignerConfig config, ThreadPool& workers) {
   config.workers = &workers;
   core::PimAligner aligner(config);
   RunResult r;
@@ -127,6 +121,14 @@ RunResult run_once(const std::vector<core::PairInput>& pairs,
   const auto stop = std::chrono::steady_clock::now();
   r.seconds = std::chrono::duration<double>(stop - start).count();
   return r;
+}
+
+/// The serial reference schedule: one worker, one batch in flight.
+RunResult run_serial(const std::vector<core::PairInput>& pairs,
+                     core::PimAlignerConfig config) {
+  ThreadPool one(1);
+  config.batch_window = 1;
+  return run_once(pairs, config, one);
 }
 
 /// Bit-exact equality of run results. The parallel sweep's contract
@@ -190,19 +192,14 @@ WorkloadResult run_workload(const std::string& name,
   result.pairs = pairs.size();
   result.read_length = data_config.read_length;
   result.threads = workers.size();
-  result.legacy = time_engine(pairs, config, core::EngineMode::kLegacyBarrier,
-                              workers, banded_cells, reps);
-  result.pipelined = time_engine(pairs, config, core::EngineMode::kPipelined,
-                                 workers, banded_cells, reps);
+  result.pipelined = time_engine(pairs, config, workers, banded_cells, reps);
   result.dispatch = time_dispatch(pairs, config, backend_kind, policy, workers,
                                   banded_cells, reps);
-  result.speedup = result.legacy.seconds / result.pipelined.seconds;
-  std::printf("%-8s %5zu pairs x %5zu bp  legacy %7.3fs  pipelined %7.3fs  "
-              "speedup %.2fx  dispatch %7.3fs  (%.0f pairs/s, %.3f GCUPS)\n",
+  std::printf("%-8s %5zu pairs x %5zu bp  pipelined %7.3fs  "
+              "dispatch %7.3fs  (%.0f pairs/s, %.3f GCUPS)\n",
               name.c_str(), result.pairs, result.read_length,
-              result.legacy.seconds, result.pipelined.seconds, result.speedup,
-              result.dispatch.seconds, result.pipelined.pairs_per_second,
-              result.pipelined.gcups);
+              result.pipelined.seconds, result.dispatch.seconds,
+              result.pipelined.pairs_per_second, result.pipelined.gcups);
   return result;
 }
 
@@ -221,7 +218,6 @@ void run_traced(const data::SyntheticConfig& data_config,
   core::PimAlignerConfig config;
   config.nr_ranks = 2;
   config.batch_pairs = batch_pairs;
-  config.engine = core::EngineMode::kPipelined;
   config.workers = &workers;
   core::StatsCollector stats;
   config.stats = &stats;
@@ -253,7 +249,7 @@ struct ScalingPoint {
   std::size_t threads = 0;  // real pool size (== requested)
   double seconds = 0.0;     // best-of-reps pipelined wall clock
   double speedup_vs_1 = 0.0;
-  bool identical_to_serial = false;  // bit-compared vs threads=1 legacy
+  bool identical_to_serial = false;  // bit-compared vs run_serial
 };
 
 struct ScalingCurve {
@@ -262,11 +258,10 @@ struct ScalingCurve {
   bool all_identical = true;
 };
 
-/// Pipelined sim wall-clock at each requested thread count, every point
-/// bit-compared (outputs + modeled report) against the threads=1 legacy
-/// run — the serial reference schedule. One pool per point: the pool size
-/// IS the independent variable here, unlike the main sections which share
-/// the --threads pool.
+/// Engine sim wall-clock at each requested thread count, every point
+/// bit-compared (outputs + modeled report) against the serial reference
+/// schedule. One pool per point: the pool size IS the independent variable
+/// here, unlike the main sections which share the --threads pool.
 ScalingCurve run_scaling(const std::string& name,
                          const data::SyntheticConfig& data_config,
                          std::size_t batch_pairs,
@@ -281,9 +276,7 @@ ScalingCurve run_scaling(const std::string& name,
   config.nr_ranks = 2;
   config.batch_pairs = batch_pairs;
 
-  ThreadPool serial_pool(1);
-  const RunResult reference =
-      run_once(pairs, config, core::EngineMode::kLegacyBarrier, serial_pool);
+  const RunResult reference = run_serial(pairs, config);
 
   ScalingCurve curve;
   curve.name = name;
@@ -295,8 +288,7 @@ ScalingCurve run_scaling(const std::string& name,
     point.seconds = 1e100;
     point.identical_to_serial = true;
     for (int rep = 0; rep < reps; ++rep) {
-      const RunResult r =
-          run_once(pairs, config, core::EngineMode::kPipelined, pool);
+      const RunResult r = run_once(pairs, config, pool);
       point.seconds = std::min(point.seconds, r.seconds);
       if (!same_outputs(r.out, reference.out) ||
           !same_report(r.report, reference.report)) {
@@ -317,10 +309,9 @@ ScalingCurve run_scaling(const std::string& name,
 }
 
 /// --identity-smoke: the threads 2-vs-1 bit-identity gate verify.sh runs in
-/// its default (non --bench) pass. Both engine modes at 2 workers are
-/// compared against the legacy engine on a 1-thread pool — the serial
-/// reference schedule — on a small S=1000 slice. Returns a process exit
-/// status; no JSON is written.
+/// its default (non --bench) pass. The engine at its default window on 1
+/// and 2 workers is compared against the serial reference schedule on a
+/// small S=1000 slice. Returns a process exit status; no JSON is written.
 int run_identity_smoke(std::uint64_t seed) {
   const data::PairDataset dataset =
       data::generate_synthetic(data::s1000_config(96, seed));
@@ -332,41 +323,29 @@ int run_identity_smoke(std::uint64_t seed) {
   config.nr_ranks = 2;
   config.batch_pairs = 24;  // several batches, so the pipeline window fills
 
-  ThreadPool one(1);
-  ThreadPool two(2);
-  const RunResult reference =
-      run_once(pairs, config, core::EngineMode::kLegacyBarrier, one);
-
-  struct Leg {
-    const char* name;
-    core::EngineMode mode;
-    ThreadPool* pool;
-  };
-  const Leg legs[] = {
-      {"legacy@2", core::EngineMode::kLegacyBarrier, &two},
-      {"pipelined@1", core::EngineMode::kPipelined, &one},
-      {"pipelined@2", core::EngineMode::kPipelined, &two},
-  };
-  for (const Leg& leg : legs) {
-    const RunResult r = run_once(pairs, config, leg.mode, *leg.pool);
+  const RunResult reference = run_serial(pairs, config);
+  for (const std::size_t threads : {1, 2}) {
+    ThreadPool pool(threads);
+    const RunResult r = run_once(pairs, config, pool);
     if (!same_outputs(r.out, reference.out)) {
       std::fprintf(stderr,
-                   "identity smoke FAILED: %s outputs differ from the "
-                   "serial legacy@1 schedule\n",
-                   leg.name);
+                   "identity smoke FAILED: %zu-thread outputs differ from "
+                   "the serial schedule\n",
+                   threads);
       return 1;
     }
     if (!same_report(r.report, reference.report)) {
       std::fprintf(stderr,
-                   "identity smoke FAILED: %s modeled report differs from "
-                   "the serial legacy@1 schedule\n",
-                   leg.name);
+                   "identity smoke FAILED: %zu-thread modeled report differs "
+                   "from the serial schedule\n",
+                   threads);
       return 1;
     }
   }
-  std::printf("identity smoke passed: legacy@2 / pipelined@1 / pipelined@2 "
-              "bit-identical to legacy@1 on %zu pairs\n",
-              pairs.size());
+  std::printf("identity smoke passed: 1 and 2 threads at window %zu "
+              "bit-identical to the serial schedule (1 thread, window 1) on "
+              "%zu pairs\n",
+              config.batch_window, pairs.size());
   return 0;
 }
 
@@ -389,10 +368,10 @@ std::vector<std::size_t> parse_thread_list(const std::string& s) {
 
 int main(int argc, char** argv) {
   Cli cli("host_throughput",
-          "End-to-end host path wall-clock: legacy barrier vs pipelined "
-          "work-stealing engine");
+          "End-to-end host path wall-clock of the pipelined work-stealing "
+          "engine");
   cli.flag("threads", std::int64_t{0},
-           "worker threads for both engines (0 = hardware concurrency "
+           "worker threads (0 = hardware concurrency "
            "clamped to the cgroup CPU quota; the ISSUE 2 speedup target "
            "assumes >= 8 hardware threads)");
   cli.flag("s1000-pairs", std::int64_t{256}, "pair count for S=1000");
@@ -406,21 +385,21 @@ int main(int argc, char** argv) {
            "this path");
   cli.flag("stats", std::string(""),
            "write the instrumented pass's per-run stats report JSON "
-           "(pairs/s, GCUPS, per-DPU cycle distribution, steal/prefetch "
-           "counters) to this path; implies the --trace pass");
+           "(pairs/s, GCUPS, per-DPU cycle distribution, steal counters) "
+           "to this path; implies the --trace pass");
   cli.flag("backend", std::string("pim"),
            "backend of the dispatched pass under --policy single: "
            "pim | cpu | wfa");
   cli.flag("policy", std::string("single"),
            "routing policy of the dispatched pass: single | threshold | cost");
   cli.flag("scaling", std::string("1,2,4,8"),
-           "comma-separated thread counts for the scaling section (pipelined "
+           "comma-separated thread counts for the scaling section (engine "
            "sim seconds vs threads, bit-checked against the serial "
            "schedule); empty disables it");
   cli.flag("identity-smoke", false,
-           "run only the threads 2-vs-1 bit-identity gate (both engine "
-           "modes vs the serial legacy@1 schedule) and exit with the "
-           "verdict; writes no JSON");
+           "run only the threads 2-vs-1 bit-identity gate (vs the serial "
+           "1-thread, window-1 schedule) and exit with the verdict; writes "
+           "no JSON");
   cli.flag("list-backends", false,
            "print the aligner backend kinds and exit");
   cli.flag("list-kernels", false,
@@ -521,14 +500,10 @@ int main(int argc, char** argv) {
     out << "    \"pairs\": " << r.pairs << ",\n";
     out << "    \"read_length\": " << r.read_length << ",\n";
     out << "    \"machine\": { \"threads\": " << r.threads << " },\n";
-    write_engine(out, "legacy_barrier", r.legacy);
-    out << ",\n";
     write_engine(out, "pipelined", r.pipelined);
     out << ",\n";
     write_engine(out, "dispatch", r.dispatch);
-    out << ",\n";
-    out << "    \"speedup_pipelined_vs_legacy\": " << r.speedup << "\n";
-    out << "  },\n";
+    out << "\n  },\n";
   }
   out << "  \"scaling\": {\n";
   out << "    \"note\": \"pipelined sim wall-clock vs worker threads; "

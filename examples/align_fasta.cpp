@@ -71,14 +71,20 @@ int main(int argc, char** argv) {
 
     core::RunReport report;
     if (cli.get_bool("all-vs-all")) {
-      std::vector<std::string> seqs;
-      for (const auto& record : queries) seqs.push_back(record.sequence);
+      // Every unordered pair, row-major. Pairs of the same DPU that share a
+      // record reference one interned copy of it.
+      std::vector<core::PairInput> pairs;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        for (std::size_t j = i + 1; j < queries.size(); ++j) {
+          pairs.push_back({queries[i].sequence, queries[j].sequence});
+        }
+      }
       std::vector<core::PairOutput> results;
-      report = aligner.align_all_vs_all(seqs, &results);
-      for (std::size_t i = 0; i < seqs.size(); ++i) {
-        for (std::size_t j = i + 1; j < seqs.size(); ++j) {
-          const auto& r = results[core::PimAligner::linear_pair_index(
-              i, j, seqs.size())];
+      report = aligner.align_pairs(pairs, &results);
+      std::size_t p = 0;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        for (std::size_t j = i + 1; j < queries.size(); ++j, ++p) {
+          const auto& r = results[p];
           *out << queries[i].name << '\t' << queries[j].name << '\t'
                << (r.ok ? std::to_string(r.score) : "NA") << '\t'
                << (r.ok ? std::to_string(r.cigar.identity()) : "NA") << '\t'

@@ -1,15 +1,15 @@
 // Phylogeny example (the paper's §5.3 workload as an application): generate
 // a 16S-like family, run the all-against-all comparison on the PiM system
-// (score-only, broadcast dispatch), convert scores to distances, and build a
-// tree with UPGMA. Prints the distance matrix corner and the tree in Newick
-// format.
+// (score-only, database broadcast once), convert scores to distances, and
+// build a tree with UPGMA. Prints the distance matrix corner and the tree in
+// Newick format.
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <vector>
 
-#include "core/host.hpp"
+#include "core/session.hpp"
 #include "data/phylo16s.hpp"
 #include "util/cli.hpp"
 
@@ -88,31 +88,33 @@ int main(int argc, char** argv) {
             << seqs.front().size() << ".." << seqs.back().size()
             << " bp)\n";
 
-  // Score-only all-against-all on the PiM system, exactly like §5.3:
-  // broadcast once, static split of the quadratic pair list.
+  // Score-only all-against-all on the PiM system, as in §5.3: the database
+  // is broadcast once, then every round moves only (i, j) index pairs.
   core::PimAlignerConfig config;
   config.nr_ranks = 1;
   config.align.band_width = 128;
-  config.align.traceback = false;
-  core::PimAligner aligner(config);
+  core::DbSession session(seqs, config);
+  std::vector<core::IndexPair> pairs;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    for (std::uint32_t j = i + 1; j < k; ++j) pairs.push_back({i, j});
+  }
   std::vector<core::PairOutput> outputs;
-  const core::RunReport report = aligner.align_all_vs_all(seqs, &outputs);
+  const core::RunReport report = session.align_pairs(pairs, &outputs);
   std::cout << "aligned " << report.total_pairs
             << " pairs on 64 simulated DPUs (modeled "
             << report.makespan_seconds * 1e3 << " ms)\n\n";
 
   std::vector<std::vector<double>> dist(k, std::vector<double>(k, 0.0));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const auto& out =
-          outputs[core::PimAligner::linear_pair_index(i, j, k)];
-      const double d = out.ok ? score_to_distance(out.score, seqs[i].size(),
-                                                  seqs[j].size(),
-                                                  config.align.scoring)
-                              : 1.0;
-      dist[i][j] = d;
-      dist[j][i] = d;
-    }
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const std::size_t i = pairs[p].a;
+    const std::size_t j = pairs[p].b;
+    const auto& out = outputs[p];
+    const double d = out.ok ? score_to_distance(out.score, seqs[i].size(),
+                                                seqs[j].size(),
+                                                config.align.scoring)
+                            : 1.0;
+    dist[i][j] = d;
+    dist[j][i] = d;
   }
 
   std::cout << "distance matrix (first 8 species):\n";

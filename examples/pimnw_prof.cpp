@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
            "worker threads (0 = hardware concurrency)");
   cli.flag("seed", std::int64_t{7}, "dataset seed");
   cli.flag("variant", std::string("asm"), "kernel variant: asm | c");
-  cli.flag("engine", std::string("pipelined"),
-           "host engine: pipelined | legacy");
   cli.flag("traceback", true, "produce CIGARs (score-only when false)");
   cli.flag("kernel", std::string("nw"),
            "PiM kernel to profile (see --list-kernels)");
@@ -118,9 +116,6 @@ int main(int argc, char** argv) {
   config.variant = cli.get_string("variant") == "c"
                        ? core::KernelVariant::kPureC
                        : core::KernelVariant::kAsm;
-  config.engine = cli.get_string("engine") == "legacy"
-                      ? core::EngineMode::kLegacyBarrier
-                      : core::EngineMode::kPipelined;
   config.kernel = kernel;
   config.align.band_width = cli.get_int("band-width");
   config.align.traceback = cli.get_bool("traceback");
@@ -161,11 +156,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "pimnw-prof: %zu pairs x %zu bp, band %" PRId64
-      ", P=%d T=%d, %s kernel (%s variant), %s engine, bt passes %d\n",
+      ", P=%d T=%d, %s kernel (%s variant), bt passes %d\n",
       pairs.size(), data_config.read_length, cli.get_int("band-width"),
       config.pool.pools, config.pool.tasklets_per_pool, kernel->name(),
-      core::kernel_variant_name(config.variant),
-      core::engine_mode_name(config.engine), config.bt_stream_passes);
+      core::kernel_variant_name(config.variant), config.bt_stream_passes);
   std::printf("%" PRIu64 " pairs aligned over %" PRIu64
               " DPU launches; modeled makespan %.3f ms\n\n",
               report.total_pairs, stats.dpu_count(),

@@ -9,7 +9,7 @@
 //     the modeled PiM timeline (per-rank transfer/launch lanes plus a lane
 //     per DPU, placed at modeled time from the cycle cost model at 350 MHz);
 //   * a per-run stats report JSON (pairs/s, GCUPS, per-DPU cycle
-//     distribution, imbalance, steal and prefetch counters).
+//     distribution, imbalance and steal counters).
 //
 // --backend {pim,cpu,wfa} picks where the pairs go under the default
 // --policy single; --policy {threshold,cost} routes across all three

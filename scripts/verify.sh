@@ -4,7 +4,10 @@
 #   default  RelWithDebInfo, the full suite (tier-1 gate)
 #   asan     Debug + ASan/UBSan, the full suite
 #   tsan     RelWithDebInfo + TSan, the concurrency-sensitive subset
-#            (thread pool, prefetch, engine determinism, trace/stats)
+#            (thread pool, engine determinism, trace/stats)
+#
+# All three presets configure PIMNW_WERROR=ON, so a compiler warning fails
+# the build.
 #
 # Each preset also runs the "trace" ctest label explicitly, so the
 # observability layer (util/trace, core/stats) is exercised under every
@@ -44,9 +47,10 @@
 # clang-tidy is not installed, so the stage is safe to request everywhere.
 #
 # The default preset also runs the parallel-sweep bit-identity smoke
-# (host_throughput --identity-smoke): legacy@2 / pipelined@1 / pipelined@2
-# vs the serial legacy@1 schedule (DESIGN.md §15) — the cheap standing
-# guard that the data-parallel DPU sweep never perturbs modeled results.
+# (host_throughput --identity-smoke): the engine on 1 and 2 workers vs the
+# serial schedule, 1 worker at batch_window 1 (DESIGN.md §15) — the cheap
+# standing guard that the data-parallel DPU sweep never perturbs modeled
+# results.
 #
 # A --bench flag adds the benchmark regression gate: re-run the
 # BENCH_kernel.json, BENCH_16s.json, BENCH_serve.json, BENCH_host.json and

@@ -42,18 +42,10 @@ EngineSeries& engine_series() {
 }  // namespace
 
 void finalize_plan(DpuPlan& plan, const SeqInterner& interner,
-                   const PimAlignerConfig& config,
-                   std::optional<std::uint64_t> pool_offset,
-                   const SeqPool* shared_pool) {
-  const PimKernel& kernel = kernel_for(config);
-  if (shared_pool != nullptr) {
-    plan.image = build_mram_image(plan.batch, *shared_pool, kernel,
-                                  config.align, config.pool, pool_offset);
-  } else {
-    const SeqPool pool = SeqPool::build(interner.seqs());
-    plan.image = build_mram_image(plan.batch, pool, kernel, config.align,
-                                  config.pool);
-  }
+                   const PimAlignerConfig& config) {
+  const SeqPool pool = SeqPool::build(interner.seqs());
+  plan.image = build_mram_image(plan.batch, pool, kernel_for(config),
+                                config.align, config.pool);
   plan.prep_bases = interner.bases();
 
   BatchHeader header;
@@ -150,11 +142,11 @@ void decode_readback(const DpuPlan& plan,
 
 /// Per-worker scratch arena: a private simulated DPU (its bank is written
 /// with whichever plan's image the worker executes next — safe because the
-/// kernel never reads bank bytes it did not write this launch, the same
-/// invariant the legacy mode relies on when it reuses rank banks across
-/// batches), a reusable WRAM scratchpad (reset() restores the fresh-launch
-/// state) and the kernel's host-side workspace (PimKernel::make_workspace;
-/// may be null for kernels that keep no host scratch).
+/// kernel never reads bank bytes it did not write this launch, apart from
+/// the broadcast region), a reusable WRAM scratchpad (reset() restores the
+/// fresh-launch state) and the kernel's host-side workspace
+/// (PimKernel::make_workspace; may be null for kernels that keep no host
+/// scratch).
 struct ExecEngine::Arena {
   upmem::Dpu dpu;
   upmem::Wram wram;
@@ -194,7 +186,6 @@ ExecEngine::ExecEngine(const PimAlignerConfig& config,
       kernel_(kernel_for(config)),
       host_cost_(host_cost),
       pool_(config.workers != nullptr ? config.workers : &global_pool()),
-      system_(config.nr_ranks),
       stats_(config.stats != nullptr ? config.stats : &own_stats_),
       rank_free_(static_cast<std::size_t>(config.nr_ranks), 0.0),
       rank_exec_(static_cast<std::size_t>(config.nr_ranks), 0.0) {
@@ -203,14 +194,12 @@ ExecEngine::ExecEngine(const PimAlignerConfig& config,
   pool_base_stolen_ = baseline.stolen;
   pool_base_injected_ = baseline.injected;
   stats_->set_params(params_json(config_));
-  if (config_.engine == EngineMode::kPipelined) {
-    // Arena 0 serves outside threads (the committing caller when it helps
-    // execute jobs); arenas 1..size serve the pool workers.
-    arenas_.reserve(pool_->size() + 1);
-    for (std::size_t i = 0; i < pool_->size() + 1; ++i) {
-      arenas_.push_back(std::make_unique<Arena>());
-      arenas_.back()->workspace = kernel_.make_workspace();
-    }
+  // Arena 0 serves outside threads (the committing caller when it helps
+  // execute jobs); arenas 1..size serve the pool workers.
+  arenas_.reserve(pool_->size() + 1);
+  for (std::size_t i = 0; i < pool_->size() + 1; ++i) {
+    arenas_.push_back(std::make_unique<Arena>());
+    arenas_.back()->workspace = kernel_.make_workspace();
   }
 }
 
@@ -223,19 +212,14 @@ void ExecEngine::charge_prep(double seconds) {
 
 void ExecEngine::set_broadcast(std::span<const std::uint8_t> bytes,
                                std::uint64_t mram_offset) {
-  upmem::TransferStats stats;
-  if (config_.engine == EngineMode::kLegacyBarrier) {
-    stats = system_.broadcast_all(bytes, mram_offset);
-  } else {
-    // One host-side copy instead of nr_dpus bank writes; each worker arena
-    // installs it lazily before its first job. The modeled cost is still a
-    // write of every bank, exactly as broadcast_all charges.
-    broadcast_bytes_.assign(bytes.begin(), bytes.end());
-    broadcast_off_ = mram_offset;
-    ++broadcast_version_;
-    stats = upmem::PimSystem::broadcast_stats(bytes.size(),
-                                              system_.nr_dpus());
-  }
+  // One host-side copy instead of nr_dpus bank writes; each worker arena
+  // installs it lazily before its first job. The modeled cost is still a
+  // write of every bank, exactly as PimSystem::broadcast_all charges.
+  broadcast_bytes_.assign(bytes.begin(), bytes.end());
+  broadcast_off_ = mram_offset;
+  ++broadcast_version_;
+  const upmem::TransferStats stats = upmem::PimSystem::broadcast_stats(
+      bytes.size(), config_.nr_ranks * upmem::kDpusPerRank);
   report_.bytes_to_dpus += stats.bytes;
   report_.bytes_broadcast += stats.bytes;
   report_.transfer_seconds += stats.seconds;
@@ -248,17 +232,9 @@ void ExecEngine::set_broadcast(std::span<const std::uint8_t> bytes,
 }
 
 std::size_t ExecEngine::release_scratch(std::uint64_t resident_off) {
+  // The broadcast chunks live at/above resident_off, so each arena's
+  // broadcast_seen bookkeeping stays valid after the release.
   std::size_t released = 0;
-  if (config_.engine == EngineMode::kLegacyBarrier) {
-    for (int r = 0; r < system_.nr_ranks(); ++r) {
-      for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-        released += system_.rank(r).dpu(d).mram().release_below(resident_off);
-      }
-    }
-    return released;
-  }
-  // Pipelined arenas: the broadcast chunks live at/above resident_off, so
-  // each arena's broadcast_seen bookkeeping stays valid after the release.
   for (const std::unique_ptr<Arena>& arena : arenas_) {
     released += arena->dpu.mram().release_below(resident_off);
   }
@@ -267,14 +243,6 @@ std::size_t ExecEngine::release_scratch(std::uint64_t resident_off) {
 
 std::uint64_t ExecEngine::max_bank_footprint() const {
   std::uint64_t worst = 0;
-  if (config_.engine == EngineMode::kLegacyBarrier) {
-    for (int r = 0; r < system_.nr_ranks(); ++r) {
-      for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-        worst = std::max(worst, system_.rank(r).dpu(d).mram().footprint());
-      }
-    }
-    return worst;
-  }
   for (const std::unique_ptr<Arena>& arena : arenas_) {
     worst = std::max(worst, arena->dpu.mram().footprint());
   }
@@ -285,10 +253,6 @@ void ExecEngine::run(std::size_t n_batches,
                      const std::function<PreparedBatch(std::size_t)>& build,
                      std::vector<PairOutput>* out) {
   if (n_batches == 0) return;
-  if (config_.engine == EngineMode::kLegacyBarrier) {
-    run_legacy(n_batches, build, out);
-    return;
-  }
 
   const std::size_t window =
       std::min(std::max<std::size_t>(1, config_.batch_window), n_batches);
@@ -304,10 +268,6 @@ void ExecEngine::run(std::size_t n_batches,
     }
     Slot& slot = *slots_[b % window];
     {
-      // Look-ahead accounting (observability only): did the pipeline have
-      // this batch finished before the commit stage asked for it?
-      const bool ready = slot.done.load(std::memory_order_seq_cst);
-      stats_->note_prefetch(ready ? 1 : 0, ready ? 0 : 1);
       PIMNW_TRACE_SPAN("wait b" + std::to_string(b));
       wait_for(slot);
     }
@@ -533,130 +493,6 @@ void ExecEngine::commit(Slot& slot, std::vector<PairOutput>* out) {
   stats_->on_launch(report_.batches, r, start, in_stats.seconds,
                     host_cost_.per_launch_seconds, out_stats.seconds,
                     slot.summaries, slot.ran, launch_stats, &slot.profiles);
-  ++report_.batches;
-  report_.total_pairs += batch_pairs;
-}
-
-void ExecEngine::run_legacy(
-    std::size_t n_batches,
-    const std::function<PreparedBatch(std::size_t)>& build,
-    std::vector<PairOutput>* out) {
-  // One-ahead pipeline: while a batch simulates, the next one is built on a
-  // pool worker (§4.1.3 reader-thread overlap). Wall-clock only: the modeled
-  // timeline charges prep exactly as in the serial schedule.
-  Prefetch<PreparedBatch> ahead(pool_);
-  ahead.stage([&build] { return build(0); });
-  for (std::size_t b = 0; b < n_batches; ++b) {
-    PreparedBatch prepared = ahead.take();
-    if (b + 1 < n_batches) {
-      ahead.stage([&build, b] { return build(b + 1); });
-    }
-    legacy_run_batch(prepared, out);
-  }
-  stats_->note_prefetch(ahead.hits(), ahead.misses());
-}
-
-/// The pre-engine BatchEngine::run_batch: transfer into the next free
-/// rank's banks, launch behind the rank barrier, read back and decode
-/// serially. The launch sweeps the 64 DPUs with the dynamic claim-counter
-/// parallel_for (nested-safe since PR 8) rather than the old contiguous
-/// chunk schedule, so a legacy launch issued from a pool worker cannot
-/// self-deadlock and load-balances skewed plans; with a 1-thread pool the
-/// rank falls back to the in-order serial loop, which is the determinism
-/// tests' reference schedule.
-void ExecEngine::legacy_run_batch(PreparedBatch& prepared,
-                                  std::vector<PairOutput>* out) {
-  std::vector<DpuPlan>& plans = prepared.plans;
-  PIMNW_CHECK_MSG(plans.size() ==
-                      static_cast<std::size_t>(upmem::kDpusPerRank),
-                  "a PreparedBatch must carry one plan per DPU: batch="
-                      << report_.batches << " plans=" << plans.size());
-  double prep_seconds = prepared.extra_prep_seconds;
-  std::uint64_t batch_pairs = 0;
-  std::vector<std::vector<std::uint8_t>> to_dpu(upmem::kDpusPerRank);
-  for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-    DpuPlan& plan = plans[static_cast<std::size_t>(d)];
-    if (plan.batch.pairs.empty()) continue;
-    to_dpu[static_cast<std::size_t>(d)] = plan.image.bytes;
-    prep_seconds +=
-        static_cast<double>(plan.prep_bases) * host_cost_.per_base_seconds +
-        static_cast<double>(plan.batch.pairs.size()) *
-            host_cost_.per_pair_seconds;
-    batch_pairs += plan.batch.pairs.size();
-  }
-  prep_clock_ += prep_seconds;
-  report_.host_prep_seconds += prep_seconds;
-  imbalance_sum_ += prepared.imbalance;
-
-  const int r = static_cast<int>(
-      std::min_element(rank_free_.begin(), rank_free_.end()) -
-      rank_free_.begin());
-
-  const upmem::TransferStats in_stats = system_.copy_to_rank(r, to_dpu, 0);
-  report_.bytes_to_dpus += in_stats.bytes;
-  report_.transfer_seconds += in_stats.seconds;
-
-  const upmem::Rank::LaunchStats launch_stats = system_.rank(r).launch(
-      [&](int d) -> std::unique_ptr<upmem::DpuProgram> {
-        if (plans[static_cast<std::size_t>(d)].batch.pairs.empty()) {
-          return nullptr;
-        }
-        return kernel_.make_program(config_, nullptr);
-      },
-      config_.pool.pools, config_.pool.tasklets_per_pool, pool_,
-      /*static_chunking=*/false);
-
-  // Per-DPU summaries for the stats/trace observers (each launched DPU
-  // retains its last summary; read before the banks are reused).
-  std::array<upmem::DpuCostModel::Summary, upmem::kDpusPerRank> summaries{};
-  std::array<upmem::DpuPhaseProfile, upmem::kDpusPerRank> profiles{};
-  std::array<bool, upmem::kDpusPerRank> ran{};
-  for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-    if (plans[static_cast<std::size_t>(d)].batch.pairs.empty()) continue;
-    ran[static_cast<std::size_t>(d)] = true;
-    summaries[static_cast<std::size_t>(d)] =
-        system_.rank(r).dpu(d).last_summary();
-    profiles[static_cast<std::size_t>(d)] =
-        system_.rank(r).dpu(d).last_profile();
-  }
-  util_sum_ += launch_stats.mean_pipeline_utilization;
-  mram_sum_ += launch_stats.mean_mram_overhead;
-  ++launches_;
-  report_.total_instructions += launch_stats.total_instructions;
-  report_.total_dma_bytes += launch_stats.total_dma_bytes;
-
-  upmem::TransferStats out_stats{};
-  for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-    const DpuPlan& plan = plans[static_cast<std::size_t>(d)];
-    if (plan.batch.pairs.empty()) continue;
-    std::vector<std::uint8_t> readback(plan.image.readback_bytes);
-    system_.rank(r).dpu(d).mram().read(plan.image.result_off, readback);
-    out_stats.bytes += plan.image.readback_bytes;
-    decode_readback(plan, readback, out);
-  }
-  out_stats.seconds =
-      upmem::PimSystem::host_transfer_seconds(out_stats.bytes);
-  report_.bytes_from_dpus += out_stats.bytes;
-  report_.transfer_seconds += out_stats.seconds;
-  if (metrics::enabled()) {
-    EngineSeries& series = engine_series();
-    series.bytes_to_dpus.add(in_stats.bytes);
-    series.bytes_from_dpus.add(out_stats.bytes);
-    series.dpu_dma_bytes.add(launch_stats.total_dma_bytes);
-  }
-
-  const double start =
-      std::max(prep_clock_, rank_free_[static_cast<std::size_t>(r)]);
-  const double end = start + in_stats.seconds +
-                     host_cost_.per_launch_seconds + launch_stats.seconds +
-                     out_stats.seconds;
-  rank_free_[static_cast<std::size_t>(r)] = end;
-  rank_exec_[static_cast<std::size_t>(r)] += launch_stats.seconds;
-  makespan_ = std::max(makespan_, end);
-  stats_->add_cells(prepared.total_workload);
-  stats_->on_launch(report_.batches, r, start, in_stats.seconds,
-                    host_cost_.per_launch_seconds, out_stats.seconds,
-                    summaries, ran, launch_stats, &profiles);
   ++report_.batches;
   report_.total_pairs += batch_pairs;
 }

@@ -1,29 +1,20 @@
 // The host execution engine (ISSUE 2, DESIGN.md "Execution engine").
 //
-// The three run loops of core/host.cpp slice their workload into rank-batches
-// of 64 per-DPU plans; this engine executes those batches. Two modes, chosen
-// by PimAlignerConfig::engine:
+// The run loops of core/host.cpp and core/session.cpp slice their workload
+// into rank-batches of 64 per-DPU plans; this engine executes those batches.
+// Up to `batch_window` batches are in flight at once. A batch is built on a
+// pool worker, then fans out into one job per non-empty DPU plan; jobs land
+// in the workers' Chase–Lev deques and are executed — stolen, reordered,
+// interleaved across batches — on per-worker scratch arenas (a private Dpu
+// bank + reusable WRAM + KernelScratch). A sequenced commit stage on the
+// calling thread then applies the modeled timeline strictly in batch order,
+// so every score, CIGAR, cycle count, DMA byte and timeline figure is
+// bit-identical for any worker count, any window and any steal order
+// (engine_test pins this against the serial schedule: one worker, window 1).
 //
-//  * kPipelined (default): up to `batch_window` batches are in flight at
-//    once. A batch is built on a pool worker, then fans out into one job per
-//    non-empty DPU plan; jobs land in the workers' Chase–Lev deques and are
-//    executed — stolen, reordered, interleaved across batches — on
-//    per-worker scratch arenas (a private Dpu bank + reusable WRAM +
-//    KernelScratch). A sequenced commit stage on the calling thread then
-//    applies the modeled timeline strictly in batch order, with arithmetic
-//    identical to the serial schedule, so every score, CIGAR, cycle count,
-//    DMA byte and timeline figure is bit-identical for any worker count and
-//    any steal order (engine_test pins this).
-//
-//  * kLegacyBarrier: the pre-pipeline behaviour — one batch at a time,
-//    one-slot Prefetch look-ahead, contiguous-chunk parallel_for behind a
-//    rank barrier. Kept as the wall-clock baseline for BENCH_host.json and
-//    as the determinism test's reference schedule.
-//
-// Modeled time is unaffected by the mode because the timeline is derived
-// from the cost models (cycles, bytes) in commit order, never from host
-// wall-clock; out-of-order execution changes only when the numbers become
-// available, not what they are.
+// Modeled time is derived from the cost models (cycles, bytes) in commit
+// order, never from host wall-clock; out-of-order execution changes only
+// when the numbers become available, not what they are.
 #pragma once
 
 #include <atomic>
@@ -33,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -103,13 +93,15 @@ struct PreparedBatch {
   std::uint64_t total_workload = 0;
 };
 
-/// Sequence interner: dedups by data pointer so a read shared by many pairs
-/// of the same DPU is packed and transferred once.
+/// Sequence interner: dedups by (data pointer, length) so a read shared by
+/// many pairs of the same DPU is packed and transferred once, while a prefix
+/// view of a read stays a sequence of its own.
 class SeqInterner {
  public:
   std::uint32_t intern(std::string_view s) {
     auto [it, inserted] = index_.try_emplace(
-        s.data(), static_cast<std::uint32_t>(seqs_.size()));
+        std::pair(s.data(), s.size()),
+        static_cast<std::uint32_t>(seqs_.size()));
     if (inserted) {
       seqs_.push_back(s);
       bases_ += s.size();
@@ -122,15 +114,13 @@ class SeqInterner {
 
  private:
   std::vector<std::string_view> seqs_;
-  std::map<const char*, std::uint32_t> index_;
+  std::map<std::pair<const char*, std::size_t>, std::uint32_t> index_;
   std::uint64_t bases_ = 0;
 };
 
 /// Serialize a plan's batch and recover the decoding metadata.
 void finalize_plan(DpuPlan& plan, const SeqInterner& interner,
-                   const PimAlignerConfig& config,
-                   std::optional<std::uint64_t> pool_offset = std::nullopt,
-                   const SeqPool* shared_pool = nullptr);
+                   const PimAlignerConfig& config);
 
 /// Serialize a session round plan (DESIGN.md §13): compact pair table, score
 /// -only results, sequence table resident at `db_mram_offset`. Sets
@@ -153,8 +143,8 @@ void decode_readback(const DpuPlan& plan,
                      std::vector<PairOutput>* out);
 
 /// Executes rank-batches and accumulates the modeled timeline + RunReport.
-/// See the file comment for the two modes. Not reentrant; run() must be
-/// called from outside the worker pool.
+/// See the file comment. Not reentrant; run() must be called from outside
+/// the worker pool.
 class ExecEngine {
  public:
   ExecEngine(const PimAlignerConfig& config, const HostCost& host_cost);
@@ -164,29 +154,28 @@ class ExecEngine {
   ExecEngine& operator=(const ExecEngine&) = delete;
 
   /// Record host pre-processing that happens once, before any batch (e.g.
-  /// the broadcast encode of align_all_vs_all).
+  /// the database encode of a DbSession).
   void charge_prep(double seconds);
 
-  /// Broadcast `bytes` to every DPU at `mram_offset` (the 16S experiment's
-  /// shared sequence pool) and charge the transfer, which delays every rank.
-  /// In pipelined mode the buffer is kept and lazily written into each
-  /// worker arena's bank; the modeled cost is identical to writing all
-  /// nr_dpus banks.
+  /// Broadcast `bytes` to every DPU at `mram_offset` (a session's resident
+  /// database) and charge the transfer, which delays every rank. The buffer
+  /// is kept and lazily written into each worker arena's bank; the modeled
+  /// cost is identical to writing all nr_dpus banks.
   void set_broadcast(std::span<const std::uint8_t> bytes,
                      std::uint64_t mram_offset);
 
   /// Execute `n_batches` batches. `build(b)` produces batch b's plans; it
-  /// must be thread-safe (pipelined mode builds several batches at once on
-  /// pool workers) and must return exactly upmem::kDpusPerRank plans.
+  /// must be thread-safe (several batches are built at once on pool
+  /// workers) and must return exactly upmem::kDpusPerRank plans.
   /// Results are decoded into `out` (indexed by global id; may be null).
   void run(std::size_t n_batches,
            const std::function<PreparedBatch(std::size_t)>& build,
            std::vector<PairOutput>* out);
 
-  /// Drop every bank chunk below `resident_off` — the per-round scratch of a
-  /// session — while keeping the resident database (and the arenas'
-  /// broadcast bookkeeping) intact. Returns the number of chunks released
-  /// across all banks.
+  /// Drop every arena bank chunk below `resident_off` — the per-round
+  /// scratch of a session — while keeping the resident database (and the
+  /// arenas' broadcast bookkeeping) intact. Returns the number of chunks
+  /// released across all banks.
   std::size_t release_scratch(std::uint64_t resident_off);
 
   /// Largest materialised bank footprint (bytes) across the banks this
@@ -211,16 +200,11 @@ class ExecEngine {
   void exec_plan(Slot& slot, int dpu, std::vector<PairOutput>* out);
   void job_done(Slot& slot);
   void wait_for(Slot& slot);
-  void run_legacy(std::size_t n_batches,
-                  const std::function<PreparedBatch(std::size_t)>& build,
-                  std::vector<PairOutput>* out);
-  void legacy_run_batch(PreparedBatch& prepared, std::vector<PairOutput>* out);
 
   const PimAlignerConfig& config_;
   const PimKernel& kernel_;  // config_.kernel or nw_kernel(); never null
   const HostCost& host_cost_;
   ThreadPool* pool_;  // config_.workers or global_pool(); never null
-  upmem::PimSystem system_;  // banks used by the legacy mode only
 
   // Observability (read-only with respect to the modeled arithmetic).
   StatsCollector own_stats_;
@@ -240,7 +224,7 @@ class ExecEngine {
   double mram_sum_ = 0.0;
   int launches_ = 0;
 
-  // Pipelined-mode state.
+  // Pipeline state.
   std::vector<std::unique_ptr<Arena>> arenas_;  // [worker_index + 1]
   std::vector<std::unique_ptr<Slot>> slots_;
   std::mutex mutex_;  // guards Slot::error

@@ -9,7 +9,6 @@
 #include "core/pim_kernel.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
-#include "util/trace.hpp"
 
 namespace pimnw::core {
 namespace {
@@ -45,7 +44,7 @@ PimAligner::PimAligner(PimAlignerConfig config) : config_(std::move(config)) {
                       << config_.bt_stream_passes);
 }
 
-/// The single batched run path (ISSUE 4). Every public mode reduces to:
+/// The single batched run path. Both public modes reduce to:
 /// slice the work into rank-batches (spec.assign), expand each DPU bin's
 /// units into a serialized plan (spec.emit), hand the batches to the
 /// execution engine, and re-check the flat output in verify mode
@@ -58,7 +57,6 @@ RunReport PimAligner::run_batches(const RunSpec& spec,
   if (spec.n_batches == 0 || spec.total_pairs == 0) return report;
 
   ExecEngine engine(config_, host_cost_);
-  if (spec.prologue) spec.prologue(engine);
 
   auto build_batch = [&spec, this](std::size_t batch_index) -> PreparedBatch {
     Assignment assignment = spec.assign(batch_index);
@@ -75,12 +73,7 @@ RunReport PimAligner::run_batches(const RunSpec& spec,
       for (const WorkItem& item : bin) {
         spec.emit(item, plan, interner);
       }
-      if (spec.shared_pool != nullptr) {
-        finalize_plan(plan, interner, config_, spec.pool_offset,
-                      spec.shared_pool);
-      } else {
-        finalize_plan(plan, interner, config_);
-      }
+      finalize_plan(plan, interner, config_);
     }
     prepared.imbalance = assignment.imbalance();
     for (std::uint64_t load : assignment.bin_load) {
@@ -262,95 +255,6 @@ RunReport PimAligner::align_sets(
     }
   }
   return report;
-}
-
-RunReport PimAligner::align_all_vs_all(std::span<const std::string> seqs,
-                                       std::vector<PairOutput>* out) {
-  const std::size_t k = seqs.size();
-  const std::size_t pair_count = k * (k - 1) / 2;
-  if (out != nullptr) {
-    out->assign(pair_count, PairOutput{});
-  }
-  if (pair_count == 0) {
-    RunReport report;
-    return report;
-  }
-
-  // Broadcast the packed dataset once (§5.3); the engine prologue charges
-  // the encode prep and the one-to-all transfer.
-  PIMNW_TRACE_SPAN(std::string("encode broadcast pool"));
-  std::vector<std::string_view> views(seqs.begin(), seqs.end());
-  const SeqPool pool = SeqPool::build(views);
-  double prep_seconds = 0.0;
-  for (const std::string& s : seqs) {
-    prep_seconds += static_cast<double>(s.size()) * host_cost_.per_base_seconds;
-  }
-
-  // Static split of the quadratic pair list over all DPUs; one launch per
-  // rank (§5.3's "simple static assignment").
-  const int total_dpus = config_.nr_ranks * upmem::kDpusPerRank;
-  const auto ranges = static_split(pair_count, total_dpus);
-
-  auto pair_of_linear = [k](std::uint64_t linear) {
-    std::size_t i = 0;
-    std::uint64_t skip = 0;
-    while (skip + (k - 1 - i) <= linear) {
-      skip += k - 1 - i;
-      ++i;
-    }
-    const std::size_t j = i + 1 + static_cast<std::size_t>(linear - skip);
-    return std::make_pair(i, j);
-  };
-
-  RunSpec spec;
-  spec.total_pairs = pair_count;
-  spec.n_batches = static_cast<std::size_t>(config_.nr_ranks);
-  spec.shared_pool = &pool;
-  spec.pool_offset = kBroadcastPoolOffset;
-  spec.prologue = [&pool, prep_seconds](ExecEngine& engine) {
-    engine.charge_prep(prep_seconds);
-    engine.set_broadcast(pool.bytes(), kBroadcastPoolOffset);
-  };
-  spec.assign = [this, &ranges, &seqs, pair_of_linear](
-                    std::size_t batch_index) {
-    const int r = static_cast<int>(batch_index);
-    Assignment assignment;
-    assignment.bins.resize(upmem::kDpusPerRank);
-    assignment.bin_load.assign(upmem::kDpusPerRank, 0);
-    for (int d = 0; d < upmem::kDpusPerRank; ++d) {
-      const auto [first, last] =
-          ranges[static_cast<std::size_t>(r * upmem::kDpusPerRank + d)];
-      for (std::uint64_t linear = first; linear < last; ++linear) {
-        const auto [i, j] = pair_of_linear(linear);
-        const std::uint64_t load = pair_workload(
-            seqs[i].size(), seqs[j].size(),
-            static_cast<std::uint64_t>(config_.align.band_width));
-        assignment.bins[static_cast<std::size_t>(d)].push_back(
-            {static_cast<std::uint32_t>(linear), load});
-        assignment.bin_load[static_cast<std::size_t>(d)] += load;
-      }
-    }
-    return assignment;
-  };
-  spec.emit = [pair_of_linear](const WorkItem& item, DpuPlan& plan,
-                               SeqInterner& interner) {
-    (void)interner;  // pool-id mode: sequences live in the broadcast pool
-    const auto [i, j] = pair_of_linear(item.id);
-    plan.batch.pairs.push_back({static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(j), item.id});
-  };
-  spec.pair_of = [&seqs, pair_of_linear](std::uint32_t id) {
-    const auto [i, j] = pair_of_linear(id);
-    return PairInput{seqs[i], seqs[j]};
-  };
-  return run_batches(spec, out);
-}
-
-std::size_t PimAligner::linear_pair_index(std::size_t i, std::size_t j,
-                                          std::size_t count) {
-  PIMNW_CHECK(i < j && j < count);
-  // Pairs before row i: sum_{r<i} (count-1-r) = i*(count-1) - i*(i-1)/2.
-  return i * (count - 1) - i * (i - 1) / 2 + (j - i - 1);
 }
 
 }  // namespace pimnw::core

@@ -3,8 +3,9 @@
 // Pairwise mode (Tables 2–4, 6) follows the paper's main loop: read/encode
 // groups of pairs, split them into rank-sized batches pushed to a FIFO,
 // LPT-balance each batch across the 64 DPUs of whichever rank frees up
-// first, transfer, launch, collect. All-vs-all mode (Table 5) broadcasts the
-// sequence pool once and statically splits the quadratic pair list.
+// first, transfer, launch, collect. All-vs-all comparisons over a fixed
+// database (Table 5) go through core/session.hpp, which broadcasts the
+// database once and then moves only index pairs.
 //
 // Time is modeled, not measured: DPU execution comes from the simulator's
 // cycle accounting, transfers from the 60 GB/s bus model, host pre/post
@@ -28,12 +29,10 @@
 
 namespace pimnw::core {
 
-class ExecEngine;
 struct Assignment;
 struct WorkItem;
 struct DpuPlan;
 class SeqInterner;
-class SeqPool;
 
 /// Everything the benches need to reproduce the paper's measurements.
 struct RunReport {
@@ -75,48 +74,27 @@ class PimAligner {
   RunReport align_pairs(std::span<const PairInput> pairs,
                         std::vector<PairOutput>* out);
 
-  /// All-against-all comparison of `seqs` (the 16S phylogeny experiment):
-  /// broadcast the dataset, statically split the k·(k-1)/2 pairs over all
-  /// DPUs (score-only in the paper; traceback honours the config).
-  /// `out[linear(i,j)]` receives the result of pair (i, j), i < j, with
-  /// linear(i,j) enumerating pairs row-major (see linear_pair_index).
-  RunReport align_all_vs_all(std::span<const std::string> seqs,
-                             std::vector<PairOutput>* out);
-
   /// Align every pair within each set (the PacBio consensus pre-step,
   /// §5.4): whole sets are LPT-dispatched to DPUs so each read's packed
   /// bases cross the bus once per set instead of once per pair.
   /// `out[s]` receives the set's pair results, enumerated row-major
-  /// ((0,1),(0,2),...,(1,2),...) like linear_pair_index.
+  /// ((0,1),(0,2),...,(1,2),...).
   RunReport align_sets(std::span<const std::vector<std::string>> sets,
                        std::vector<std::vector<PairOutput>>* out);
 
-  /// Linear index of pair (i, j), i < j, within align_all_vs_all results.
-  static std::size_t linear_pair_index(std::size_t i, std::size_t j,
-                                       std::size_t count);
-
  private:
-  /// The one batched run path all three public modes share (ISSUE 4): a run
-  /// is `n_batches` rank-batches, each described by an Assignment of work
+  /// The one batched run path both public modes share: a run is
+  /// `n_batches` rank-batches, each described by an Assignment of work
   /// units to the 64 DPUs; `emit` expands one unit into its pairs inside a
-  /// DPU plan. Differences between the modes reduce to the closures plus an
-  /// optional shared sequence pool (the all-vs-all broadcast).
+  /// DPU plan. Differences between the modes reduce to the closures.
   struct RunSpec {
     std::size_t n_batches = 0;
     std::uint64_t total_pairs = 0;
-    /// Bins of batch b (LPT for pairs/sets, contiguous static split for
-    /// all-vs-all). Must be thread-safe: the pipelined engine builds several
-    /// batches concurrently.
+    /// Bins of batch b (LPT over pairs or over whole sets). Must be
+    /// thread-safe: the engine builds several batches concurrently.
     std::function<Assignment(std::size_t)> assign;
-    /// Append unit `item`'s pairs to `plan`, interning their sequences (or
-    /// referencing `shared_pool` ids when broadcasting).
+    /// Append unit `item`'s pairs to `plan`, interning their sequences.
     std::function<void(const WorkItem&, DpuPlan&, SeqInterner&)> emit;
-    /// Broadcast pool (all-vs-all): plans reference pool sequence ids and
-    /// the image is laid out against `pool_offset`.
-    const SeqPool* shared_pool = nullptr;
-    std::uint64_t pool_offset = 0;
-    /// Run once before the first batch (broadcast transfer + its prep).
-    std::function<void(ExecEngine&)> prologue;
     /// The (a, b) views of flat-output slot `global_id` — the shared
     /// verify-mode loop re-aligns every slot through this.
     std::function<PairInput(std::uint32_t)> pair_of;

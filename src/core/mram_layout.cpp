@@ -52,8 +52,7 @@ const SeqPool::Entry& SeqPool::entry(std::uint32_t i) const {
 
 MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
                            const PimKernel& kernel, const AlignConfig& config,
-                           const PoolConfig& pools,
-                           std::optional<std::uint64_t> pool_mram_offset) {
+                           const PoolConfig& pools) {
   const std::uint32_t nr_pairs = static_cast<std::uint32_t>(batch.pairs.size());
   const std::uint32_t nr_seqs = pool.size();
 
@@ -74,15 +73,9 @@ MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
   std::uint64_t cursor =
       align8(header.pair_table_off + nr_pairs * sizeof(PairEntry));
 
-  // Sequence pool: inline (per-DPU mode) or broadcast (16S mode).
-  std::uint64_t seq_base;
-  const bool inline_pool = !pool_mram_offset.has_value();
-  if (inline_pool) {
-    seq_base = cursor;
-    cursor = align8(cursor + pool.bytes().size());
-  } else {
-    seq_base = *pool_mram_offset;
-  }
+  // Sequence pool, inline after the work list.
+  const std::uint64_t seq_base = cursor;
+  cursor = align8(cursor + pool.bytes().size());
 
   header.result_off = cursor;
   cursor += static_cast<std::uint64_t>(nr_pairs) * sizeof(PairResult);
@@ -118,23 +111,10 @@ MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
   PIMNW_CHECK_MSG(cursor <= upmem::kMramBytes,
                   "DPU batch needs " << cursor << " bytes of MRAM (64 MB "
                                         "bank); shrink the batch");
-  if (!inline_pool) {
-    PIMNW_CHECK_MSG(header.total_bytes <= *pool_mram_offset,
-                    "batch control region ("
-                        << header.total_bytes
-                        << " bytes) collides with the broadcast pool at "
-                        << *pool_mram_offset);
-    PIMNW_CHECK_MSG(*pool_mram_offset + pool.bytes().size() <=
-                        upmem::kMramBytes,
-                    "broadcast pool overflows the bank");
-  }
 
-  // Serialize everything up to (and including) the inline sequence pool.
+  // Serialize everything up to (and including) the sequence pool.
   MramImage image;
-  const std::uint64_t written_bytes = inline_pool
-                                          ? align8(seq_base + pool.bytes().size())
-                                          : header.result_off;
-  image.bytes.assign(written_bytes, 0);
+  image.bytes.assign(header.result_off, 0);
   std::memcpy(image.bytes.data(), &header, sizeof(header));
 
   for (std::uint32_t s = 0; s < nr_seqs; ++s) {
@@ -159,7 +139,7 @@ MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
                     p * sizeof(PairEntry),
                 &entry, sizeof(entry));
   }
-  if (inline_pool && !pool.bytes().empty()) {
+  if (!pool.bytes().empty()) {
     std::memcpy(image.bytes.data() + seq_base, pool.bytes().data(),
                 pool.bytes().size());
   }

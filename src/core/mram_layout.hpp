@@ -5,11 +5,10 @@
 //   [ BatchHeader ]
 //   [ SeqEntry  x nr_seqs  ]   sequence table
 //   [ PairEntry x nr_pairs ]   work list (descriptor per alignment)
+//   [ sequence pool ]          2-bit packed bases
 //   [ PairResult x nr_pairs ]  written by the DPU, read back by the host
 //   [ cigar area ]             reversed run-length CIGARs, per-pair slots
 //   [ BT scratch x pools ]     traceback scratch, reused across pairs
-//   [ sequence pool ]          2-bit packed bases (per-DPU mode), or absent
-//                              when the pool is broadcast (16S mode, §5.3)
 //
 // The host writes everything up to the results region in one transfer; the
 // results + cigar regions come back in one transfer. BT scratch is
@@ -18,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -31,8 +29,9 @@ namespace pimnw::core {
 
 inline constexpr std::uint64_t kBatchMagic = 0x50494D4E5744424CULL;
 
-/// MRAM offset where a broadcast sequence pool lives (upper half of the
-/// bank); per-DPU batch images occupy the lower half.
+/// MRAM offset where a broadcast sequence pool (a session's resident
+/// database) lives: the upper half of the bank; per-DPU round images occupy
+/// the lower half.
 inline constexpr std::uint64_t kBroadcastPoolOffset = 32ull * 1024 * 1024;
 
 struct BatchHeader {
@@ -130,7 +129,7 @@ dna::CigarOp decode_cigar_op(std::uint32_t run);
 std::uint32_t decode_cigar_len(std::uint32_t run);
 
 /// A packed pool of sequences with an offset table — either per-DPU-batch
-/// (pairwise mode) or global (broadcast mode).
+/// (pairwise mode) or global (a session's broadcast database).
 class SeqPool {
  public:
   /// Pack `seqs` (ASCII, ACGT only) back to back, 8-byte aligning each.
@@ -170,18 +169,14 @@ struct MramImage {
 
 /// Build the image for one DPU.
 ///
-/// `pool` provides the sequences; when `pool_mram_offset` is nullopt the
-/// pool bytes are appended to the image (per-DPU mode), otherwise sequence
-/// offsets point at the given broadcast offset and the pool bytes are NOT
-/// included. `kernel` supplies the algorithm-specific numbers: the flag
+/// `pool` provides the sequences; its bytes are appended to the image.
+/// `kernel` supplies the algorithm-specific numbers: the flag
 /// word, per-pair CIGAR slot capacity, and the per-pool scratch stride
 /// (max over the batch's pairs). Throws CheckError if the footprint exceeds
 /// the 64 MB bank.
 MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
                            const PimKernel& kernel, const AlignConfig& config,
-                           const PoolConfig& pools,
-                           std::optional<std::uint64_t> pool_mram_offset =
-                               std::nullopt);
+                           const PoolConfig& pools);
 
 /// Worst-case MRAM footprint of a batch holding only the pair (len_a,
 /// len_b) with both sequences inline — the admission check for a single

@@ -22,10 +22,6 @@ const char* sim_path_name(SimPath path) {
   return "?";
 }
 
-const char* engine_mode_name(EngineMode mode) {
-  return mode == EngineMode::kPipelined ? "pipelined" : "legacy-barrier";
-}
-
 std::string params_json(const PimAlignerConfig& config) {
   std::ostringstream os;
   os << "{ \"nr_ranks\": " << config.nr_ranks
@@ -42,7 +38,6 @@ std::string params_json(const PimAlignerConfig& config) {
      << ", \"gap_open\": " << config.align.scoring.gap_open
      << ", \"gap_extend\": " << config.align.scoring.gap_extend
      << ", \"batch_pairs\": " << config.batch_pairs
-     << ", \"engine\": \"" << engine_mode_name(config.engine) << "\""
      << ", \"batch_window\": " << config.batch_window
      << ", \"bt_stream_passes\": " << config.bt_stream_passes << " }";
   return os.str();

@@ -39,22 +39,6 @@ enum class SimPath {
 
 const char* sim_path_name(SimPath path);
 
-/// How the host orchestrates rank-batches (DESIGN.md "Execution engine").
-/// Like SimPath this is a wall-clock-only choice: both modes produce
-/// bit-identical outputs and modeled stats (engine_test pins this).
-enum class EngineMode {
-  /// Work-stealing pipeline: up to `batch_window` rank-batches in flight,
-  /// per-DPU jobs executed out of order on worker arenas, results committed
-  /// strictly in batch order (default).
-  kPipelined,
-  /// The pre-pipeline behaviour: one batch at a time behind a per-rank
-  /// barrier, with one-slot Prefetch look-ahead. Kept as the bench baseline
-  /// and as the determinism test's reference schedule.
-  kLegacyBarrier,
-};
-
-const char* engine_mode_name(EngineMode mode);
-
 /// Tasklet organisation inside each DPU (paper §4.2.3): P pools of T
 /// tasklets align P pairs concurrently. The paper's evaluation uses P=6,
 /// T=4 (24 tasklets, comfortably above the 11 needed for full pipeline use).
@@ -95,12 +79,10 @@ struct PimAlignerConfig {
   /// Pairs per rank-batch in the FIFO dispatch (0 = pick automatically:
   /// enough pairs for every pool of every DPU of a rank to see several).
   std::size_t batch_pairs = 0;
-  /// Host orchestration strategy (never changes results or modeled time).
-  EngineMode engine = EngineMode::kPipelined;
-  /// Maximum rank-batches in flight in the pipelined engine (>= 1). Window 1
+  /// Maximum rank-batches in flight in the execution engine (>= 1). Window 1
   /// still overlaps plan-building with execution; larger windows let the
   /// work-stealing workers chew the tail of one batch while the next's DPU
-  /// jobs spread out. Ignored by kLegacyBarrier.
+  /// jobs spread out. Never changes results or modeled time.
   std::size_t batch_window = 4;
   /// Worker pool for the engine and the simulated DPUs; nullptr means the
   /// process-wide global_pool(). Tests inject 1- and 2-thread pools here.

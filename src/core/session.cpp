@@ -231,8 +231,7 @@ DbSession::AllVsAllResult DbSession::align_all_vs_all(
       static_cast<std::uint64_t>(config_.align.band_width));
 
   // One global LPT of tiles into nr_ranks × 64 bins; round b then executes
-  // bins [b·64, (b+1)·64) — one launch per rank, like the legacy broadcast
-  // path, but workload-balanced instead of pair-count split.
+  // bins [b·64, (b+1)·64) — one workload-balanced launch per rank.
   std::vector<WorkItem> items;
   items.reserve(tiles.size());
   for (std::size_t t = 0; t < tiles.size(); ++t) {

@@ -201,11 +201,6 @@ void StatsCollector::on_broadcast(double seconds, std::uint64_t bytes,
 
 void StatsCollector::add_cells(std::uint64_t cells) { cells_ += cells; }
 
-void StatsCollector::note_prefetch(std::uint64_t hits, std::uint64_t misses) {
-  prefetch_hits_ += hits;
-  prefetch_misses_ += misses;
-}
-
 void StatsCollector::note_pool(std::uint64_t executed, std::uint64_t stolen,
                                std::uint64_t injected) {
   pool_executed_ += executed;
@@ -244,8 +239,6 @@ void StatsCollector::write_json(std::ostream& out,
   out << "  \"pool\": { \"tasks_executed\": " << pool_executed_
       << ", \"tasks_stolen\": " << pool_stolen_
       << ", \"tasks_injected\": " << pool_injected_ << " },\n";
-  out << "  \"prefetch\": { \"hits\": " << prefetch_hits_
-      << ", \"misses\": " << prefetch_misses_ << " },\n";
   out << "  \"bytes_to_dpus\": " << report.bytes_to_dpus << ",\n";
   out << "  \"broadcast\": { \"count\": " << broadcasts_
       << ", \"bytes\": " << broadcast_bytes_

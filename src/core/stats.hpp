@@ -3,10 +3,10 @@
 // StatsCollector is a passive observer the execution engine feeds from its
 // sequenced commit stage: one LaunchRecord per rank-batch (timeline
 // placement + cycle aggregates), streaming per-DPU cycle min/mean/max,
-// banded-cell totals for GCUPS, work-stealing counters from the thread pool
-// and prefetch hit/miss counts. It never participates in the RunReport
-// arithmetic, so modeled outputs are bit-identical whether or not a
-// collector (or tracing) is attached — engine_test pins this.
+// banded-cell totals for GCUPS and work-stealing counters from the thread
+// pool. It never participates in the RunReport arithmetic, so modeled
+// outputs are bit-identical whether or not a collector (or tracing) is
+// attached — engine_test pins this.
 //
 // When tracing is enabled (util/trace.hpp) the collector also reconstructs
 // the *modeled PiM timeline* as trace spans: a lane per rank (transfer /
@@ -84,8 +84,6 @@ class StatsCollector {
   /// Banded DP cells of a committed batch (Σ pair_workload) — GCUPS input.
   void add_cells(std::uint64_t cells);
 
-  void note_prefetch(std::uint64_t hits, std::uint64_t misses);
-
   /// Thread-pool counter deltas over the observed run.
   void note_pool(std::uint64_t executed, std::uint64_t stolen,
                  std::uint64_t injected);
@@ -116,8 +114,6 @@ class StatsCollector {
   void set_params(std::string params_json) { params_ = std::move(params_json); }
   const std::string& params() const { return params_; }
 
-  std::uint64_t prefetch_hits() const { return prefetch_hits_; }
-  std::uint64_t prefetch_misses() const { return prefetch_misses_; }
   std::uint64_t pool_executed() const { return pool_executed_; }
   std::uint64_t pool_stolen() const { return pool_stolen_; }
   std::uint64_t pool_injected() const { return pool_injected_; }
@@ -150,8 +146,6 @@ class StatsCollector {
   std::uint64_t cycles_max_ = 0;
   std::uint64_t cycles_sum_ = 0;
   std::uint64_t dpu_count_ = 0;
-  std::uint64_t prefetch_hits_ = 0;
-  std::uint64_t prefetch_misses_ = 0;
   std::uint64_t pool_executed_ = 0;
   std::uint64_t pool_stolen_ = 0;
   std::uint64_t pool_injected_ = 0;

@@ -28,9 +28,8 @@ DpuCostModel::Summary Dpu::launch(DpuProgram& program, int pools,
   DpuCostModel cost(pools, tasklets_per_pool);
   DpuContext ctx{mram_, wram, cost};
   program.run(ctx);
-  last_summary_ = cost.summarize();
   last_profile_ = cost.profile();
-  return last_summary_;
+  return cost.summarize();
 }
 
 }  // namespace pimnw::upmem

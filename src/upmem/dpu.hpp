@@ -44,8 +44,7 @@ class Dpu {
   const Mram& mram() const { return mram_; }
 
   /// Execute `program` with a fresh WRAM and a fresh cost model of
-  /// `pools` x `tasklets_per_pool`. Returns the launch summary; it is also
-  /// retained as last_summary().
+  /// `pools` x `tasklets_per_pool`. Returns the launch summary.
   DpuCostModel::Summary launch(DpuProgram& program, int pools,
                                int tasklets_per_pool);
 
@@ -56,15 +55,12 @@ class Dpu {
   DpuCostModel::Summary launch(DpuProgram& program, int pools,
                                int tasklets_per_pool, Wram& wram);
 
-  const DpuCostModel::Summary& last_summary() const { return last_summary_; }
-
-  /// Phase-attributed profile of the last launch (DESIGN.md §12). Retained
-  /// alongside last_summary(); reading it cannot change modeled numbers.
+  /// Phase-attributed profile of the last launch (DESIGN.md §12); reading
+  /// it cannot change modeled numbers.
   const DpuPhaseProfile& last_profile() const { return last_profile_; }
 
  private:
   Mram mram_;
-  DpuCostModel::Summary last_summary_;
   DpuPhaseProfile last_profile_;
 };
 

@@ -26,8 +26,7 @@ const Dpu& Rank::dpu(int index) const {
 
 Rank::LaunchStats Rank::launch(
     const std::function<std::unique_ptr<DpuProgram>(int)>& make_program,
-    int pools, int tasklets_per_pool, ThreadPool* pool,
-    bool static_chunking) {
+    int pools, int tasklets_per_pool) {
   // DPUs are independent by construction (each owns its bank), so the
   // simulation executes them on the host's worker threads; results and
   // modeled times are bit-identical to a serial run. Programs are created
@@ -40,18 +39,14 @@ Rank::LaunchStats Rank::launch(
         programs[static_cast<std::size_t>(d)] != nullptr;
   }
   std::array<DpuCostModel::Summary, kDpusPerRank> summaries;
-  ThreadPool& tp = pool != nullptr ? *pool : global_pool();
+  ThreadPool& tp = global_pool();
   const auto body = [&](std::size_t d) {
     if (!programs[d]) return;
     PIMNW_TRACE_SPAN("sim dpu " + std::to_string(d));
     summaries[d] = dpus_[d].launch(*programs[d], pools, tasklets_per_pool);
   };
   if (tp.size() > 1) {
-    if (static_chunking) {
-      tp.parallel_for_static(kDpusPerRank, body);
-    } else {
-      tp.parallel_for(kDpusPerRank, body);
-    }
+    tp.parallel_for(kDpusPerRank, body);
   } else {
     for (std::size_t d = 0; d < kDpusPerRank; ++d) body(d);
   }

@@ -9,10 +9,6 @@
 
 #include "upmem/dpu.hpp"
 
-namespace pimnw {
-class ThreadPool;
-}
-
 namespace pimnw::upmem {
 
 class Rank {
@@ -36,17 +32,14 @@ class Rank {
     int active_dpus = 0;  // DPUs whose kernel did non-trivial work
   };
 
-  /// Launch one kernel instance per DPU. `make_program(dpu_index)` may
-  /// return nullptr to leave a DPU idle. Execution order across DPUs is
-  /// unspecified (they are independent by construction); stats aggregate the
-  /// cost models exactly as the rank-level barrier would. `pool` selects the
-  /// worker pool (nullptr = global_pool()); `static_chunking` reproduces the
-  /// pre-work-stealing contiguous-chunk schedule (wall-clock only — results
-  /// are bit-identical either way; engine_test pins this).
+  /// Launch one kernel instance per DPU on global_pool()'s workers.
+  /// `make_program(dpu_index)` may return nullptr to leave a DPU idle.
+  /// Execution order across DPUs is unspecified (they are independent by
+  /// construction); stats aggregate the cost models exactly as the
+  /// rank-level barrier would.
   LaunchStats launch(
       const std::function<std::unique_ptr<DpuProgram>(int)>& make_program,
-      int pools, int tasklets_per_pool, ThreadPool* pool = nullptr,
-      bool static_chunking = false);
+      int pools, int tasklets_per_pool);
 
   /// Fold per-DPU cost summaries into LaunchStats in fixed DPU order,
   /// exactly as launch() does behind its barrier. `ran[d]` marks DPUs that

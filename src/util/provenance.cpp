@@ -1,6 +1,5 @@
 #include "util/provenance.hpp"
 
-#include <cstdio>
 #include <ctime>
 #include <thread>
 
@@ -26,9 +25,7 @@ std::string timestamp_utc() {
   gmtime_r(&now, &tm);
 #endif
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
+  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
 }
 

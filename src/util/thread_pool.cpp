@@ -291,25 +291,14 @@ void ThreadPool::parallel_for(std::size_t n,
       });
     }
   }
-  if (sweep->error) std::rethrow_exception(sweep->error);
-}
-
-void ThreadPool::parallel_for_static(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, size() * 4);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
+  // Take the error out of the sweep before rethrowing: a helper task that
+  // wakes after the last iteration may still own the sweep, and the
+  // exception must not be released from that thread while this one is
+  // handling it (its refcount lives in the uninstrumented C++ runtime, so
+  // ThreadSanitizer cannot see that ordering).
+  if (std::exception_ptr error = std::move(sweep->error)) {
+    std::rethrow_exception(error);
   }
-  for (auto& f : futs) f.get();
 }
 
 ThreadPool& global_pool() {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -25,8 +24,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace pimnw {
 
@@ -241,14 +238,6 @@ class ThreadPool {
   /// caller's wake() condition true (e.g. a batch's last job finishing).
   void unpark_all();
 
-  /// The pre-work-stealing behaviour: contiguous chunks of ~n/(4·size())
-  /// iterations submitted as tasks, caller blocking on their futures. Kept
-  /// as the serial-reference scheduling for determinism tests and for the
-  /// legacy barrier engine. Must not be called from inside a pool task (the
-  /// caller does not help, so it can deadlock a saturated pool).
-  void parallel_for_static(std::size_t n,
-                           const std::function<void(std::size_t)>& fn);
-
  private:
   using Task = detail::TaskDeque::Task;
 
@@ -278,65 +267,5 @@ class ThreadPool {
 /// Process-wide default pool (lazily constructed). Benches and the simulator
 /// share it so we never oversubscribe the machine.
 ThreadPool& global_pool();
-
-/// One-slot look-ahead pipeline over global_pool(): stage(fn) starts building
-/// the next item on a pool worker while the caller consumes the current one
-/// (the paper's §4.1.3 reader-thread overlap of host prep with rank
-/// execution). take() blocks until the staged item is ready.
-///
-/// Staged work must not itself block on the pool (it may run on the caller's
-/// only worker); plan-building closures that are pure CPU satisfy this.
-template <typename T>
-class Prefetch {
- public:
-  /// `pool == nullptr` stages on global_pool().
-  explicit Prefetch(ThreadPool* pool = nullptr) : pool_(pool) {}
-
-  /// Staging over a live stage is a usage error: the new future would
-  /// silently replace the staged one, losing its result and potentially
-  /// blocking in the abandoned future's destructor (symmetric with the
-  /// take()-without-stage check).
-  template <typename F>
-  void stage(F&& fn) {
-    PIMNW_CHECK_MSG(!staged_,
-                    "Prefetch::stage() over an already-staged item — call "
-                    "take() first (each stage() feeds one take())");
-    next_ = (pool_ != nullptr ? *pool_ : global_pool())
-                .submit(std::forward<F>(fn));
-    staged_ = true;
-  }
-
-  /// Blocks for the staged item; rethrows anything the builder threw.
-  /// Calling take() with nothing staged is a usage error (the underlying
-  /// future would be invalid) and fails a PIMNW_CHECK instead of surfacing
-  /// an opaque std::future_error.
-  T take() {
-    PIMNW_CHECK_MSG(staged_,
-                    "Prefetch::take() with nothing staged — call stage() "
-                    "first (each take() consumes one stage())");
-    staged_ = false;
-    if (next_.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-    return next_.get();
-  }
-
-  bool staged() const { return staged_; }
-
-  /// take() calls that found the staged item already built (the look-ahead
-  /// won) vs. ones that had to block on the builder.
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  ThreadPool* pool_;
-  std::future<T> next_;
-  bool staged_ = false;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 }  // namespace pimnw

@@ -1,8 +1,8 @@
-// Determinism of the execution engine (ISSUE 2): the work-stealing
-// pipelined engine must produce bit-identical outputs AND bit-identical
-// modeled statistics for any worker count, any batch window, any steal
-// order, and across repeated runs — all compared against the serial
-// reference schedule (legacy barrier engine on a 1-thread pool).
+// Determinism of the execution engine: the work-stealing engine must
+// produce bit-identical outputs AND bit-identical modeled statistics for any
+// worker count, any batch window, any steal order, and across repeated runs
+// — all compared against the serial reference schedule (one worker, one
+// batch in flight), which is itself pinned to constants.
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/host.hpp"
+#include "core/session.hpp"
 #include "core/stats.hpp"
 #include "data/pacbio.hpp"
 #include "data/phylo16s.hpp"
@@ -64,16 +66,69 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   expect_same_report(a.report, b.report);
 }
 
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Digest of every pair's score, CIGAR, pool cycles and DMA bytes.
+std::uint64_t output_digest(const std::vector<PairOutput>& out) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const PairOutput& o : out) {
+    h = fnv1a(h, &o.score, sizeof(o.score));
+    const std::string cigar = o.cigar.to_string();
+    h = fnv1a(h, cigar.data(), cigar.size() + 1);
+    h = fnv1a(h, &o.dpu_pool_cycles, sizeof(o.dpu_pool_cycles));
+    h = fnv1a(h, &o.dpu_dma_bytes, sizeof(o.dpu_dma_bytes));
+  }
+  return h;
+}
+
+/// The serial schedule's modeled results, recorded from the barrier engine
+/// that rank-batches ran on before the pipelined engine replaced it. They
+/// pin the commit stage's timeline arithmetic, which no second
+/// implementation checks any more.
+struct ReferencePin {
+  std::uint64_t batches;
+  std::uint64_t total_pairs;
+  std::uint64_t rejected_pairs;
+  std::uint64_t bytes_to_dpus;
+  std::uint64_t bytes_broadcast;
+  std::uint64_t bytes_from_dpus;
+  std::uint64_t total_instructions;
+  std::uint64_t total_dma_bytes;
+  double makespan_seconds;
+  std::uint64_t output_digest;
+};
+
+void expect_matches_pin(const RunResult& r, const ReferencePin& pin) {
+  EXPECT_EQ(r.report.batches, pin.batches);
+  EXPECT_EQ(r.report.total_pairs, pin.total_pairs);
+  EXPECT_EQ(r.report.rejected_pairs, pin.rejected_pairs);
+  EXPECT_EQ(r.report.bytes_to_dpus, pin.bytes_to_dpus);
+  EXPECT_EQ(r.report.bytes_broadcast, pin.bytes_broadcast);
+  EXPECT_EQ(r.report.bytes_from_dpus, pin.bytes_from_dpus);
+  EXPECT_EQ(r.report.total_instructions, pin.total_instructions);
+  EXPECT_EQ(r.report.total_dma_bytes, pin.total_dma_bytes);
+  EXPECT_EQ(r.report.makespan_seconds, pin.makespan_seconds);
+  EXPECT_EQ(output_digest(r.out), pin.output_digest);
+}
+
 struct EngineVariant {
-  EngineMode mode;
   std::size_t window;
   /// Worker threads; 0 = the process-global pool (hardware concurrency).
   std::size_t pool_threads;
 };
 
+/// The serial reference schedule: one worker, one batch in flight.
+constexpr EngineVariant kSerial{1, 1};
+
 PimAlignerConfig variant_config(PimAlignerConfig base, const EngineVariant& v,
                                 std::optional<ThreadPool>& pool) {
-  base.engine = v.mode;
   base.batch_window = v.window;
   if (v.pool_threads > 0) {
     pool.emplace(v.pool_threads);
@@ -82,17 +137,14 @@ PimAlignerConfig variant_config(PimAlignerConfig base, const EngineVariant& v,
   return base;
 }
 
-/// The serial reference plus the pool-size/window/mode sweep the ISSUE asks
-/// for: pool sizes 1, 2 and N(hardware), windows 1 and 4, both modes, and a
-/// repeated run to pin run-to-run determinism.
+/// The pool-size/window sweep: pool sizes 1, 2 and N(hardware), windows 1
+/// and 4, and a repeated run to pin run-to-run determinism.
 const EngineVariant kVariants[] = {
-    {EngineMode::kLegacyBarrier, 1, 0},   // old engine, full pool
-    {EngineMode::kPipelined, 1, 1},       // serial pipelined
-    {EngineMode::kPipelined, 4, 1},       // windowed, single worker
-    {EngineMode::kPipelined, 4, 2},       // windowed, two workers
-    {EngineMode::kPipelined, 1, 0},       // window 1, N workers
-    {EngineMode::kPipelined, 4, 0},       // full engine, N workers
-    {EngineMode::kPipelined, 4, 0},       // ... and again (repeatability)
+    {4, 1},  // windowed, single worker
+    {4, 2},  // windowed, two workers
+    {1, 0},  // window 1, N workers
+    {4, 0},  // full engine, N workers
+    {4, 0},  // ... and again (repeatability)
 };
 
 TEST(EngineDeterminismTest, PairsBitIdenticalAcrossPoolsWindowsAndModes) {
@@ -116,18 +168,13 @@ TEST(EngineDeterminismTest, PairsBitIdenticalAcrossPoolsWindowsAndModes) {
     return r;
   };
 
-  // Reference: the legacy barrier engine on a single-thread pool — the
-  // fully serial schedule.
-  std::optional<ThreadPool> serial_pool;
-  EngineVariant serial{EngineMode::kLegacyBarrier, 1, 1};
-  PimAligner serial_aligner(variant_config(base, serial, serial_pool));
-  RunResult reference;
-  reference.report = serial_aligner.align_pairs(pairs, &reference.out);
-  EXPECT_EQ(reference.report.batches, 4u);
+  const RunResult reference = run_variant(kSerial);
+  expect_matches_pin(reference, {4, 36, 0, 59896, 0, 867944, 1285615932,
+                                 29525464, 0x1.446bf2eba50fep+0,
+                                 0x9fd7e3f25c756ac2ULL});
 
   for (const EngineVariant& v : kVariants) {
-    SCOPED_TRACE(std::string(engine_mode_name(v.mode)) + " window " +
-                 std::to_string(v.window) + " threads " +
+    SCOPED_TRACE("window " + std::to_string(v.window) + " threads " +
                  std::to_string(v.pool_threads));
     expect_identical(run_variant(v), reference);
   }
@@ -159,42 +206,48 @@ TEST(EngineDeterminismTest, SetsBitIdenticalAcrossEngines) {
     return flat;
   };
 
-  const RunResult reference =
-      run_variant({EngineMode::kLegacyBarrier, 1, 1});
+  const RunResult reference = run_variant(kSerial);
+  expect_matches_pin(reference, {1, 67, 0, 14408, 0, 807088, 1193900948,
+                                 27254480, 0x1.f53abc476003ap-1,
+                                 0xfe661b63b1828728ULL});
   for (const EngineVariant& v : kVariants) {
-    SCOPED_TRACE(std::string(engine_mode_name(v.mode)) + " window " +
-                 std::to_string(v.window) + " threads " +
+    SCOPED_TRACE("window " + std::to_string(v.window) + " threads " +
                  std::to_string(v.pool_threads));
     expect_identical(run_variant(v), reference);
   }
 }
 
 TEST(EngineDeterminismTest, AllVsAllBitIdenticalAcrossEngines) {
+  // The session all-vs-all sweep: broadcast database, tiled rounds, hits
+  // streamed into the reducer from whichever worker decoded them.
   data::Phylo16sConfig data_config;
   data_config.species = 20;
   data_config.root_length = 500;
   const std::vector<std::string> seqs = data::generate_16s(data_config);
 
   PimAlignerConfig base;
-  base.nr_ranks = 3;  // 3 batches (one per rank), broadcast pool
-  base.align.traceback = false;
+  base.nr_ranks = 3;  // 3 rounds (one per rank) after the broadcast
 
-  auto run_variant = [&](const EngineVariant& v) -> RunResult {
+  auto run_variant = [&](const EngineVariant& v) {
     std::optional<ThreadPool> pool;
-    PimAligner aligner(variant_config(base, v, pool));
-    RunResult r;
-    r.report = aligner.align_all_vs_all(seqs, &r.out);
-    return r;
+    DbSession session(seqs, variant_config(base, v, pool));
+    return session.align_all_vs_all(ScoreFilter{});
   };
 
-  const RunResult reference =
-      run_variant({EngineMode::kLegacyBarrier, 1, 1});
+  const DbSession::AllVsAllResult reference = run_variant(kSerial);
   EXPECT_EQ(reference.report.batches, 3u);
+  EXPECT_GT(reference.hits.size(), reference.pairs_swept / 2);
   for (const EngineVariant& v : kVariants) {
-    SCOPED_TRACE(std::string(engine_mode_name(v.mode)) + " window " +
-                 std::to_string(v.window) + " threads " +
+    SCOPED_TRACE("window " + std::to_string(v.window) + " threads " +
                  std::to_string(v.pool_threads));
-    expect_identical(run_variant(v), reference);
+    const DbSession::AllVsAllResult got = run_variant(v);
+    expect_same_report(got.report, reference.report);
+    ASSERT_EQ(got.hits.size(), reference.hits.size());
+    for (std::size_t h = 0; h < got.hits.size(); ++h) {
+      EXPECT_EQ(got.hits[h].a, reference.hits[h].a) << "hit " << h;
+      EXPECT_EQ(got.hits[h].b, reference.hits[h].b) << "hit " << h;
+      EXPECT_EQ(got.hits[h].score, reference.hits[h].score) << "hit " << h;
+    }
   }
 }
 
@@ -213,11 +266,10 @@ TEST(EngineDeterminismTest, TracingDoesNotPerturbModeledOutputs) {
   base.nr_ranks = 2;
   base.batch_pairs = 6;  // 20 pairs -> 4 batches over 2 ranks
 
-  auto run = [&](bool traced, StatsCollector* stats, EngineMode mode,
+  auto run = [&](bool traced, StatsCollector* stats,
                  std::size_t threads) -> RunResult {
     std::optional<ThreadPool> pool;
     PimAlignerConfig config = base;
-    config.engine = mode;
     config.stats = stats;
     if (threads > 0) {
       pool.emplace(threads);
@@ -232,24 +284,12 @@ TEST(EngineDeterminismTest, TracingDoesNotPerturbModeledOutputs) {
     return r;
   };
 
-  const RunResult reference =
-      run(false, nullptr, EngineMode::kPipelined, 1);
+  const RunResult reference = run(false, nullptr, 1);
 
-  struct TracedVariant {
-    EngineMode mode;
-    std::size_t threads;
-  };
-  const TracedVariant variants[] = {
-      {EngineMode::kPipelined, 1},
-      {EngineMode::kPipelined, 2},
-      {EngineMode::kPipelined, 0},
-      {EngineMode::kLegacyBarrier, 2},
-  };
-  for (const TracedVariant& v : variants) {
-    SCOPED_TRACE(std::string(engine_mode_name(v.mode)) + " threads " +
-                 std::to_string(v.threads));
+  for (const std::size_t threads : {1, 2, 0}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     StatsCollector stats;
-    const RunResult traced = run(true, &stats, v.mode, v.threads);
+    const RunResult traced = run(true, &stats, threads);
     expect_identical(traced, reference);
 
     // The collector saw every committed launch, and its streaming cycle
@@ -293,6 +333,10 @@ TEST(EngineDeterminismTest, PipelinedMatchesReferenceAligner) {
   const data::PairDataset dataset = data::generate_synthetic(data_config);
   std::vector<PairInput> pairs;
   for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
+  // A read and a prefix view of it share a start address but are two
+  // sequences; the interner must not fold them into one.
+  const std::string_view read = dataset.pairs[0].first;
+  pairs.push_back({read, read.substr(0, 700)});
 
   PimAlignerConfig config;
   config.nr_ranks = 1;

@@ -126,20 +126,29 @@ TEST(KernelEdgeTest, DeterministicAcrossRuns) {
 }
 
 TEST(KernelEdgeTest, AllVsAllWithTraceback) {
-  // §5.3 runs score-only, but the broadcast path supports CIGARs too.
+  // §5.3 runs score-only; an all-vs-all that needs CIGARs (align_fasta
+  // --all-vs-all) enumerates the pairs through align_pairs, where each
+  // sequence is shared by several pairs of one DPU.
   std::vector<std::string> seqs;
   Xoshiro256 rng(53);
   const std::string root = data::random_dna(150, rng);
   data::ErrorModel errors;
   errors.error_rate = 0.05;
   for (int s = 0; s < 5; ++s) seqs.push_back(data::mutate(root, errors, rng));
+  std::vector<PairInput> pairs;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    for (std::size_t j = i + 1; j < seqs.size(); ++j) {
+      pairs.push_back({seqs[i], seqs[j]});
+    }
+  }
   PimAlignerConfig config;
   config.nr_ranks = 1;
   config.align.band_width = 32;
   config.align.traceback = true;
   config.verify = true;
   std::vector<PairOutput> outputs;
-  EXPECT_NO_THROW(PimAligner(config).align_all_vs_all(seqs, &outputs));
+  EXPECT_NO_THROW(PimAligner(config).align_pairs(pairs, &outputs));
+  ASSERT_EQ(outputs.size(), pairs.size());
   for (const PairOutput& output : outputs) {
     EXPECT_FALSE(output.cigar.empty());
   }

@@ -8,6 +8,7 @@
 #include "align/nw_full.hpp"
 #include "align/verify.hpp"
 #include "core/host.hpp"
+#include "core/session.hpp"
 #include "data/mutate.hpp"
 #include "data/pacbio.hpp"
 #include "data/phylo16s.hpp"
@@ -258,6 +259,14 @@ TEST(KernelTest, RunReportIsPlausible) {
   EXPECT_GE(report.load_imbalance, 1.0);
 }
 
+std::vector<IndexPair> all_index_pairs(std::size_t count) {
+  std::vector<IndexPair> pairs;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    for (std::uint32_t j = i + 1; j < count; ++j) pairs.push_back({i, j});
+  }
+  return pairs;
+}
+
 TEST(AllVsAllTest, MatchesReferenceScores) {
   data::Phylo16sConfig config;
   config.species = 10;
@@ -268,33 +277,23 @@ TEST(AllVsAllTest, MatchesReferenceScores) {
   PimAlignerConfig aligner_config;
   aligner_config.nr_ranks = 1;
   aligner_config.align.band_width = 32;
-  aligner_config.align.traceback = false;
-  PimAligner aligner(aligner_config);
+  DbSession session(seqs, aligner_config);
+  const std::vector<IndexPair> pairs = all_index_pairs(seqs.size());
   std::vector<PairOutput> outputs;
-  const RunReport report = aligner.align_all_vs_all(seqs, &outputs);
+  const RunReport report = session.align_pairs(pairs, &outputs);
   ASSERT_EQ(outputs.size(), seqs.size() * (seqs.size() - 1) / 2);
   EXPECT_EQ(report.total_pairs, outputs.size());
 
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    for (std::size_t j = i + 1; j < seqs.size(); ++j) {
-      const align::AlignResult ref = align::banded_adaptive(
-          seqs[i], seqs[j], aligner_config.align.scoring,
-          {.band_width = 32, .traceback = false});
-      const std::size_t linear =
-          PimAligner::linear_pair_index(i, j, seqs.size());
-      ASSERT_LT(linear, outputs.size());
-      EXPECT_EQ(outputs[linear].score, ref.score) << "pair " << i << "," << j;
-      EXPECT_GT(outputs[linear].dpu_pool_cycles, 0u);
-    }
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const std::string& a = seqs[pairs[p].a];
+    const std::string& b = seqs[pairs[p].b];
+    const align::AlignResult ref = align::banded_adaptive(
+        a, b, aligner_config.align.scoring,
+        {.band_width = 32, .traceback = false});
+    EXPECT_EQ(outputs[p].score, ref.score)
+        << "pair " << pairs[p].a << "," << pairs[p].b;
+    EXPECT_GT(outputs[p].dpu_pool_cycles, 0u);
   }
-}
-
-TEST(AllVsAllTest, LinearPairIndexEnumeratesRowMajor) {
-  // (0,1) (0,2) (0,3) (1,2) (1,3) (2,3) for count=4.
-  EXPECT_EQ(PimAligner::linear_pair_index(0, 1, 4), 0u);
-  EXPECT_EQ(PimAligner::linear_pair_index(0, 3, 4), 2u);
-  EXPECT_EQ(PimAligner::linear_pair_index(1, 2, 4), 3u);
-  EXPECT_EQ(PimAligner::linear_pair_index(2, 3, 4), 5u);
 }
 
 TEST(AllVsAllTest, BroadcastBytesScaleWithDpus) {
@@ -304,18 +303,19 @@ TEST(AllVsAllTest, BroadcastBytesScaleWithDpus) {
   const std::vector<std::string> seqs = data::generate_16s(config);
   PimAlignerConfig a1;
   a1.nr_ranks = 1;
-  a1.align.traceback = false;
   a1.align.band_width = 16;
   PimAlignerConfig a2 = a1;
   a2.nr_ranks = 2;
+  const std::vector<IndexPair> pairs = all_index_pairs(seqs.size());
   std::vector<PairOutput> s1, s2;
-  const RunReport r1 = PimAligner(a1).align_all_vs_all(seqs, &s1);
-  const RunReport r2 = PimAligner(a2).align_all_vs_all(seqs, &s2);
+  const RunReport r1 = DbSession(seqs, a1).align_pairs(pairs, &s1);
+  const RunReport r2 = DbSession(seqs, a2).align_pairs(pairs, &s2);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t p = 0; p < s1.size(); ++p) {
     EXPECT_EQ(s1[p].score, s2[p].score);  // results independent of system size
   }
-  EXPECT_GT(r2.bytes_to_dpus, r1.bytes_to_dpus);
+  EXPECT_GT(r1.bytes_broadcast, 0u);
+  EXPECT_EQ(r2.bytes_broadcast, 2 * r1.bytes_broadcast);
 }
 
 }  // namespace

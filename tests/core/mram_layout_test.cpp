@@ -119,20 +119,6 @@ TEST_F(MramImageTest, SequenceBytesEmbeddedInPerDpuMode) {
             pool_.bytes()[pool_.entry(0).offset]);
 }
 
-TEST_F(MramImageTest, BroadcastModeOmitsSequencesAndPointsAtPool) {
-  const MramImage local =
-      build_mram_image(batch_, pool_, nw_kernel(), align_config_, pool_config_);
-  const MramImage remote =
-      build_mram_image(batch_, pool_, nw_kernel(), align_config_,
-                       pool_config_, kBroadcastPoolOffset);
-  EXPECT_LT(remote.bytes.size(), local.bytes.size());
-  const BatchHeader header = header_of(remote);
-  SeqEntry entry;
-  std::memcpy(&entry, remote.bytes.data() + header.seq_table_off,
-              sizeof(entry));
-  EXPECT_GE(entry.data_off, kBroadcastPoolOffset);
-}
-
 TEST_F(MramImageTest, ScoreOnlyModeHasNoCigarNorScratch) {
   align_config_.traceback = false;
   const MramImage image =
@@ -164,17 +150,15 @@ TEST_F(MramImageTest, PairEntriesCarryGlobalIdsAndCigarSlots) {
 }
 
 TEST_F(MramImageTest, OversizedBatchRejected) {
-  // A pair of two 20 Mbp "sequences" would need >64 MB of BT scratch.
+  // A band so wide that even a 4-base pair's BT scratch (one nibble-packed
+  // row per anti-diagonal, per pool) exceeds the 64 MB bank.
   std::vector<std::string_view> views = {"ACGT"};
   SeqPool tiny = SeqPool::build(views);
-  // Fake a pool entry with a huge length by building a batch against a
-  // pool we can't fabricate — instead use many pairs of real sequences
-  // whose cigar slots exceed the bank: impossible with tiny seqs, so check
-  // the broadcast collision path instead.
   DpuBatchInput batch;
   batch.pairs = {{0, 0, 0}};
+  align_config_.band_width = std::int64_t{1} << 24;
   EXPECT_THROW(build_mram_image(batch, tiny, nw_kernel(), align_config_,
-                                pool_config_, /*pool_mram_offset=*/16),
+                                pool_config_),
                CheckError);
 }
 

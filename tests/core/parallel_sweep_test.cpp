@@ -1,7 +1,7 @@
 // The data-parallel DPU sweep (DESIGN.md §15): a rank launch fans its 64
 // DPU plans out across the worker pool, yet every modeled result must be
-// bit-identical to the threads=1 serial schedule. This is the matrix pin —
-// threads {1, 2, 8} x engine mode x traceback on/off x multi-round session
+// bit-identical to the serial schedule (one worker, window 1). This is the
+// matrix pin — threads {1, 2, 8} x traceback on/off x multi-round session
 // use — checking scores, CIGARs, modeled cycles and DMA bytes exactly, plus
 // the profiler's attributed_cycles == sum_dpu_cycles reconciliation on
 // every committed launch. Suite names carry "ParallelSweep" so the tsan
@@ -90,10 +90,10 @@ void expect_identical(const RunResult& got, const RunResult& want) {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
-// threads x mode x traceback, all against the traceback-matched serial
-// reference (legacy barrier on a 1-thread pool). With 8 workers and 2 ranks
-// of 64 DPUs the intra-launch sweep, the pipeline window and steal order
-// all vary run to run; the modeled results must not.
+// threads x traceback, all against the traceback-matched serial reference
+// (a 1-thread pool at window 1). With 8 workers and 2 ranks of 64 DPUs the
+// intra-launch sweep, the pipeline window and steal order all vary run to
+// run; the modeled results must not.
 TEST(ParallelSweepTest, PairsBitIdenticalAcrossThreadMatrix) {
   data::SyntheticConfig data_config = data::s10000_config(30);
   data_config.read_length = 2000;  // keep the suite fast; shape unchanged
@@ -102,7 +102,7 @@ TEST(ParallelSweepTest, PairsBitIdenticalAcrossThreadMatrix) {
   pairs.reserve(dataset.pairs.size());
   for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
 
-  auto run = [&](EngineMode mode, std::size_t threads,
+  auto run = [&](std::size_t threads, std::size_t window,
                  bool traceback) -> RunResult {
     ThreadPool pool(threads);
     StatsCollector stats;
@@ -110,7 +110,7 @@ TEST(ParallelSweepTest, PairsBitIdenticalAcrossThreadMatrix) {
     config.nr_ranks = 2;
     config.batch_pairs = 8;  // 30 pairs -> 4 batches over 2 ranks
     config.align.traceback = traceback;
-    config.engine = mode;
+    config.batch_window = window;
     config.workers = &pool;
     config.stats = &stats;
     PimAligner aligner(config);
@@ -120,18 +120,14 @@ TEST(ParallelSweepTest, PairsBitIdenticalAcrossThreadMatrix) {
     return r;
   };
 
+  const std::size_t window = PimAlignerConfig{}.batch_window;
   for (const bool traceback : {true, false}) {
-    const RunResult reference =
-        run(EngineMode::kLegacyBarrier, 1, traceback);
+    const RunResult reference = run(1, 1, traceback);
     ASSERT_EQ(reference.report.batches, 4u);
-    for (const EngineMode mode :
-         {EngineMode::kLegacyBarrier, EngineMode::kPipelined}) {
-      for (const std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE(std::string(engine_mode_name(mode)) + " threads " +
-                     std::to_string(threads) +
-                     (traceback ? " traceback" : " score-only"));
-        expect_identical(run(mode, threads, traceback), reference);
-      }
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (traceback ? " traceback" : " score-only"));
+      expect_identical(run(threads, window, traceback), reference);
     }
   }
 }
@@ -156,12 +152,12 @@ TEST(ParallelSweepTest, SessionRoundsBitIdenticalAcrossThreads) {
     }
   }
 
-  auto run = [&](EngineMode mode, std::size_t threads) -> RunResult {
+  auto run = [&](std::size_t threads, std::size_t window) -> RunResult {
     ThreadPool pool(threads);
     StatsCollector stats;
     PimAlignerConfig config;
     config.nr_ranks = 2;
-    config.engine = mode;
+    config.batch_window = window;
     config.workers = &pool;
     config.stats = &stats;
     DbSession session(db, config);
@@ -184,30 +180,25 @@ TEST(ParallelSweepTest, SessionRoundsBitIdenticalAcrossThreads) {
     return r;
   };
 
-  const RunResult reference = run(EngineMode::kLegacyBarrier, 1);
+  const RunResult reference = run(1, 1);
   ASSERT_GT(reference.launches.size(), 0u);
-  for (const EngineMode mode :
-       {EngineMode::kLegacyBarrier, EngineMode::kPipelined}) {
-    for (const std::size_t threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(engine_mode_name(mode)) + " threads " +
-                   std::to_string(threads));
-      const RunResult got = run(mode, threads);
-      expect_same_outputs(got.out, reference.out);
-      expect_same_launches(got.launches, reference.launches);
-      EXPECT_EQ(got.report.batches, reference.report.batches);
-      EXPECT_EQ(got.report.total_pairs, reference.report.total_pairs);
-      EXPECT_EQ(got.report.bytes_to_dpus, reference.report.bytes_to_dpus);
-      EXPECT_EQ(got.report.bytes_from_dpus, reference.report.bytes_from_dpus);
-      EXPECT_EQ(got.report.total_instructions,
-                reference.report.total_instructions);
-      EXPECT_EQ(got.report.total_dma_bytes, reference.report.total_dma_bytes);
-      EXPECT_EQ(got.report.makespan_seconds,
-                reference.report.makespan_seconds);
-      EXPECT_EQ(got.report.transfer_seconds,
-                reference.report.transfer_seconds);
-      EXPECT_EQ(got.report.host_prep_seconds,
-                reference.report.host_prep_seconds);
-    }
+  const std::size_t window = PimAlignerConfig{}.batch_window;
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const RunResult got = run(threads, window);
+    expect_same_outputs(got.out, reference.out);
+    expect_same_launches(got.launches, reference.launches);
+    EXPECT_EQ(got.report.batches, reference.report.batches);
+    EXPECT_EQ(got.report.total_pairs, reference.report.total_pairs);
+    EXPECT_EQ(got.report.bytes_to_dpus, reference.report.bytes_to_dpus);
+    EXPECT_EQ(got.report.bytes_from_dpus, reference.report.bytes_from_dpus);
+    EXPECT_EQ(got.report.total_instructions,
+              reference.report.total_instructions);
+    EXPECT_EQ(got.report.total_dma_bytes, reference.report.total_dma_bytes);
+    EXPECT_EQ(got.report.makespan_seconds, reference.report.makespan_seconds);
+    EXPECT_EQ(got.report.transfer_seconds, reference.report.transfer_seconds);
+    EXPECT_EQ(got.report.host_prep_seconds,
+              reference.report.host_prep_seconds);
   }
 }
 

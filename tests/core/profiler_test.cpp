@@ -22,6 +22,7 @@
 #include "core/stats.hpp"
 #include "data/synthetic.hpp"
 #include "upmem/cost_model.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace pimnw::core {
@@ -89,27 +90,32 @@ void expect_reconciles(const StatsCollector& stats) {
 }
 
 TEST(ProfilerTest, ReconciliationAcrossEnginesAndShapes) {
+  // Engine on the global pool, or the serial schedule (one worker, window 1).
+  ThreadPool one(1);
   const struct {
-    EngineMode mode;
+    bool serial;
     int pools;
     int tasklets;
     bool traceback;
   } cases[] = {
-      {EngineMode::kPipelined, 6, 4, true},
-      {EngineMode::kPipelined, 2, 3, true},
-      {EngineMode::kPipelined, 1, 2, true},
-      {EngineMode::kPipelined, 6, 4, false},
-      {EngineMode::kLegacyBarrier, 6, 4, true},
-      {EngineMode::kLegacyBarrier, 2, 3, false},
-      {EngineMode::kLegacyBarrier, 1, 2, true},
+      {false, 6, 4, true},
+      {false, 2, 3, true},
+      {false, 1, 2, true},
+      {false, 6, 4, false},
+      {true, 6, 4, true},
+      {true, 2, 3, false},
+      {true, 1, 2, true},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(std::string(engine_mode_name(c.mode)) + " P" +
+    SCOPED_TRACE(std::string(c.serial ? "serial" : "pooled") + " P" +
                  std::to_string(c.pools) + "T" + std::to_string(c.tasklets) +
                  (c.traceback ? " tb" : " score-only"));
     StatsCollector stats;
     PimAlignerConfig config = base_config();
-    config.engine = c.mode;
+    if (c.serial) {
+      config.workers = &one;
+      config.batch_window = 1;
+    }
     config.pool.pools = c.pools;
     config.pool.tasklets_per_pool = c.tasklets;
     config.align.traceback = c.traceback;

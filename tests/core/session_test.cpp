@@ -1,5 +1,5 @@
 // Persistent-database sessions (DESIGN.md §13): bit-identity of the
-// session path against the legacy all-vs-all path and full DP, the
+// session path against the per-batch pairwise path and full DP, the
 // exactly-once triangular tiling property, streaming top-K/threshold
 // reduction vs the full matrix, bounded MRAM footprints across rounds,
 // broadcast-bytes attribution, and SessionBackend behind the Dispatcher.
@@ -56,45 +56,45 @@ PimAlignerConfig session_config(int nr_ranks) {
 
 // The tentpole pin: scores produced through the resident-database session
 // (8-byte index pairs out, 16-byte score records back) must be bit-identical
-// to the legacy all-vs-all path (sequences re-sent per batch) and, with the
-// band covering the whole matrix, to the full-DP optimum — in both engine
-// modes.
+// to PimAligner::align_pairs over the same enumerated pairs (sequences
+// re-sent per batch) and, with the band covering the whole matrix, to the
+// full-DP optimum.
 TEST(SessionBitIdentity, MatchesLegacyAllVsAllAndFullDp) {
   const std::vector<std::string> db = tiny_db(10, 5);
   const std::vector<IndexPair> pairs = all_pairs(db.size());
 
-  std::vector<PairOutput> legacy_out;
-  PimAligner legacy(session_config(1));
-  (void)legacy.align_all_vs_all(db, &legacy_out);
-  ASSERT_EQ(legacy_out.size(), pairs.size());
+  std::vector<PairInput> views;
+  for (const IndexPair& pair : pairs) {
+    views.push_back({db[pair.a], db[pair.b]});
+  }
+  std::vector<PairOutput> batch_out;
+  PimAligner aligner(session_config(1));
+  (void)aligner.align_pairs(views, &batch_out);
+  ASSERT_EQ(batch_out.size(), pairs.size());
 
   const align::Scoring scoring;  // the session default
-  for (const EngineMode mode :
-       {EngineMode::kPipelined, EngineMode::kLegacyBarrier}) {
-    PimAlignerConfig config = session_config(1);
-    config.engine = mode;
-    DbSession session(db, config);
-    std::vector<PairOutput> out;
-    (void)session.align_pairs(pairs, &out);
-    ASSERT_EQ(out.size(), pairs.size());
-    std::size_t exact_checked = 0;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      EXPECT_EQ(out[p].ok, legacy_out[p].ok) << "pair " << p;
-      EXPECT_EQ(out[p].score, legacy_out[p].score) << "pair " << p;
-      // Banded == full DP only where the 128-wide band covers the whole
-      // matrix (m + n <= band); the generator's long indels push a few
-      // pairs beyond that, where banded is legitimately suboptimal.
-      const std::string& a = db[pairs[p].a];
-      const std::string& b = db[pairs[p].b];
-      if (out[p].ok && a.size() + b.size() <=
-                           static_cast<std::size_t>(config.align.band_width)) {
-        EXPECT_EQ(out[p].score, align::nw_full_score(a, b, scoring))
-            << "pair " << p;
-        ++exact_checked;
-      }
+  const PimAlignerConfig config = session_config(1);
+  DbSession session(db, config);
+  std::vector<PairOutput> out;
+  (void)session.align_pairs(pairs, &out);
+  ASSERT_EQ(out.size(), pairs.size());
+  std::size_t exact_checked = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    EXPECT_EQ(out[p].ok, batch_out[p].ok) << "pair " << p;
+    EXPECT_EQ(out[p].score, batch_out[p].score) << "pair " << p;
+    // Banded == full DP only where the 128-wide band covers the whole
+    // matrix (m + n <= band); the generator's long indels push a few
+    // pairs beyond that, where banded is legitimately suboptimal.
+    const std::string& a = db[pairs[p].a];
+    const std::string& b = db[pairs[p].b];
+    if (out[p].ok && a.size() + b.size() <=
+                         static_cast<std::size_t>(config.align.band_width)) {
+      EXPECT_EQ(out[p].score, align::nw_full_score(a, b, scoring))
+          << "pair " << p;
+      ++exact_checked;
     }
-    EXPECT_GT(exact_checked, pairs.size() / 2);  // the gate must have teeth
   }
+  EXPECT_GT(exact_checked, pairs.size() / 2);  // the gate must have teeth
 }
 
 // Sessions force traceback off; the config copy the session keeps must
@@ -227,29 +227,24 @@ TEST(SessionReducer, OrderIndependentTopK) {
 
 // Satellite 2: across many rounds the per-round scratch (round image +
 // result region) is dropped after each align_* call, so the materialised
-// footprint stays flat at the resident-database level instead of growing
-// with the rounds. Covers both engines (banks vs per-worker arenas).
+// footprint of the per-worker arena banks stays flat at the
+// resident-database level instead of growing with the rounds.
 TEST(SessionFootprint, ScratchReleasedAndBounded) {
   const std::vector<std::string> db = tiny_db(8, 13);
   const std::vector<IndexPair> pairs = all_pairs(db.size());
-  for (const EngineMode mode :
-       {EngineMode::kPipelined, EngineMode::kLegacyBarrier}) {
-    PimAlignerConfig config = session_config(1);
-    config.engine = mode;
-    config.batch_pairs = 8;  // several rounds per call
-    DbSession session(db, config);
+  PimAlignerConfig config = session_config(1);
+  config.batch_pairs = 8;  // several rounds per call
+  DbSession session(db, config);
 
+  (void)session.align_pairs(pairs, nullptr);
+  EXPECT_GT(session.last_scratch_released(), 0u);
+  const std::uint64_t after_first = session.max_bank_footprint();
+  EXPECT_GT(after_first, 0u);  // the resident database stays materialised
+
+  for (int round = 0; round < 4; ++round) {
     (void)session.align_pairs(pairs, nullptr);
     EXPECT_GT(session.last_scratch_released(), 0u);
-    const std::uint64_t after_first = session.max_bank_footprint();
-    EXPECT_GT(after_first, 0u);  // the resident database stays materialised
-
-    for (int round = 0; round < 4; ++round) {
-      (void)session.align_pairs(pairs, nullptr);
-      EXPECT_GT(session.last_scratch_released(), 0u);
-      EXPECT_EQ(session.max_bank_footprint(), after_first)
-          << "mode " << static_cast<int>(mode) << " round " << round;
-    }
+    EXPECT_EQ(session.max_bank_footprint(), after_first) << "round " << round;
   }
 }
 

@@ -80,12 +80,8 @@ TEST(StatsCollectorTest, CountersAccumulate) {
   StatsCollector stats;
   stats.add_cells(100);
   stats.add_cells(23);
-  stats.note_prefetch(2, 1);
-  stats.note_prefetch(1, 0);
   stats.note_pool(10, 3, 2);
   EXPECT_EQ(stats.total_cells(), 123u);
-  EXPECT_EQ(stats.prefetch_hits(), 3u);
-  EXPECT_EQ(stats.prefetch_misses(), 1u);
   EXPECT_EQ(stats.pool_executed(), 10u);
   EXPECT_EQ(stats.pool_stolen(), 3u);
   EXPECT_EQ(stats.pool_injected(), 2u);
@@ -170,7 +166,6 @@ TEST(StatsCollectorTest, WriteJsonReportsDerivedThroughput) {
   stats.on_launch(0, 0, 0.0, 0.0, 0.0, 0.0, launch.summaries, launch.ran,
                   launch.agg);
   stats.add_cells(2'000'000'000);
-  stats.note_prefetch(3, 1);
   stats.note_pool(12, 5, 4);
 
   RunReport report;
@@ -188,7 +183,6 @@ TEST(StatsCollectorTest, WriteJsonReportsDerivedThroughput) {
   EXPECT_NE(json.find("\"min\": 1000"), std::string::npos);
   EXPECT_NE(json.find("\"max\": 2000"), std::string::npos);
   EXPECT_NE(json.find("\"tasks_stolen\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"hits\": 3"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
 }

@@ -30,6 +30,7 @@
 #include "dna/cigar.hpp"
 #include "upmem/cost_model.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pimnw::core {
 namespace {
@@ -199,18 +200,20 @@ TEST(WfaKernelAgreement, EmptySidesTakeClosedFormGapPath) {
   EXPECT_EQ(outputs[2].score, 0);
 }
 
-TEST(WfaKernelAgreement, EngineModesProduceIdenticalOutputs) {
+TEST(WfaKernelAgreement, PooledAndSerialEnginesProduceIdenticalOutputs) {
+  // The engine on the global pool (per-worker workspaces, DPUs executed out
+  // of order) against the serial schedule: one worker, one batch in flight.
   const std::vector<TestPair> pairs = stratified_pairs(10, 99);
   std::vector<PairInput> inputs;
   for (const TestPair& pair : pairs) inputs.push_back({pair.a, pair.b});
 
-  PimAlignerConfig pipelined = wfa_config();
-  pipelined.engine = EngineMode::kPipelined;
-  PimAlignerConfig legacy = wfa_config();
-  legacy.engine = EngineMode::kLegacyBarrier;
+  ThreadPool one(1);
+  PimAlignerConfig serial = wfa_config();
+  serial.workers = &one;
+  serial.batch_window = 1;
 
-  const std::vector<PairOutput> out_a = run_pim(pipelined, inputs);
-  const std::vector<PairOutput> out_b = run_pim(legacy, inputs);
+  const std::vector<PairOutput> out_a = run_pim(wfa_config(), inputs);
+  const std::vector<PairOutput> out_b = run_pim(serial, inputs);
   ASSERT_EQ(out_a.size(), out_b.size());
   for (std::size_t i = 0; i < out_a.size(); ++i) {
     SCOPED_TRACE("pair " + std::to_string(i));
@@ -254,19 +257,21 @@ TEST(WfaKernelProfiler, ReconciliationForBothKernelsAcrossEngines) {
   for (const TestPair& pair : pairs) inputs.push_back({pair.a, pair.b});
 
   const PimKernel* kernels[] = {&nw_kernel(), &wfa_kernel()};
-  const EngineMode modes[] = {EngineMode::kPipelined,
-                              EngineMode::kLegacyBarrier};
+  ThreadPool one(1);
   for (const PimKernel* kernel : kernels) {
-    for (const EngineMode mode : modes) {
+    for (const bool serial : {false, true}) {
       for (const bool traceback : {true, false}) {
-        SCOPED_TRACE(std::string(kernel->name()) + " " +
-                     engine_mode_name(mode) +
+        SCOPED_TRACE(std::string(kernel->name()) +
+                     (serial ? " serial" : " pooled") +
                      (traceback ? " tb" : " score-only"));
         StatsCollector stats;
         PimAlignerConfig config;
         config.nr_ranks = 1;
         config.kernel = kernel;
-        config.engine = mode;
+        if (serial) {
+          config.workers = &one;
+          config.batch_window = 1;
+        }
         config.align.traceback = traceback;
         config.stats = &stats;
         run_pim(config, inputs);

@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/check.hpp"
-
 namespace pimnw {
 namespace {
 
@@ -121,7 +119,7 @@ TEST(ThreadPoolTest, ParallelForDynamicSpreadsDescendingCosts) {
     // index 0 is ~1000x the work of the tail
     volatile std::uint64_t sink = 0;
     const std::size_t spins = i == 0 ? 100000 : 100;
-    for (std::size_t s = 0; s < spins; ++s) sink += s;
+    for (std::size_t s = 0; s < spins; ++s) sink = sink + s;
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -248,26 +246,6 @@ TEST(ThreadPoolTest, NestedParallelForFromPostedJobsDoesNotDeadlock) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST(ThreadPoolTest, ParallelForStaticCoversAllIndicesExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_static(hits.size(),
-                           [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForStaticZeroAndOne) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_static(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-  int value = 0;
-  pool.parallel_for_static(1, [&](std::size_t i) {
-    value = static_cast<int>(i) + 7;
-  });
-  EXPECT_EQ(value, 7);
-}
-
 TEST(ThreadPoolTest, HelpOneRunsAQueuedTask) {
   // A pool whose single worker is blocked still makes progress when the
   // outside thread helps.
@@ -300,88 +278,6 @@ TEST(ThreadPoolTest, StatsCountExecutedTasks) {
   EXPECT_GE(after.injected - before.injected, 100u);
   EXPECT_GE(after.stolen, before.stolen);
 }
-
-TEST(PrefetchTest, StageTakeRoundtrip) {
-  Prefetch<int> ahead;
-  ahead.stage([] { return 42; });
-  EXPECT_TRUE(ahead.staged());
-  EXPECT_EQ(ahead.take(), 42);
-  EXPECT_FALSE(ahead.staged());
-  // Re-staging after a take works (the steady-state of the batch loops).
-  ahead.stage([] { return 7; });
-  EXPECT_EQ(ahead.take(), 7);
-}
-
-TEST(PrefetchTest, TakeWithoutStageFailsCheck) {
-  Prefetch<int> ahead;
-  EXPECT_THROW(ahead.take(), CheckError);  // not an opaque std::future_error
-}
-
-TEST(PrefetchTest, DoubleTakeFailsCheck) {
-  Prefetch<int> ahead;
-  ahead.stage([] { return 1; });
-  EXPECT_EQ(ahead.take(), 1);
-  EXPECT_THROW(ahead.take(), CheckError);
-}
-
-TEST(PrefetchTest, TakeRethrowsBuilderError) {
-  Prefetch<int> ahead;
-  ahead.stage([]() -> int { throw std::runtime_error("builder failed"); });
-  EXPECT_THROW(ahead.take(), std::runtime_error);
-}
-
-TEST(PrefetchTest, UsesInjectedPool) {
-  ThreadPool pool(1);
-  Prefetch<int> ahead(&pool);
-  ahead.stage([&pool] { return pool.worker_index(); });
-  EXPECT_EQ(ahead.take(), 0);  // ran on the injected pool's only worker
-}
-
-TEST(PrefetchTest, DoubleStageFailsCheck) {
-  // Regression: stage() over an already-staged item used to silently drop
-  // the staged future (abandoning its side effects and losing the built
-  // batch). It is a protocol violation and must fail the check.
-  Prefetch<int> ahead;
-  ahead.stage([] { return 1; });
-  EXPECT_THROW(ahead.stage([] { return 2; }), CheckError);
-  // The original staged item is still intact and takeable.
-  EXPECT_EQ(ahead.take(), 1);
-}
-
-TEST(PrefetchTest, CountsHitsAndMisses) {
-  Prefetch<int> ahead;
-  EXPECT_EQ(ahead.hits(), 0u);
-  EXPECT_EQ(ahead.misses(), 0u);
-
-  // Hit: the builder finishes long before take() looks.
-  std::atomic<bool> done{false};
-  ahead.stage([&done] {
-    done.store(true);
-    return 1;
-  });
-  while (!done.load()) std::this_thread::yield();
-  // Grace period for the packaged task to mark the future ready.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(ahead.take(), 1);
-  EXPECT_EQ(ahead.hits(), 1u);
-  EXPECT_EQ(ahead.misses(), 0u);
-
-  // Miss: the builder blocks until after take() has started waiting.
-  std::atomic<bool> release{false};
-  ahead.stage([&release] {
-    while (!release.load()) std::this_thread::yield();
-    return 2;
-  });
-  std::thread releaser([&release] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    release.store(true);
-  });
-  EXPECT_EQ(ahead.take(), 2);
-  releaser.join();
-  EXPECT_EQ(ahead.hits(), 1u);
-  EXPECT_EQ(ahead.misses(), 1u);
-}
-
 
 TEST(ThreadPoolTest, ParkWakesOnPredicate) {
   // park() is the sleep/notify half of the engine's wait_for: the waiter

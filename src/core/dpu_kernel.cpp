@@ -85,18 +85,30 @@ void charge_dma_chunked(upmem::PoolCost& pool, std::uint64_t bytes) {
 
 /// Sliding 2-bit-packed window over a sequence stored in MRAM.
 /// Monotonically advancing; refills itself (and charges the DMA) on demand.
+/// Every refill also decodes the loaded bytes into a host-side cache, one
+/// code byte per base, that the fast path reads its lanes from. A reversed
+/// window keeps that cache back to front, so lanes walking down the
+/// sequence read it ascending.
 class SeqWindow {
  public:
   void init(DpuContext* ctx, upmem::PoolCost* pool, std::uint64_t wram_addr,
-            std::int64_t cap_bases) {
+            std::int64_t cap_bases, std::uint8_t* cache, bool reversed) {
     ctx_ = ctx;
     pool_ = pool;
     wram_addr_ = wram_addr;
     cap_bases_ = cap_bases;
+    cache_ = cache;
+    reversed_ = reversed;
   }
 
   static std::uint64_t wram_bytes(std::int64_t band) {
     return align8(static_cast<std::uint64_t>(band + kWinSlackBases) / 4 + 8);
+  }
+
+  /// Most bases one refill loads (the capacity w + kWinSlackBases rounded
+  /// up to whole DMA words), and so the size of the decoded cache.
+  static std::size_t cache_bases(std::int64_t band) {
+    return 4 * align8(static_cast<std::uint64_t>(band + kWinSlackBases) / 4);
   }
 
   void attach(std::uint64_t mram_data_off, std::int64_t length) {
@@ -140,6 +152,11 @@ class SeqWindow {
     win_loaded_ = static_cast<std::int64_t>(read_bytes) * 4;
     PIMNW_CHECK_MSG(last < win_start_ + win_loaded_,
                     "band wider than the sequence window");
+    // Host-side decode of the whole refill; charges nothing, the refill DMA
+    // above is the modeled cost.
+    dna::decode_packed_range(ctx_->wram.raw(wram_addr_, read_bytes), 0,
+                             static_cast<std::size_t>(win_loaded_), cache_);
+    if (reversed_) std::reverse(cache_, cache_ + win_loaded_);
   }
 
   /// 2-bit code of base `index` (must be inside the ensured range).
@@ -151,20 +168,12 @@ class SeqWindow {
     return static_cast<std::uint8_t>((byte >> (2 * (rel % 4))) & 0x3);
   }
 
-  /// Bulk-decode bases [first, last) into one code byte each (the fast
-  /// path's batched base extraction). The range must already be ensured;
-  /// charges nothing — the refill DMA was paid by ensure().
-  void decode(std::int64_t first, std::int64_t last, std::uint8_t* out) const {
-    if (last <= first) return;
-    PIMNW_DCHECK(first >= win_start_ && last <= win_start_ + win_loaded_);
-    // win_start_ is 32-base aligned, so window-relative indices keep the
-    // within-byte phase of the absolute ones.
-    const std::uint64_t rel_first =
-        static_cast<std::uint64_t>(first - win_start_);
-    const std::uint64_t rel_last = static_cast<std::uint64_t>(last - win_start_);
-    const std::uint8_t* bytes =
-        ctx_->wram.raw(wram_addr_, (rel_last + 3) / 4);
-    dna::decode_packed_range(bytes, rel_first, rel_last, out);
+  /// Cached code of base `index` (must be inside the ensured range). Lane t
+  /// of a sweep reads base index + t, or index - t in a reversed window.
+  const std::uint8_t* decoded(std::int64_t index) const {
+    PIMNW_DCHECK(index >= win_start_ && index < win_start_ + win_loaded_);
+    const std::int64_t rel = index - win_start_;
+    return cache_ + (reversed_ ? win_loaded_ - 1 - rel : rel);
   }
 
  private:
@@ -176,6 +185,8 @@ class SeqWindow {
   std::int64_t length_ = 0;
   std::int64_t win_start_ = 0;
   std::int64_t win_loaded_ = 0;
+  std::uint8_t* cache_ = nullptr;  // decoded window, host scratch
+  bool reversed_ = false;
 };
 
 /// Per-pool WRAM working set, allocated once per launch (the DPU program's
@@ -201,16 +212,15 @@ struct PoolBuffers {
   // scalar loop's in-place carry dependencies, so they model nothing and
   // cost nothing (DESIGN.md "Simulator fast path"). Score snapshots carry
   // one kNegInf pad element on each side so shifted neighbour reads resolve
-  // out-of-band lanes without branches. The storage is borrowed from a
-  // KernelScratch arena shared by every pool of the launch: pairs align
-  // strictly one at a time, so pools never overlap in it.
+  // out-of-band lanes without branches. The storage (and the windows'
+  // decoded caches) is borrowed from a KernelScratch arena shared by every
+  // pool of the launch: pairs align strictly one at a time, so pools never
+  // overlap in it.
   Score* snap_hp = nullptr;   // H on anti-diagonal s-1, padded
   Score* snap_h2 = nullptr;   // H on anti-diagonal s-2, padded
   Score* snap_ip = nullptr;   // I on anti-diagonal s-1, padded
   Score* snap_dp = nullptr;   // D on anti-diagonal s-1, padded
-  std::uint8_t* base_a = nullptr;  // decoded a[i-1] per interior lane
-  std::uint8_t* base_b = nullptr;  // decoded b[j-1], reversed to match
-  std::uint8_t* codes = nullptr;   // unpacked BT codes per interior lane
+  std::uint8_t* codes = nullptr;  // unpacked BT codes of one whole row
 
   void allocate(DpuContext& ctx, upmem::PoolCost& pool, std::int64_t w,
                 KernelScratch& scratch) {
@@ -219,8 +229,10 @@ struct PoolBuffers {
     iv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
     dv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
     const std::uint64_t win_bytes = SeqWindow::wram_bytes(w);
-    win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases);
-    win_b.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases);
+    win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
+               scratch.cache_a.data(), /*reversed=*/false);
+    win_b.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
+               scratch.cache_b.data(), /*reversed=*/true);
     bt_row_addr = ctx.wram.alloc(bt_row_bytes(w));
     lo_buf_addr = ctx.wram.alloc(kLoChunk * 4);
     lo_buf = ctx.wram.view<std::uint32_t>(lo_buf_addr, kLoChunk);
@@ -234,8 +246,6 @@ struct PoolBuffers {
     snap_h2 = scratch.snap_h2.data();
     snap_ip = scratch.snap_ip.data();
     snap_dp = scratch.snap_dp.data();
-    base_a = scratch.base_a.data();
-    base_b = scratch.base_b.data();
     codes = scratch.codes.data();
   }
 };
@@ -670,10 +680,11 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 // Cycle-exact fast path. Same update as compute_diag_scalar, restructured:
 // the in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited),
 // the i==0 / j==0 boundary cells are peeled, the in-place carries are
-// replaced by padded snapshots of the previous band state, the touched bases
-// are bulk-decoded from the 2-bit windows into byte arrays (host analog of
-// the paper's cmpb4), and the interior run is handed to a branchless dense
-// sweep (AVX2 when available). The equivalence argument, per input:
+// replaced by padded snapshots of the previous band state, the bases come
+// from the windows' decoded caches (refreshed once per refill, not per
+// anti-diagonal), the interior run is handed to a branchless dense sweep
+// (AVX2 when available), and its BT codes are nibble-packed into the row in
+// one pass. The equivalence argument, per input:
 //   h_up     = H_prev[k+shift1-1]   (carry-free: h_prev is not written here)
 //   i_up     = I_prev[k+shift1-1]   (shift1==0: carry of old_i; ==1: old_i)
 //   h_left   = H_prev[k+shift1]
@@ -683,7 +694,8 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 //                                    h_cur[k+1] ahead of the walk)
 // with any out-of-range index reading kNegInf — supplied here by one pad slot
 // on each side of the snapshots. Out-of-band slots are pre-filled with
-// kNegInf and BT code 0 exactly as the reference writes them.
+// kNegInf and BT code 0 exactly as the reference writes them (the pad
+// nibble of an odd band included).
 void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
                                     std::int64_t shift1, std::int64_t shift2,
                                     std::int64_t i_min, std::int64_t i_max,
@@ -730,13 +742,6 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
   const std::int64_t len = ihi - ilo + 1;
   if (len <= 0) return;
 
-  // Bulk-decode the bases this interior run compares: a[ilo-1 .. ihi-1]
-  // ascending, b[s-ihi-1 .. s-ilo-1] reversed so lane t pairs a[ilo-1+t]
-  // with b[s-ilo-1-t].
-  buf_.win_a.decode(ilo - 1, ihi, buf_.base_a);
-  buf_.win_b.decode(s - ihi - 1, s - ilo, buf_.base_b);
-  std::reverse(buf_.base_b, buf_.base_b + len);
-
   const std::int64_t ka = ilo - lo;
   simd::DiagSpan span{};
   span.up_h = buf_.snap_hp + 1 + ka + shift1 - 1;
@@ -744,17 +749,22 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
   span.left_h = buf_.snap_hp + 1 + ka + shift1;
   span.left_d = buf_.snap_dp + 1 + ka + shift1;
   span.diag_h = buf_.snap_h2 + 1 + ka + shift2 - 1;
-  span.base_a = buf_.base_a;
-  span.base_b = buf_.base_b;
+  // Lane t pairs a[ilo-1+t] with b[s-ilo-1-t]; b's cache is reversed, so
+  // both walk their caches ascending.
+  span.base_a = buf_.win_a.decoded(ilo - 1);
+  span.base_b = buf_.win_b.decoded(s - ilo - 1);
   span.out_h = h_cur.data() + ka;
   span.out_i = buf_.iv.data() + ka;
   span.out_d = buf_.dv.data() + ka;
-  span.codes = traceback_on_ ? buf_.codes : nullptr;
+  span.codes = traceback_on_ ? buf_.codes + ka : nullptr;
   span.len = len;
   span.match = sc.match;
   span.mismatch = sc.mismatch;
   span.gap_extend = sc.gap_extend;
   span.open_ext = sc.open_extend();
+
+  const std::size_t row_bytes = bt_row_bytes(w);
+  if (traceback_on_) std::memset(buf_.codes, 0, 2 * row_bytes);
 
   if (use_avx2_) {
     simd::diag_update_avx2(span);
@@ -763,9 +773,12 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
   }
 
   if (traceback_on_) {
-    for (std::int64_t t = 0; t < len; ++t) {
-      align::bt_store(bt_row, static_cast<std::uint64_t>(ka + t),
-                      buf_.codes[static_cast<std::size_t>(t)]);
+    // One pass over the whole row: cell k goes to nibble k, and every slot
+    // the sweep did not write packs as code 0.
+    const std::uint8_t* codes = buf_.codes;
+    for (std::size_t b = 0; b < row_bytes; ++b) {
+      bt_row[b] = static_cast<std::uint8_t>(codes[2 * b] |
+                                            (codes[2 * b + 1] << 4));
     }
   }
 }
@@ -890,16 +903,19 @@ void KernelScratch::prepare(std::int64_t band_width) {
     snap_h2.assign(ws + 2, kNegInf);
     snap_ip.assign(ws + 2, kNegInf);
     snap_dp.assign(ws + 2, kNegInf);
-    // +8 slack: the AVX2 base loads read 8 bytes per step.
-    base_a.assign(ws + 8, 0);
-    base_b.assign(ws + 8, 0);
-    codes.assign(ws + 8, 0);
+    cache_a.assign(SeqWindow::cache_bases(band_width), 0);
+    cache_b.assign(SeqWindow::cache_bases(band_width), 0);
+    // Two code slots per BT row byte, so the pack reads whole rows: the pad
+    // nibble of an odd band and the row's 8-byte rounding included.
+    codes.assign(2 * bt_row_bytes(band_width), 0);
     return;
   }
   // Reused arena: the sweep memcpy-overwrites the interior [1, ws] before
-  // every read and never reads base/code slots past the lanes it wrote, so
-  // stale content is unreachable. The pads are the one exception — they are
-  // read but never written; re-assert them against accidental clobber.
+  // every read, the window caches are re-decoded by the refill that
+  // attach() forces at the start of every pair, and the code buffer is
+  // zeroed before every sweep, so stale content is unreachable. The pads
+  // are the one exception — they are read but never written; re-assert
+  // them against accidental clobber.
   snap_hp.front() = snap_hp.back() = kNegInf;
   snap_h2.front() = snap_h2.back() = kNegInf;
   snap_ip.front() = snap_ip.back() = kNegInf;

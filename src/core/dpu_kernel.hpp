@@ -27,21 +27,27 @@
 
 namespace pimnw::core {
 
-/// Host-side fast-path scratch (the padded band snapshots and bulk-decoded
-/// base/BT byte arrays of DESIGN.md "Simulator fast path"). It models no DPU
-/// state, so one instance can be shared by every pool of a launch (pairs
-/// align strictly one at a time) and reused across launches — the execution
-/// engine keeps one per worker thread instead of reallocating ~7 vectors per
-/// DPU launch. Safe to reuse because the sweep rewrites every interior slot
-/// it reads each anti-diagonal; only the kNegInf pads persist, and prepare()
-/// re-asserts them.
+/// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): the
+/// padded band snapshots, one decoded byte cache per sequence window, and a
+/// whole-row BT code buffer. It models no DPU state, so one instance can be
+/// shared by every pool of a launch (pairs align strictly one at a time)
+/// and reused across launches — the execution engine keeps one per worker
+/// thread instead of reallocating 7 vectors per DPU launch. Safe to reuse
+/// because the sweep rewrites every snapshot slot it reads and zeroes the
+/// code buffer each anti-diagonal, and attach() forces a window refill, and
+/// so a re-decode, at the start of every pair; only the kNegInf pads
+/// persist, and prepare() re-asserts them.
 struct KernelScratch {
   std::vector<align::Score> snap_hp;
   std::vector<align::Score> snap_h2;
   std::vector<align::Score> snap_ip;
   std::vector<align::Score> snap_dp;
-  std::vector<std::uint8_t> base_a;
-  std::vector<std::uint8_t> base_b;
+  /// a's window decoded at its last refill, one code byte per base.
+  std::vector<std::uint8_t> cache_a;
+  /// b's window likewise, stored back to front so anti-diagonal lanes
+  /// read it ascending.
+  std::vector<std::uint8_t> cache_b;
+  /// BT codes of one anti-diagonal, one byte per nibble of the packed row.
   std::vector<std::uint8_t> codes;
 
   /// Size for `band_width` and (re-)install the out-of-band pads.

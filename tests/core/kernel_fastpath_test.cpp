@@ -12,7 +12,9 @@
 
 #include "core/host.hpp"
 #include "core/kernel_simd.hpp"
+#include "core/session.hpp"
 #include "data/mutate.hpp"
+#include "data/phylo16s.hpp"
 #include "data/synthetic.hpp"
 #include "util/rng.hpp"
 
@@ -117,8 +119,10 @@ TEST(KernelFastPathTest, RandomizedEquivalenceSweep) {
   EXPECT_GE(total_pairs, 1000u);
 }
 
-// Long pairs at the paper's band width: exercises window refills, lo
-// staging flushes and multi-chunk BT DMA on all paths.
+// Long pairs around the paper's band width: exercises window refills, lo
+// staging flushes and multi-chunk BT DMA on all paths. An odd band packs the
+// pad nibble of every BT row; the length-skewed pair (30% of a's bases
+// deleted) refills a's window faster than b's reversed one.
 TEST(KernelFastPathTest, LongPairsPaperBand) {
   Xoshiro256 rng(7);
   std::vector<std::pair<std::string, std::string>> pairs;
@@ -128,13 +132,80 @@ TEST(KernelFastPathTest, LongPairsPaperBand) {
     const std::string a = data::random_dna(3000 + rng.below(2000), rng);
     pairs.emplace_back(a, data::mutate(a, errors, rng));
   }
-  PimAlignerConfig config;
-  config.nr_ranks = 1;
-  config.align.band_width = 128;
-  expect_paths_agree(pairs, config, "long");
+  data::ErrorModel deletions;
+  deletions.error_rate = 0.30;
+  deletions.sub_fraction = 0.0;
+  deletions.ins_fraction = 0.0;
+  deletions.del_fraction = 1.0;
+  deletions.indel_extend = 0.0;
+  const std::string skewed = data::random_dna(6000, rng);
+  pairs.emplace_back(skewed, data::mutate(skewed, deletions, rng));
 
-  config.align.traceback = false;
-  expect_paths_agree(pairs, config, "long-score-only");
+  for (const std::int64_t band : {127, 128, 257}) {
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.band_width = band;
+    const std::string tag = "long w=" + std::to_string(band);
+    expect_paths_agree(pairs, config, tag.c_str());
+
+    config.align.traceback = false;
+    expect_paths_agree(pairs, config, (tag + " score-only").c_str());
+  }
+}
+
+// DbSession rounds — compact session pair entries, the database resident at
+// the top of the bank, score-only — agree across paths too: the top-K hits
+// of an all-vs-all sweep, and per-pair scores and pool cycles.
+TEST(KernelFastPathTest, DbSessionRoundsAgreeAcrossPaths) {
+  data::Phylo16sConfig db_config;
+  db_config.species = 6;
+  db_config.root_length = 800;
+  db_config.seed = 3;
+  const std::vector<std::string> db = data::generate_16s(db_config);
+  std::vector<IndexPair> pairs;
+  for (std::uint32_t i = 0; i < db.size(); ++i) {
+    for (std::uint32_t j = i + 1; j < db.size(); ++j) pairs.push_back({i, j});
+  }
+  ScoreFilter top5;
+  top5.top_k = 5;
+
+  struct PathRun {
+    std::vector<ScoreHit> hits;
+    std::vector<PairOutput> outputs;
+  };
+  auto run = [&](SimPath path) {
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.sim_path = path;
+    DbSession session(db, config);
+    PathRun result;
+    result.hits = session.align_all_vs_all(top5).hits;
+    (void)session.align_pairs(pairs, &result.outputs);
+    return result;
+  };
+
+  const PathRun scalar = run(SimPath::kScalar);
+  ASSERT_EQ(scalar.hits.size(), top5.top_k);
+  ASSERT_EQ(scalar.outputs.size(), pairs.size());
+  for (const SimPath path : {SimPath::kDense, SimPath::kAuto}) {
+    const char* tag = sim_path_name(path);
+    const PathRun got = run(path);
+    ASSERT_EQ(got.hits.size(), scalar.hits.size()) << tag;
+    for (std::size_t h = 0; h < got.hits.size(); ++h) {
+      EXPECT_EQ(got.hits[h].a, scalar.hits[h].a) << tag << " hit " << h;
+      EXPECT_EQ(got.hits[h].b, scalar.hits[h].b) << tag << " hit " << h;
+      EXPECT_EQ(got.hits[h].score, scalar.hits[h].score)
+          << tag << " hit " << h;
+    }
+    ASSERT_EQ(got.outputs.size(), pairs.size()) << tag;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      const PairOutput& want = scalar.outputs[p];
+      EXPECT_EQ(got.outputs[p].ok, want.ok) << tag << " pair " << p;
+      EXPECT_EQ(got.outputs[p].score, want.score) << tag << " pair " << p;
+      EXPECT_EQ(got.outputs[p].dpu_pool_cycles, want.dpu_pool_cycles)
+          << tag << " pair " << p;
+    }
+  }
 }
 
 }  // namespace

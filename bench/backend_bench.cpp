@@ -32,6 +32,7 @@
 
 #include "core/backend.hpp"
 #include "core/dispatch.hpp"
+#include "core/pim_kernel.hpp"
 #include "data/mutate.hpp"
 #include "data/synthetic.hpp"
 #include "util/cli.hpp"
@@ -156,11 +157,12 @@ RunRow run_policy(const std::string& name, const Workload& w,
     // The PiM-WFA kernel, uncapped: score-only wavefronts recycle a
     // depth-sized slot ring, so the MRAM footprint stays small even with
     // the cost bound lifted, and every pair aligns exactly.
-    core::PimWfaBackend::Config pimwfa_config;
+    core::PimBackend::Config pimwfa_config;
+    pimwfa_config.aligner.kernel = &core::wfa_kernel();
     pimwfa_config.aligner.align.traceback = false;
     pimwfa_config.aligner.align.wfa_max_cost = 0;
     pimwfa_config.expected_divergence = w.mean_divergence;
-    core::PimWfaBackend pimwfa(pimwfa_config);
+    core::PimBackend pimwfa(pimwfa_config);
 
     core::Dispatcher dispatcher(config,
                                 {&pim, &cpu, &wfa, &session, &pimwfa});

@@ -13,10 +13,11 @@
 // cycle total (profiler_test pins this), and enabling the profiler changes
 // no score, CIGAR, cycle count or DMA byte.
 //
-// Stress knobs for exploring the regimes:
-//   --bt-stream-passes N   scale the modeled BT streaming traffic; large N
-//                          drives the verdict from pipeline- to MRAM-bound
-//   --pools/--tasklets     small P*T (< 11) exposes the re-entry-bound regime
+// Exploring the regimes:
+//   --kernel wfa --length 2000   wavefronts streamed to and from MRAM every
+//                                cost step make the verdict MRAM-bound
+//   --pools/--tasklets           small P*T (< 11) exposes the re-entry-bound
+//                                regime
 //
 // --json-out writes the stats report (with the "profile" object and the
 // provenance stamp); --trace-out writes a Perfetto trace whose modeled DPU
@@ -62,8 +63,6 @@ int main(int argc, char** argv) {
            "print the registered PiM kernels and exit");
   cli.flag("list-backends", false,
            "print the aligner backend kinds and exit");
-  cli.flag("bt-stream-passes", std::int64_t{1},
-           "modeled BT streaming passes (>1 stresses the MRAM port)");
   cli.flag("log-level", std::string("info"),
            "stderr log level: debug | info | warn | error");
   cli.flag("json-out", std::string(""),
@@ -119,8 +118,6 @@ int main(int argc, char** argv) {
   config.kernel = kernel;
   config.align.band_width = cli.get_int("band-width");
   config.align.traceback = cli.get_bool("traceback");
-  config.bt_stream_passes =
-      static_cast<int>(cli.get_int("bt-stream-passes"));
   config.workers = &workers;
   config.stats = &stats;
 
@@ -156,10 +153,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "pimnw-prof: %zu pairs x %zu bp, band %" PRId64
-      ", P=%d T=%d, %s kernel (%s variant), bt passes %d\n",
+      ", P=%d T=%d, %s kernel (%s variant)\n",
       pairs.size(), data_config.read_length, cli.get_int("band-width"),
       config.pool.pools, config.pool.tasklets_per_pool, kernel->name(),
-      core::kernel_variant_name(config.variant), config.bt_stream_passes);
+      core::kernel_variant_name(config.variant));
   std::printf("%" PRIu64 " pairs aligned over %" PRIu64
               " DPU launches; modeled makespan %.3f ms\n\n",
               report.total_pairs, stats.dpu_count(),

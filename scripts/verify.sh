@@ -15,7 +15,7 @@
 #
 # Each preset also runs the "prof" ctest label (the cycle-attribution
 # profiler of DESIGN.md §12), and the default preset smoke-runs the
-# pimnw_prof example.
+# pimnw_prof example on both registered kernels (nw and wfa).
 #
 # Each preset also runs the "16s" ctest label (persistent-database sessions,
 # DESIGN.md §13): bit-identity of the session path, the exactly-once tiling
@@ -51,6 +51,13 @@
 # serial schedule, 1 worker at batch_window 1 (DESIGN.md §15) — the cheap
 # standing guard that the data-parallel DPU sweep never perturbs modeled
 # results.
+#
+# The default preset also runs the repository benchmark's self-test
+# (python3 perfbench/run.py --self-test): it builds perfbench/driver.cpp
+# against this checkout's src/ — so a library change that breaks the
+# benchmark driver fails here, not only in the benchmark pipeline — then
+# runs the driver's unit checks and matches its metric names against
+# BENCHMARK.json.
 #
 # A --bench flag adds the benchmark regression gate: re-run the
 # BENCH_kernel.json, BENCH_16s.json, BENCH_serve.json, BENCH_host.json and
@@ -118,6 +125,9 @@ for preset in "${PRESETS[@]}"; do
   if [ "$preset" = default ]; then
     echo "=== [$preset] pimnw_prof smoke"
     "$BUILD_DIR/examples/pimnw_prof" --pairs 96 --length 300 >/dev/null
+    echo "=== [$preset] pimnw_prof smoke (wfa kernel)"
+    "$BUILD_DIR/examples/pimnw_prof" --kernel wfa --pairs 96 --length 300 \
+        >/dev/null
     echo "=== [$preset] pimnw_serve smoke"
     "$BUILD_DIR/examples/pimnw_serve" --pairs 128 --length 200 --clients 2 \
         --json-out "$BUILD_DIR/serve_metrics.json" >/dev/null
@@ -170,6 +180,8 @@ for preset in "${PRESETS[@]}"; do
     cmake --build --preset default -j "$JOBS" --target host_throughput \
         >/dev/null
     "$BUILD_DIR/bench/host_throughput" --identity-smoke
+    echo "=== [$preset] perfbench driver self-test"
+    python3 perfbench/run.py --self-test
   fi
 done
 

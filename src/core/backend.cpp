@@ -15,6 +15,12 @@
 namespace pimnw::core {
 namespace {
 
+/// Simulation wall-clock throughput the modeled backends' estimate_seconds
+/// assume, in the kernel's cells per second: the dispatcher routes on host
+/// wall time, and the simulator *is* the host cost of those backends.
+/// Dispatcher::calibrate corrects it per backend through cost_scale().
+constexpr double kSimCellsPerSecond = 400e6;
+
 /// Fold one run's RunReport into an accumulated one: additive fields sum,
 /// ratio fields combine as batch-weighted means, makespans add (submissions
 /// to one backend execute sequentially on the modeled timeline).
@@ -229,7 +235,10 @@ BackendReport PoolBackend::drain() {
 // ----------------------------------------------------------------- PimBackend
 
 PimBackend::PimBackend(Config config)
-    : config_(std::move(config)), aligner_(config_.aligner) {}
+    : config_(std::move(config)),
+      kind_(&kernel_for(config_.aligner) == &wfa_kernel() ? BackendKind::kPimWfa
+                                                          : BackendKind::kPim),
+      aligner_(config_.aligner) {}
 
 PimBackend::~PimBackend() {
   PIMNW_CHECK_MSG(queued_.empty(),
@@ -241,21 +250,17 @@ BackendCapabilities PimBackend::capabilities() const {
   BackendCapabilities caps;
   caps.traceback = config_.aligner.align.traceback;
   caps.affine_gaps = true;
-  caps.max_pair_length = 0;
+  caps.max_pair_length = kernel_for(config_.aligner).max_sequence_bases();
   caps.modeled_time = true;
   return caps;
 }
 
 double PimBackend::estimate_seconds(std::size_t len_a,
                                     std::size_t len_b) const {
-  // The dispatcher routes on host wall-clock, and the host cost of this
-  // backend is the simulation itself — charged with the same W(m,n) =
-  // (m+n)·w workload model the LPT balancer uses (§4.1.2).
-  const std::uint64_t cells = pair_workload(
-      len_a, len_b,
-      static_cast<std::uint64_t>(config_.aligner.align.band_width));
-  return static_cast<double>(cells) / config_.sim_cells_per_second *
-         cost_scale();
+  return kernel_for(config_.aligner)
+             .estimate_cells(len_a, len_b, config_.aligner.align,
+                             config_.expected_divergence) /
+         kSimCellsPerSecond * cost_scale();
 }
 
 AlignerBackend::Ticket PimBackend::submit(std::span<const PairInput> pairs) {
@@ -283,7 +288,7 @@ std::vector<PairOutput> PimBackend::wait(Ticket ticket) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++accum_.submissions;
-  accum_.kind = kind();  // kPim, or kPimWfa in the subclass
+  accum_.kind = kind();
   accum_.total_pairs += pairs.size();
   for (const PairOutput& output : outputs) {
     if (output.ok) ++accum_.aligned;
@@ -309,51 +314,6 @@ BackendReport PimBackend::drain() {
   report.kind = kind();
   accum_ = BackendReport{};
   return report;
-}
-
-// ------------------------------------------------------------- PimWfaBackend
-
-PimWfaBackend::PimWfaBackend(Config config)
-    : PimBackend([&config] {
-        PimBackend::Config base;
-        base.aligner = std::move(config.aligner);
-        base.aligner.kernel = &wfa_kernel();
-        base.sim_cells_per_second = config.sim_cells_per_second;
-        return base;
-      }()),
-      expected_divergence_(config.expected_divergence),
-      sim_cells_per_second_(config.sim_cells_per_second) {}
-
-BackendCapabilities PimWfaBackend::capabilities() const {
-  BackendCapabilities caps;
-  caps.traceback = aligner_config().align.traceback;
-  caps.affine_gaps = true;
-  caps.max_pair_length = kWfaMaxSeqBases;  // WRAM-resident sequences
-  caps.modeled_time = true;
-  return caps;
-}
-
-double PimWfaBackend::estimate_cells(std::size_t len_a,
-                                     std::size_t len_b) const {
-  // Modeled alignment cost: one error per expected_divergence bases at the
-  // converted mismatch penalty x = 2(a+b), clamped to the configured cost
-  // cap (beyond it the kernel gives up, so no more work accrues). The sweep
-  // touches ~s wavefronts of up to min(2s+1, m+n) diagonals — never fewer
-  // cells than the one pass the extend loop makes over similar sequences.
-  const align::Scoring& scoring = aligner_config().align.scoring;
-  const double span = static_cast<double>(len_a + len_b);
-  const double penalty =
-      2.0 * static_cast<double>(scoring.match + scoring.mismatch);
-  double cost = expected_divergence_ * span * 0.5 * penalty;
-  const std::uint64_t cap = aligner_config().align.wfa_max_cost;
-  if (cap != 0) cost = std::min(cost, static_cast<double>(cap));
-  const double width = std::min(2.0 * cost + 1.0, span);
-  return std::max(span, cost * width);
-}
-
-double PimWfaBackend::estimate_seconds(std::size_t len_a,
-                                       std::size_t len_b) const {
-  return estimate_cells(len_a, len_b) / sim_cells_per_second_ * cost_scale();
 }
 
 // ------------------------------------------------------------- SessionBackend
@@ -388,8 +348,7 @@ double SessionBackend::estimate_seconds(std::size_t len_a,
   const std::uint64_t cells = pair_workload(
       len_a, len_b,
       static_cast<std::uint64_t>(config_.aligner.align.band_width));
-  return static_cast<double>(cells) / config_.sim_cells_per_second *
-         cost_scale();
+  return static_cast<double>(cells) / kSimCellsPerSecond * cost_scale();
 }
 
 AlignerBackend::Ticket SessionBackend::submit(
@@ -510,24 +469,11 @@ BackendCapabilities WfaBackend::capabilities() const {
   return caps;
 }
 
-double WfaBackend::estimate_cells(std::size_t len_a, std::size_t len_b) const {
-  // Modeled alignment cost: one error per expected_divergence bases, each
-  // costing roughly the converted mismatch penalty x = 2(a+b) (see
-  // align/wfa.hpp). The wavefront sweep then touches ~s wavefronts of up to
-  // min(2s+1, m+n) diagonals each, never fewer cells than one pass over
-  // the sequences.
-  const double span = static_cast<double>(len_a + len_b);
-  const double penalty =
-      2.0 * static_cast<double>(config_.scoring.match + config_.scoring.mismatch);
-  const double cost = config_.expected_divergence * span * 0.5 * penalty;
-  const double width = std::min(2.0 * cost + 1.0, span);
-  return std::max(span, cost * width);
-}
-
 double WfaBackend::estimate_seconds(std::size_t len_a,
                                     std::size_t len_b) const {
-  return estimate_cells(len_a, len_b) / config_.cells_per_second *
-         cost_scale();
+  return wfa_estimate_cells(len_a, len_b, config_.scoring,
+                            config_.expected_divergence, /*max_cost=*/0) /
+         config_.cells_per_second * cost_scale();
 }
 
 PairOutput WfaBackend::align_one(const PairInput& pair) const {
@@ -552,7 +498,8 @@ PairOutput WfaBackend::align_one(const PairInput& pair) const {
       // Score-only WFA does not report a cell count; charge the modeled
       // estimate so throughput stays comparable.
       output.cells = static_cast<std::uint64_t>(
-          estimate_cells(pair.a.size(), pair.b.size()));
+          wfa_estimate_cells(pair.a.size(), pair.b.size(), config_.scoring,
+                             config_.expected_divergence, /*max_cost=*/0));
     }
   }
   return output;

@@ -52,7 +52,8 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name);
 struct BackendCapabilities {
   bool traceback = true;    // can produce CIGARs
   bool affine_gaps = true;  // full gap-affine model (all three today)
-  /// Longest single sequence the backend accepts (0 = unbounded).
+  /// Longest single sequence the backend accepts (0 = unbounded). Cost
+  /// routing and calibration pass a backend over for longer pairs.
   std::uint64_t max_pair_length = 0;
   /// True when the backend's primary time axis is modeled (PiM cycle
   /// accounting), not host wall-clock.
@@ -163,22 +164,24 @@ class PoolBackend : public AlignerBackend {
 /// The paper's system behind the backend interface: modeled timeline,
 /// bit-identical outputs to PimAligner::align_pairs (backend_test pins
 /// this). Stats/trace plumbing flows through untouched — attach a
-/// StatsCollector via PimAlignerConfig::stats as before.
+/// StatsCollector via PimAlignerConfig::stats as before. The kernel of
+/// `aligner` decides the rest: banded NW is kind kPim, the wavefront kernel
+/// kPimWfa, so the dispatcher can route "similar pairs to PiM-WFA,
+/// divergent pairs to PiM-NW" entirely on the modeled machine; the kernel's
+/// length cap and work model set capabilities() and estimate_seconds.
 class PimBackend : public AlignerBackend {
  public:
   struct Config {
     PimAlignerConfig aligner;
-    /// Simulation wall-clock throughput assumed by estimate_seconds, in
-    /// banded cells per second (the dispatcher routes on host wall time —
-    /// the simulator *is* the host cost of this backend). Calibrate with
-    /// Dispatcher::calibrate for real machines.
-    double sim_cells_per_second = 400e6;
+    /// Expected per-base divergence of the inputs, for kernels whose work
+    /// grows with the alignment cost (WFA); banded NW ignores it.
+    double expected_divergence = 0.05;
   };
 
   explicit PimBackend(Config config);
   ~PimBackend() override;
 
-  BackendKind kind() const override { return BackendKind::kPim; }
+  BackendKind kind() const override { return kind_; }
   BackendCapabilities capabilities() const override;
   double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
   Ticket submit(std::span<const PairInput> pairs) override;
@@ -189,47 +192,12 @@ class PimBackend : public AlignerBackend {
 
  private:
   Config config_;
+  BackendKind kind_;
   PimAligner aligner_;
   std::mutex mutex_;
   Ticket next_ticket_ = 1;
   std::map<Ticket, std::span<const PairInput>> queued_;
   BackendReport accum_;
-};
-
-/// The PiM-WFA kernel (core/wfa_kernel.hpp) behind the backend interface:
-/// the same modeled PiM machine as PimBackend, running the wavefront kernel
-/// instead of banded NW. Work is cost-proportional, so estimate_seconds
-/// carries a divergence prior like the host WfaBackend — the dispatcher can
-/// now express "similar pairs to PiM-WFA, divergent pairs to PiM-NW" routes
-/// entirely on the modeled machine.
-class PimWfaBackend : public PimBackend {
- public:
-  struct Config {
-    /// `aligner.kernel` is overridden to the WFA kernel; everything else
-    /// (ranks, pools, engine mode, traceback, wfa_max_cost) applies as-is.
-    PimAlignerConfig aligner;
-    /// Expected per-base divergence of the inputs (drives the modeled
-    /// alignment cost, hence the wavefront work estimate).
-    double expected_divergence = 0.05;
-    /// Simulation wall-clock throughput assumed by estimate_seconds, in
-    /// wavefront cells per second; calibrate with Dispatcher::calibrate.
-    double sim_cells_per_second = 400e6;
-  };
-
-  explicit PimWfaBackend(Config config);
-
-  BackendKind kind() const override { return BackendKind::kPimWfa; }
-  BackendCapabilities capabilities() const override;
-  double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-
-  /// The wavefront-cell estimate underlying estimate_seconds: the modeled
-  /// cost s ≈ divergence·(m+n)·x/2 (clamped to wfa_max_cost when bounded)
-  /// drives O(s·w) work, never less than one pass over the sequences.
-  double estimate_cells(std::size_t len_a, std::size_t len_b) const;
-
- private:
-  double expected_divergence_;
-  double sim_cells_per_second_;
 };
 
 /// A persistent-database session behind the backend interface (DESIGN.md
@@ -247,9 +215,6 @@ class SessionBackend : public AlignerBackend {
     /// The resident database (copied into the session at construction).
     std::vector<std::string> db;
     PimAlignerConfig aligner;
-    /// Simulation wall-clock throughput assumed by estimate_seconds
-    /// (banded cells per second), as PimBackend::Config.
-    double sim_cells_per_second = 400e6;
   };
 
   explicit SessionBackend(Config config);
@@ -328,11 +293,6 @@ class WfaBackend : public PoolBackend {
   BackendKind kind() const override { return BackendKind::kWfa; }
   BackendCapabilities capabilities() const override;
   double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-
-  /// The wavefront-cell estimate underlying estimate_seconds: the modeled
-  /// alignment cost s ≈ divergence·(m+n)·(mean penalty) drives O((m+n)·s)
-  /// work (exposed for the dispatcher's workload accounting and tests).
-  double estimate_cells(std::size_t len_a, std::size_t len_b) const;
 
  protected:
   PairOutput align_one(const PairInput& pair) const override;

@@ -61,6 +61,12 @@ metrics::Histogram& estimate_error_histogram(BackendKind kind) {
   return *h;
 }
 
+/// Whether `backend` accepts a pair whose longer side is `longest` bases.
+bool admits(const AlignerBackend& backend, std::size_t longest) {
+  const std::uint64_t cap = backend.capabilities().max_pair_length;
+  return cap == 0 || longest <= cap;
+}
+
 }  // namespace
 
 const char* route_policy_name(RoutePolicy policy) {
@@ -114,10 +120,17 @@ std::size_t Dispatcher::index_of(BackendKind kind) const {
 
 void Dispatcher::calibrate(std::span<const PairInput> sample,
                            std::size_t max_probe_pairs) {
-  const std::size_t n = std::min(sample.size(), max_probe_pairs);
-  if (n == 0) return;
-  const std::span<const PairInput> probe = sample.subspan(0, n);
   for (AlignerBackend* b : backends_) {
+    // Probe only pairs the backend admits: a pair it rejects at once would
+    // read as near-free work and drag its cost scale towards zero.
+    std::vector<PairInput> probe;
+    for (const PairInput& pair : sample) {
+      if (probe.size() == max_probe_pairs) break;
+      if (admits(*b, std::max(pair.a.size(), pair.b.size()))) {
+        probe.push_back(pair);
+      }
+    }
+    if (probe.empty()) continue;
     double estimated = 0.0;
     for (const PairInput& pair : probe) {
       estimated += b->estimate_seconds(pair.a.size(), pair.b.size()) /
@@ -192,12 +205,22 @@ bool Dispatcher::load_calibration_file(const std::string& path) {
 
 double Dispatcher::min_estimate_seconds(std::size_t len_a,
                                         std::size_t len_b) const {
-  double best = -1.0;
-  for (const AlignerBackend* b : backends_) {
-    const double est = b->estimate_seconds(len_a, len_b);
-    if (best < 0 || est < best) best = est;
+  return backends_[cheapest(len_a, len_b)]->estimate_seconds(len_a, len_b);
+}
+
+std::size_t Dispatcher::cheapest(std::size_t len_a, std::size_t len_b) const {
+  const std::size_t longest = std::max(len_a, len_b);
+  std::size_t best_b = 0;
+  double best_est = -1.0;
+  for (std::size_t b = 0; b < backends_.size(); ++b) {
+    if (!admits(*backends_[b], longest)) continue;
+    const double est = backends_[b]->estimate_seconds(len_a, len_b);
+    if (best_est < 0 || est < best_est) {
+      best_est = est;
+      best_b = b;
+    }
   }
-  return best;
+  return best_b;
 }
 
 std::vector<std::size_t> Dispatcher::route(
@@ -228,17 +251,7 @@ std::vector<std::size_t> Dispatcher::route(
       // paper's workload model W(m,n) = (m+n)·w for the banded backends
       // and the cost-proportional wavefront model for WFA.
       for (std::size_t p = 0; p < pairs.size(); ++p) {
-        std::size_t best_b = 0;
-        double best_est = -1.0;
-        for (std::size_t b = 0; b < backends_.size(); ++b) {
-          const double est = backends_[b]->estimate_seconds(
-              pairs[p].a.size(), pairs[p].b.size());
-          if (best_est < 0 || est < best_est) {
-            best_est = est;
-            best_b = b;
-          }
-        }
-        target[p] = best_b;
+        target[p] = cheapest(pairs[p].a.size(), pairs[p].b.size());
       }
       break;
     }

@@ -12,7 +12,8 @@
 //  * kCostModel       — per-pair cost minimisation on the paper's workload
 //                       model W(m,n) = (m+n)·w (§4.1.2): each pair goes to
 //                       the backend whose calibrated estimate for it is
-//                       smallest. All backends share the host cores (the PiM
+//                       smallest among those whose max_pair_length admits
+//                       it. All backends share the host cores (the PiM
 //                       simulator is host compute too), so total estimated
 //                       work — not per-backend load balance — is what the
 //                       wall-clock pays; calibrate() replaces the analytic
@@ -78,8 +79,10 @@ class Dispatcher {
 
   /// Time a probe subset of `sample` on every backend and set each
   /// backend's cost_scale to measured/estimated, so kCostModel routes on
-  /// observed throughput instead of the analytic constants. Cheap (a few
-  /// pairs per backend); call once per workload shape.
+  /// observed throughput instead of the analytic constants. A backend
+  /// probes the first `max_probe_pairs` pairs its max_pair_length admits
+  /// and keeps its scale when it admits none. Cheap (a few pairs per
+  /// backend); call once per workload shape.
   void calibrate(std::span<const PairInput> sample,
                  std::size_t max_probe_pairs = 4);
 
@@ -96,7 +99,7 @@ class Dispatcher {
   /// calibrate()).
   bool load_calibration_file(const std::string& path);
 
-  /// Smallest calibrated estimate across the registered backends for one
+  /// Smallest calibrated estimate across the backends that admit one
   /// (len_a, len_b) pair — the admission cost the streaming service's
   /// backpressure charges per queued pair (under kCostModel it is the work
   /// the pair will actually cost).
@@ -110,6 +113,10 @@ class Dispatcher {
  private:
   /// Backend index (into backends_) for each pair, per the policy.
   std::vector<std::size_t> route(std::span<const PairInput> pairs) const;
+  /// The kCostModel choice for one pair: the smallest calibrated estimate
+  /// among the backends whose max_pair_length admits its longer side, or
+  /// backend 0 (which rejects it) when none does.
+  std::size_t cheapest(std::size_t len_a, std::size_t len_b) const;
   std::size_t index_of(BackendKind kind) const;  // PIMNW_CHECKs presence
 
   DispatchConfig config_;

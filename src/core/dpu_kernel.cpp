@@ -9,7 +9,9 @@
 #include "align/bt_code.hpp"
 #include "align/scoring.hpp"
 #include "align/traceback.hpp"
+#include "core/kernel_io.hpp"
 #include "core/kernel_simd.hpp"
+#include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
 #include "dna/packed_sequence.hpp"
 #include "util/check.hpp"
@@ -21,8 +23,6 @@ using align::Score;
 using align::kNegInf;
 using upmem::DpuContext;
 
-std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
-
 /// Extra bases kept in a sequence window beyond the band, so DMA refills
 /// happen every few hundred anti-diagonals instead of every one.
 constexpr std::int64_t kWinSlackBases = 256;
@@ -30,8 +30,6 @@ constexpr std::int64_t kWinSlackBases = 256;
 constexpr std::int64_t kWinAlignBases = 32;
 /// lo values are staged in WRAM and flushed in chunks of this many entries.
 constexpr std::uint32_t kLoChunk = 128;
-/// CIGAR runs staged before flushing to MRAM.
-constexpr std::uint32_t kRunChunk = 256;
 /// BT rows fetched per DMA during traceback.
 constexpr std::uint32_t kTbCacheRows = 8;
 /// lo entries fetched per DMA during traceback.
@@ -41,22 +39,7 @@ std::uint64_t bt_row_bytes(std::int64_t w) {
   return align8(static_cast<std::uint64_t>(w + 1) / 2);
 }
 
-/// DMA transfers are limited to 2048 bytes (upmem::kDmaMaxBytes); larger
-/// moves are issued as a chain of maximal transfers, each charged.
-void dma_read_chunked(DpuContext& ctx, upmem::PoolCost& pool,
-                      std::uint64_t mram_addr, std::uint64_t wram_addr,
-                      std::uint64_t bytes) {
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
-                                                        upmem::kDmaMaxBytes);
-    ctx.mram_read(mram_addr, wram_addr, chunk);
-    pool.dma(chunk);
-    mram_addr += chunk;
-    wram_addr += chunk;
-    bytes -= chunk;
-  }
-}
-
+/// The write-side twin of dma_read_chunked (core/kernel_io.hpp).
 void dma_write_chunked(DpuContext& ctx, upmem::PoolCost& pool,
                        std::uint64_t wram_addr, std::uint64_t mram_addr,
                        std::uint64_t bytes) {
@@ -67,18 +50,6 @@ void dma_write_chunked(DpuContext& ctx, upmem::PoolCost& pool,
     pool.dma(chunk);
     wram_addr += chunk;
     mram_addr += chunk;
-    bytes -= chunk;
-  }
-}
-
-/// Charge (without moving) the DMA cost of a chunked transfer — the modeled
-/// extra BT streaming passes of bt_stream_passes re-cross the MRAM port with
-/// bytes already written by the first pass, so only the accounting changes.
-void charge_dma_chunked(upmem::PoolCost& pool, std::uint64_t bytes) {
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
-                                                        upmem::kDmaMaxBytes);
-    pool.dma(chunk);
     bytes -= chunk;
   }
 }
@@ -200,8 +171,7 @@ struct PoolBuffers {
   std::uint64_t bt_row_addr = 0;    // one nibble-packed BT row
   std::uint64_t lo_buf_addr = 0;    // staged window origins
   std::span<std::uint32_t> lo_buf;
-  std::uint64_t run_buf_addr = 0;   // staged CIGAR runs
-  std::span<std::uint32_t> run_buf;
+  RunBuffer runs;                   // staged CIGAR runs
   std::uint64_t tb_rows_addr = 0;   // traceback row cache
   std::uint64_t tb_lo_addr = 0;     // traceback lo cache
   std::span<std::uint32_t> tb_lo;
@@ -236,8 +206,7 @@ struct PoolBuffers {
     bt_row_addr = ctx.wram.alloc(bt_row_bytes(w));
     lo_buf_addr = ctx.wram.alloc(kLoChunk * 4);
     lo_buf = ctx.wram.view<std::uint32_t>(lo_buf_addr, kLoChunk);
-    run_buf_addr = ctx.wram.alloc(kRunChunk * 4);
-    run_buf = ctx.wram.view<std::uint32_t>(run_buf_addr, kRunChunk);
+    runs.allocate(ctx);
     tb_rows_addr = ctx.wram.alloc(kTbCacheRows * bt_row_bytes(w));
     tb_lo_addr = ctx.wram.alloc(kTbLoCache * 4);
     tb_lo = ctx.wram.view<std::uint32_t>(tb_lo_addr, kTbLoCache);
@@ -250,61 +219,12 @@ struct PoolBuffers {
   }
 };
 
-/// Everything the kernel needs about the batch, parsed from MRAM.
-struct Batch {
-  BatchHeader header;
-  align::Scoring scoring;
-
-  SeqEntry seq_entry(DpuContext& ctx, upmem::PoolCost& pool,
-                     std::uint32_t index) const {
-    SeqEntry entry;
-    const std::uint64_t addr = header.seq_table_off + index * sizeof(SeqEntry);
-    pool.set_phase(upmem::Phase::kSetup);
-    ctx.mram_read(addr, scratch_, sizeof(SeqEntry));
-    pool.dma(sizeof(SeqEntry));
-    std::memcpy(&entry, ctx.wram.raw(scratch_, sizeof(SeqEntry)),
-                sizeof(SeqEntry));
-    return entry;
-  }
-
-  PairEntry pair_entry(DpuContext& ctx, upmem::PoolCost& pool,
-                       std::uint32_t index) const {
-    pool.set_phase(upmem::Phase::kSetup);
-    if ((header.flags & kFlagSession) != 0) {
-      // Session rounds carry compact 8-byte entries; the pair's identity is
-      // its table position and there is no CIGAR slot (score-only).
-      SessionPairEntry compact;
-      const std::uint64_t addr =
-          header.pair_table_off + index * sizeof(SessionPairEntry);
-      ctx.mram_read(addr, scratch_, sizeof(SessionPairEntry));
-      pool.dma(sizeof(SessionPairEntry));
-      std::memcpy(&compact, ctx.wram.raw(scratch_, sizeof(SessionPairEntry)),
-                  sizeof(SessionPairEntry));
-      PairEntry entry{};
-      entry.seq_a = compact.seq_a;
-      entry.seq_b = compact.seq_b;
-      entry.global_id = index;
-      return entry;
-    }
-    PairEntry entry;
-    const std::uint64_t addr =
-        header.pair_table_off + index * sizeof(PairEntry);
-    ctx.mram_read(addr, scratch_, sizeof(PairEntry));
-    pool.dma(sizeof(PairEntry));
-    std::memcpy(&entry, ctx.wram.raw(scratch_, sizeof(PairEntry)),
-                sizeof(PairEntry));
-    return entry;
-  }
-
-  std::uint64_t scratch_ = 0;  // small WRAM staging area for table entries
-};
-
 /// State of one alignment in progress (per pool).
 class PairAligner {
  public:
   PairAligner(DpuContext& ctx, upmem::PoolCost& pool, PoolBuffers& buffers,
               const Batch& batch, const KernelCost& cost, int tasklets,
-              int pool_index, SimPath sim_path, int bt_stream_passes)
+              int pool_index, SimPath sim_path)
       : ctx_(ctx),
         pool_(pool),
         buf_(buffers),
@@ -313,13 +233,11 @@ class PairAligner {
         tasklets_(tasklets),
         pool_index_(pool_index),
         fast_path_(sim_path != SimPath::kScalar),
-        use_avx2_(sim_path == SimPath::kAuto && simd::avx2_available()),
-        bt_passes_(bt_stream_passes) {}
+        use_avx2_(sim_path == SimPath::kAuto && simd::avx2_available()) {}
 
-  void align(const PairEntry& pair, std::uint32_t pair_index);
+  void align(const PairEntry& pair, PairWriter& out);
 
  private:
-  std::uint64_t pool_cycles_now() const;
   void compute_band(std::int64_t m, std::int64_t n);
   void compute_diag_scalar(std::int64_t s, std::int64_t lo,
                            std::int64_t shift1, std::int64_t shift2,
@@ -331,9 +249,6 @@ class PairAligner {
                          std::int64_t i_max, std::span<Score> h_cur,
                          std::span<Score> h_prev, std::uint8_t* bt_row);
   dna::Cigar traceback(std::int64_t m, std::int64_t n);
-  void write_result(std::uint32_t pair_index, const PairResult& result);
-  void flush_runs(const PairEntry& pair, bool final_flush);
-  void emit_run(const PairEntry& pair, dna::CigarOp op, std::uint32_t len);
 
   // BT scratch addresses for this pool and pair.
   std::uint64_t lo_area() const {
@@ -354,7 +269,6 @@ class PairAligner {
   int pool_index_;
   bool fast_path_;
   bool use_avx2_;
-  int bt_passes_;  // modeled BT streaming passes (>= 1)
 
   // Band state after compute_band().
   bool traceback_on_ = false;
@@ -366,25 +280,12 @@ class PairAligner {
   std::uint32_t lo_staged_ = 0;   // entries in lo_buf
   std::uint64_t lo_flushed_ = 0;  // entries already in MRAM
 
-  // Staged CIGAR runs.
-  std::uint32_t runs_staged_ = 0;
-  std::uint64_t runs_flushed_ = 0;
-  bool cigar_overflow_ = false;
-
   // Traceback caches.
   std::int64_t tb_rows_base_ = -1;  // first anti-diagonal in the row cache
   std::int64_t tb_lo_base_ = -1;    // first anti-diagonal in the lo cache
 };
 
-std::uint64_t PairAligner::pool_cycles_now() const {
-  return pool_.critical_instr() *
-             upmem::issue_interval(ctx_.cost.active_tasklets()) +
-         pool_.critical_dma_cycles();
-}
-
-void PairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
-  const std::uint64_t cycles_before = pool_cycles_now();
-  const std::uint64_t dma_before = pool_.dma_bytes();
+void PairAligner::align(const PairEntry& pair, PairWriter& out) {
   pool_.set_phase(upmem::Phase::kSetup);
   pool_.serial(cost_.pair_setup_instr);
 
@@ -395,54 +296,15 @@ void PairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
 
   buf_.win_a.attach(sa.data_off, m);
   buf_.win_b.attach(sb.data_off, n);
-  traceback_on_ = (batch_.header.flags & kFlagTraceback) != 0;
-  lo_staged_ = 0;
-  lo_flushed_ = 0;
-  runs_staged_ = 0;
-  runs_flushed_ = 0;
-  cigar_overflow_ = false;
-  tb_rows_base_ = -1;
-  tb_lo_base_ = -1;
+  traceback_on_ = batch_.traceback();
 
   compute_band(m, n);
-
-  auto stamp_cost = [&](PairResult& result) {
-    const std::uint64_t cycles = pool_cycles_now() - cycles_before;
-    result.pool_cycles_lo = static_cast<std::uint32_t>(cycles);
-    result.pool_cycles_hi = static_cast<std::uint32_t>(cycles >> 32);
-    result.dma_bytes =
-        static_cast<std::uint32_t>(pool_.dma_bytes() - dma_before);
-  };
-
-  PairResult result{};
-  result.score = final_score_;
   if (!reached_) {
-    result.status = kStatusUnreachable;
-    result.score = 0;
-    stamp_cost(result);
-    write_result(pair_index, result);
+    out.write_unreachable();
     return;
   }
-
-  if (traceback_on_) {
-    const dna::Cigar cigar = traceback(m, n);
-    // Emit runs in reversed order (the walk produced them forward after its
-    // own reverse; writing them back-to-front matches the real kernel which
-    // streams runs as the walk goes).
-    const auto& items = cigar.items();
-    for (auto it = items.rbegin(); it != items.rend(); ++it) {
-      emit_run(pair, it->op, it->len);
-    }
-    flush_runs(pair, true);
-    pool_.set_phase(upmem::Phase::kTraceback);
-    pool_.serial(cost_.traceback_op_instr * cigar.columns());
-    result.cigar_runs = cigar_overflow_
-                            ? 0
-                            : static_cast<std::uint32_t>(items.size());
-    if (cigar_overflow_) result.status = kStatusCigarOverflow;
-  }
-  stamp_cost(result);
-  write_result(pair_index, result);
+  if (traceback_on_) out.put_cigar(traceback(m, n), cost_.traceback_op_instr);
+  out.write(final_score_);
 }
 
 void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
@@ -521,11 +383,6 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
       dma_write_chunked(ctx_, pool_, buf_.bt_row_addr,
                         rows_off + static_cast<std::uint64_t>(s) * row_bytes,
                         row_bytes);
-      // Extra modeled BT streaming passes (bt_stream_passes > 1): the row was
-      // already written, only the MRAM-port accounting repeats.
-      for (int pass = 1; pass < bt_passes_; ++pass) {
-        charge_dma_chunked(pool_, row_bytes);
-      }
     }
 
     if (s == m + n) break;
@@ -834,66 +691,6 @@ dna::Cigar PairAligner::traceback(std::int64_t m, std::int64_t n) {
       });
 }
 
-void PairAligner::emit_run(const PairEntry& pair, dna::CigarOp op,
-                           std::uint32_t len) {
-  if (cigar_overflow_) return;
-  if (runs_flushed_ + runs_staged_ >= pair.cigar_cap) {
-    cigar_overflow_ = true;
-    return;
-  }
-  buf_.run_buf[runs_staged_++] = encode_cigar_run(op, len);
-  if (runs_staged_ == kRunChunk) flush_runs(pair, false);
-}
-
-void PairAligner::flush_runs(const PairEntry& pair, bool final_flush) {
-  if (cigar_overflow_ || runs_staged_ == 0) return;
-  std::uint32_t flush_count = runs_staged_;
-  if (!final_flush) {
-    flush_count &= ~1u;  // keep writes 8-byte aligned mid-stream
-    if (flush_count == 0) return;
-  }
-  const std::uint64_t bytes = align8(flush_count * 4);
-  pool_.set_phase(upmem::Phase::kTraceback);
-  ctx_.mram_write(buf_.run_buf_addr, pair.cigar_off + runs_flushed_ * 4,
-                  bytes);
-  pool_.dma(bytes);
-  runs_flushed_ += flush_count;
-  if (flush_count < runs_staged_) {
-    buf_.run_buf[0] = buf_.run_buf[flush_count];
-    runs_staged_ -= flush_count;
-  } else {
-    runs_staged_ = 0;
-  }
-}
-
-void PairAligner::write_result(std::uint32_t pair_index,
-                               const PairResult& result) {
-  // Stage the result in WRAM (reuse the run buffer) and DMA it out. Result
-  // write-back is pair bookkeeping → setup phase (dpu_cost.hpp).
-  pool_.set_phase(upmem::Phase::kSetup);
-  if ((batch_.header.flags & kFlagSession) != 0) {
-    // Session rounds read back compact 16-byte records: score + status +
-    // pool cycles, no CIGAR run count or per-pair DMA bytes.
-    SessionResult compact{};
-    compact.score = result.score;
-    compact.status = result.status;
-    compact.pool_cycles_lo = result.pool_cycles_lo;
-    compact.pool_cycles_hi = result.pool_cycles_hi;
-    std::memcpy(buf_.run_buf.data(), &compact, sizeof(SessionResult));
-    ctx_.mram_write(
-        buf_.run_buf_addr,
-        batch_.header.result_off + pair_index * sizeof(SessionResult),
-        sizeof(SessionResult));
-    pool_.dma(sizeof(SessionResult));
-    return;
-  }
-  std::memcpy(buf_.run_buf.data(), &result, sizeof(PairResult));
-  ctx_.mram_write(buf_.run_buf_addr,
-                  batch_.header.result_off + pair_index * sizeof(PairResult),
-                  sizeof(PairResult));
-  pool_.dma(sizeof(PairResult));
-}
-
 }  // namespace
 
 void KernelScratch::prepare(std::int64_t band_width) {
@@ -923,23 +720,7 @@ void KernelScratch::prepare(std::int64_t band_width) {
 }
 
 void NwDpuProgram::run(DpuContext& ctx) {
-  // Boot: parse the batch header.
-  Batch batch;
-  batch.scratch_ = ctx.wram.alloc(128);
-  ctx.cost.pool(0).set_phase(upmem::Phase::kSetup);
-  ctx.mram_read(0, batch.scratch_, align8(sizeof(BatchHeader)));
-  ctx.cost.pool(0).dma(align8(sizeof(BatchHeader)));
-  std::memcpy(&batch.header, ctx.wram.raw(batch.scratch_, sizeof(BatchHeader)),
-              sizeof(BatchHeader));
-  PIMNW_CHECK_MSG(batch.header.magic == kBatchMagic,
-                  "DPU launched on a bank without a batch image");
-  batch.scoring = align::Scoring{
-      .match = batch.header.match,
-      .mismatch = batch.header.mismatch,
-      .gap_open = batch.header.gap_open,
-      .gap_extend = batch.header.gap_extend,
-  };
-
+  const Batch batch = Batch::boot(ctx);
   const int pools = pool_config_.pools;
   const int tasklets = pool_config_.tasklets_per_pool;
   KernelScratch local_scratch;
@@ -953,18 +734,15 @@ void NwDpuProgram::run(DpuContext& ctx) {
         ctx, ctx.cost.pool(p), batch.header.band_width, scratch);
   }
 
-  // Work distribution (§4.2.3): each pool grabs the next pair as soon as it
-  // finishes its current one; the cost model tells us which pool that is.
-  for (std::uint32_t pair_index = 0; pair_index < batch.header.nr_pairs;
-       ++pair_index) {
-    const int p = ctx.cost.least_loaded_pool();
-    upmem::PoolCost& pool = ctx.cost.pool(p);
-    const PairEntry pair = batch.pair_entry(ctx, pool, pair_index);
-    PairAligner aligner(ctx, pool, buffers[static_cast<std::size_t>(p)],
-                        batch, cost_, tasklets, p, sim_path_,
-                        bt_stream_passes_);
-    aligner.align(pair, pair_index);
-  }
+  for_each_pair(ctx, batch,
+                [&](int p, upmem::PoolCost& pool, const PairEntry& pair,
+                    std::uint32_t pair_index) {
+                  PoolBuffers& buf = buffers[static_cast<std::size_t>(p)];
+                  PairWriter out(ctx, pool, batch, pair, pair_index, buf.runs);
+                  PairAligner(ctx, pool, buf, batch, cost_, tasklets, p,
+                              sim_path_)
+                      .align(pair, out);
+                });
 }
 
 /// The engine's per-worker arena for the NW kernel: one KernelScratch reused
@@ -982,13 +760,6 @@ std::uint32_t NwKernel::batch_flags(const AlignConfig& config) const {
   return config.traceback ? kFlagTraceback : 0;
 }
 
-std::uint32_t NwKernel::pair_cigar_cap(std::uint64_t len_a,
-                                       std::uint64_t len_b,
-                                       const AlignConfig& config) const {
-  // Worst case every alignment column is its own run.
-  return config.traceback ? static_cast<std::uint32_t>(len_a + len_b + 2) : 0;
-}
-
 std::uint64_t NwKernel::pair_scratch_bytes(std::uint64_t len_a,
                                            std::uint64_t len_b,
                                            const AlignConfig& config) const {
@@ -996,6 +767,15 @@ std::uint64_t NwKernel::pair_scratch_bytes(std::uint64_t len_a,
   // One window-origin word plus one nibble-packed BT row per anti-diagonal.
   const std::uint64_t diags = len_a + len_b + 1;
   return align8(align8(diags * 4) + diags * bt_row_bytes(config.band_width));
+}
+
+double NwKernel::estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                const AlignConfig& config,
+                                double expected_divergence) const {
+  (void)expected_divergence;  // a band's work does not depend on it
+  // The workload model W(m,n) = (m+n)·w the LPT balancer uses (§4.1.2).
+  return static_cast<double>(pair_workload(
+      len_a, len_b, static_cast<std::uint64_t>(config.band_width)));
 }
 
 std::unique_ptr<KernelWorkspace> NwKernel::make_workspace() const {
@@ -1008,8 +788,7 @@ std::unique_ptr<upmem::DpuProgram> NwKernel::make_program(
       workspace != nullptr ? &static_cast<NwWorkspace*>(workspace)->scratch
                            : nullptr;
   return std::make_unique<NwDpuProgram>(config.pool, config.variant,
-                                        config.sim_path, scratch,
-                                        config.bt_stream_passes);
+                                        config.sim_path, scratch);
 }
 
 std::span<const KernelPhase> NwKernel::phase_table() const {

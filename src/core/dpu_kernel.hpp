@@ -58,17 +58,14 @@ class NwDpuProgram : public upmem::DpuProgram {
  public:
   /// `scratch` may be nullptr (the program then keeps a private arena) or a
   /// caller-owned KernelScratch that must outlive the launch and must not be
-  /// shared with a concurrently running program. `bt_stream_passes` models
-  /// each BT row crossing the MRAM port that many times (profiling stress
-  /// knob, PimAlignerConfig::bt_stream_passes); 1 is the paper's kernel.
+  /// shared with a concurrently running program.
   NwDpuProgram(PoolConfig pool_config, KernelVariant variant,
                SimPath sim_path = SimPath::kAuto,
-               KernelScratch* scratch = nullptr, int bt_stream_passes = 1)
+               KernelScratch* scratch = nullptr)
       : pool_config_(pool_config),
         cost_(kernel_cost(variant)),
         sim_path_(sim_path),
-        scratch_(scratch),
-        bt_stream_passes_(bt_stream_passes) {}
+        scratch_(scratch) {}
 
   void run(upmem::DpuContext& ctx) override;
 
@@ -77,7 +74,6 @@ class NwDpuProgram : public upmem::DpuProgram {
   KernelCost cost_;
   SimPath sim_path_;  // host execution strategy; never affects modeled cost
   KernelScratch* scratch_;  // optional shared arena (not owned)
-  int bt_stream_passes_;    // modeled BT streaming passes (>= 1)
 };
 
 /// PimKernel registrant for the banded-NW kernel: the image geometry, flag
@@ -90,10 +86,12 @@ class NwKernel final : public PimKernel {
   const char* description() const override;
 
   std::uint32_t batch_flags(const AlignConfig& config) const override;
-  std::uint32_t pair_cigar_cap(std::uint64_t len_a, std::uint64_t len_b,
-                               const AlignConfig& config) const override;
   std::uint64_t pair_scratch_bytes(std::uint64_t len_a, std::uint64_t len_b,
                                    const AlignConfig& config) const override;
+
+  double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                        const AlignConfig& config,
+                        double expected_divergence) const override;
 
   std::unique_ptr<KernelWorkspace> make_workspace() const override;
   std::unique_ptr<upmem::DpuProgram> make_program(

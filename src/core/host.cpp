@@ -39,9 +39,6 @@ PimAligner::PimAligner(PimAlignerConfig config) : config_(std::move(config)) {
   PIMNW_CHECK_MSG(config_.align.band_width >= 2, "band width must be >= 2");
   PIMNW_CHECK_MSG(config_.batch_window >= 1,
                   "batch window must be at least 1");
-  PIMNW_CHECK_MSG(config_.bt_stream_passes >= 1,
-                  "bt_stream_passes must be >= 1: bt_stream_passes="
-                      << config_.bt_stream_passes);
 }
 
 /// The single batched run path. Both public modes reduce to:

@@ -8,7 +8,12 @@
 namespace pimnw::core {
 namespace {
 
-std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
+/// Capacity, in runs, of a pair's CIGAR slot: runs merge adjacent equal
+/// ops, so the worst case is every alignment column its own run.
+std::uint32_t pair_cigar_cap(std::uint64_t len_a, std::uint64_t len_b,
+                             const AlignConfig& config) {
+  return config.traceback ? static_cast<std::uint32_t>(len_a + len_b + 2) : 0;
+}
 
 }  // namespace
 
@@ -80,10 +85,9 @@ MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
   header.result_off = cursor;
   cursor += static_cast<std::uint64_t>(nr_pairs) * sizeof(PairResult);
 
-  // CIGAR slots (kernel-sized; worst case every column is its own run) and
-  // the per-pool scratch stride: the kernel's per-pair need, max over the
-  // batch (pair_scratch_bytes is monotone in each length, so the max is the
-  // honest worst case — the PimKernel contract).
+  // CIGAR slots and the per-pool scratch stride: the kernel's per-pair
+  // need, max over the batch (pair_scratch_bytes is monotone in each
+  // length, so the max is the honest worst case — the PimKernel contract).
   header.cigar_off = cursor;
   std::vector<std::uint64_t> cigar_offs(nr_pairs);
   std::vector<std::uint32_t> cigar_caps(nr_pairs);
@@ -94,7 +98,7 @@ MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
     const std::uint64_t n = pool.entry(pr.seq_b).length;
     scratch_stride =
         std::max(scratch_stride, kernel.pair_scratch_bytes(m, n, config));
-    const std::uint32_t cap = kernel.pair_cigar_cap(m, n, config);
+    const std::uint32_t cap = pair_cigar_cap(m, n, config);
     cigar_offs[p] = cursor;
     cigar_caps[p] = cap;
     cursor = align8(cursor + static_cast<std::uint64_t>(cap) * 4);
@@ -166,7 +170,7 @@ std::uint64_t single_pair_image_bytes(std::uint64_t len_a,
   pool_bytes = align8(pool_bytes + dna::PackedSequence::bytes_for(len_b));
   cursor = align8(cursor + pool_bytes);
   cursor += sizeof(PairResult);
-  const std::uint64_t cap = kernel.pair_cigar_cap(len_a, len_b, config);
+  const std::uint64_t cap = pair_cigar_cap(len_a, len_b, config);
   cursor = align8(cursor + cap * 4);
   cursor += kernel.pair_scratch_bytes(len_a, len_b, config) *
             static_cast<std::uint64_t>(pools.pools);

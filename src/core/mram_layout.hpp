@@ -29,6 +29,11 @@ namespace pimnw::core {
 
 inline constexpr std::uint64_t kBatchMagic = 0x50494D4E5744424CULL;
 
+/// Round up to the 8-byte granularity of MRAM offsets and DMA transfers.
+inline constexpr std::uint64_t align8(std::uint64_t v) {
+  return (v + 7) & ~std::uint64_t{7};
+}
+
 /// MRAM offset where a broadcast sequence pool (a session's resident
 /// database) lives: the upper half of the bank; per-DPU round images occupy
 /// the lower half.
@@ -170,10 +175,11 @@ struct MramImage {
 /// Build the image for one DPU.
 ///
 /// `pool` provides the sequences; its bytes are appended to the image.
-/// `kernel` supplies the algorithm-specific numbers: the flag
-/// word, per-pair CIGAR slot capacity, and the per-pool scratch stride
-/// (max over the batch's pairs). Throws CheckError if the footprint exceeds
-/// the 64 MB bank.
+/// `kernel` supplies the algorithm-specific numbers: the flag word and the
+/// per-pool scratch stride (max over the batch's pairs). Each pair's CIGAR
+/// slot holds m + n + 2 runs with traceback on (every alignment column its
+/// own run), none without. Throws CheckError if the footprint exceeds the
+/// 64 MB bank.
 MramImage build_mram_image(const DpuBatchInput& batch, const SeqPool& pool,
                            const PimKernel& kernel, const AlignConfig& config,
                            const PoolConfig& pools);

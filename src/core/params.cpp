@@ -38,8 +38,7 @@ std::string params_json(const PimAlignerConfig& config) {
      << ", \"gap_open\": " << config.align.scoring.gap_open
      << ", \"gap_extend\": " << config.align.scoring.gap_extend
      << ", \"batch_pairs\": " << config.batch_pairs
-     << ", \"batch_window\": " << config.batch_window
-     << ", \"bt_stream_passes\": " << config.bt_stream_passes << " }";
+     << ", \"batch_window\": " << config.batch_window << " }";
   return os.str();
 }
 

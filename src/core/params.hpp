@@ -94,13 +94,6 @@ struct PimAlignerConfig {
   /// Re-check every DPU result on the host against the reference
   /// implementation (slow; used by tests and debugging).
   bool verify = false;
-  /// Profiling stress knob (DESIGN.md §12): model each BT row being streamed
-  /// to MRAM this many times (e.g. replicated/checkpointed BT streaming).
-  /// 1 (default) is the paper's kernel and is bit-identical to PR-4
-  /// behaviour; larger values scale only the modeled BT DMA traffic — never
-  /// scores or CIGARs — and let pimnw_prof drive a launch from
-  /// pipeline-bound into the MRAM-bound regime.
-  int bt_stream_passes = 1;
 };
 
 /// One-line JSON object capturing the modeled-relevant configuration, used

@@ -1,21 +1,24 @@
 // Algorithm-agnostic PiM kernel interface (DESIGN.md §16).
 //
-// The engine, MRAM layout and session layers used to hardcode the banded-NW
-// kernel's geometry: flag words, CIGAR slot sizing, per-pool MRAM scratch
-// strides and the NwDpuProgram construction sites. A PimKernel owns all of
-// that per algorithm:
+// The engine, MRAM layout, session and backend layers run any algorithm
+// through this interface; a PimKernel owns only what differs by algorithm:
 //
-//  * image planning — batch_flags / pair_cigar_cap / pair_scratch_bytes feed
+//  * image planning — batch_flags / pair_scratch_bytes feed
 //    core/mram_layout.cpp, which keeps the *shared* container format
-//    (BatchHeader, tables, results) and asks the kernel only for the
-//    algorithm-specific numbers. Flag-word bits other than kFlagSession
-//    (a layout-level concern) are owned by the kernel.
+//    (BatchHeader, tables, CIGAR slots, results) and asks the kernel only
+//    for the algorithm-specific numbers. Flag-word bits other than
+//    kFlagSession (a layout-level concern) are owned by the kernel.
 //  * admission — pair_admissible rejects pairs whose WRAM working set the
-//    kernel cannot host (MRAM admission stays generic via
-//    single_pair_image_bytes, which already consults the kernel's hooks).
-//  * execution — make_program builds the upmem::DpuProgram for one launch;
-//    make_workspace builds the per-worker host-side scratch arena the
-//    engine keeps per thread (purely host wall-clock, never modeled).
+//    kernel cannot host, max_sequence_bases states the per-side cap behind
+//    it (MRAM admission stays generic via single_pair_image_bytes, which
+//    already consults the kernel's hooks).
+//  * routing — estimate_cells is the work model PimBackend's cost estimate
+//    divides by the simulator's throughput.
+//  * execution — make_program builds the upmem::DpuProgram for one launch,
+//    an alignment recurrence inside the shared batch protocol of
+//    core/kernel_io.hpp; make_workspace builds the per-worker host-side
+//    scratch arena the engine keeps per thread (purely host wall-clock,
+//    never modeled).
 //  * profiling — phase_table declares which upmem::Phase rows the kernel
 //    charges and what to call them, so pimnw_prof and the reconciliation
 //    tests key off the kernel instead of a hand-maintained table.
@@ -23,9 +26,9 @@
 //    verify mode cross-checks every DPU result against.
 //
 // Contract notes:
-//  * pair_cigar_cap and pair_scratch_bytes must be monotone non-decreasing
-//    in each length argument — the layout takes the max over a batch's pairs
-//    (and DbSession over the database's two longest sequences) and relies on
+//  * pair_scratch_bytes must be monotone non-decreasing in each length
+//    argument — the layout takes the max over a batch's pairs (and
+//    DbSession over the database's two longest sequences) and relies on
 //    monotonicity for that max to be the honest worst case.
 //  * Kernels are stateless singletons; all launch state lives in the
 //    DpuProgram instance and the (optional) KernelWorkspace.
@@ -71,11 +74,6 @@ class PimKernel {
   /// Kernel-owned bits of BatchHeader::flags for this config. The layout
   /// ORs in kFlagSession itself for session rounds.
   virtual std::uint32_t batch_flags(const AlignConfig& config) const = 0;
-  /// Capacity (in 4-byte runs) of the CIGAR slot for a (len_a, len_b) pair;
-  /// 0 when the config is score-only.
-  virtual std::uint32_t pair_cigar_cap(std::uint64_t len_a,
-                                       std::uint64_t len_b,
-                                       const AlignConfig& config) const = 0;
   /// Per-pool MRAM scratch bytes a (len_a, len_b) pair needs (BT rows for
   /// NW, retained wavefronts for WFA). The layout sizes one stride per pool
   /// as the max over the batch's pairs.
@@ -97,9 +95,19 @@ class PimKernel {
     return true;
   }
 
-  /// Whether the kernel can run kFlagSession rounds (resident database,
-  /// compact entries/results, score-only).
-  virtual bool supports_session() const { return true; }
+  /// Longest sequence, per side, the kernel's WRAM can hold; 0 when only
+  /// the MRAM bank limits it.
+  virtual std::uint64_t max_sequence_bases() const { return 0; }
+
+  // --- routing ---
+
+  /// Work of one (len_a, len_b) pair in the kernel's own cells (banded DP
+  /// cells for NW, wavefront cells for WFA). `expected_divergence` is the
+  /// per-base divergence prior of kernels whose work grows with the
+  /// alignment cost.
+  virtual double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                const AlignConfig& config,
+                                double expected_divergence) const = 0;
 
   // --- execution ---
 

@@ -102,9 +102,6 @@ DbSession::DbSession(std::span<const std::string> db,
   // monotone in each argument by contract, so no index pair — including a
   // self-pair — can need more). 0 for score-only NW.
   const PimKernel& kernel = kernel_for(config_);
-  PIMNW_CHECK_MSG(kernel.supports_session(),
-                  "kernel '" << kernel.name()
-                             << "' does not support session rounds");
   const std::uint32_t longest =
       *std::max_element(lengths_.begin(), lengths_.end());
   scratch_stride_ = kernel.pair_scratch_bytes(longest, longest, config_.align);

@@ -8,6 +8,7 @@
 
 #include "align/wfa.hpp"
 #include "core/dpu_cost.hpp"
+#include "core/kernel_io.hpp"
 #include "core/mram_layout.hpp"
 #include "dna/packed_sequence.hpp"
 #include "util/check.hpp"
@@ -22,8 +23,6 @@ using upmem::DpuContext;
 /// of align/wfa.cpp, including the sentinel (chosen so +1 cannot wrap).
 using Offset = std::int32_t;
 constexpr Offset kNone = std::numeric_limits<Offset>::min() / 2;
-
-std::uint64_t align8(std::uint64_t v) { return (v + 7) & ~std::uint64_t{7}; }
 
 /// Wavefront row slots within a pair's MRAM scratch: M, I, D in that order.
 constexpr int kRowM = 0;
@@ -41,8 +40,6 @@ constexpr std::uint32_t kSrcCells = static_cast<std::uint32_t>(kChunk) + 2;
 constexpr std::uint32_t kStageCells = static_cast<std::uint32_t>(kChunk) + 8;
 /// Output chunk buffer: kChunk cells + one pad cell for align8 writes.
 constexpr std::uint32_t kOutCells = static_cast<std::uint32_t>(kChunk) + 2;
-/// CIGAR runs staged before flushing to MRAM (same as the NW kernel).
-constexpr std::uint32_t kRunChunk = 256;
 
 /// Row/slot geometry shared by the planner (WfaKernel::pair_scratch_bytes)
 /// and the program — they must agree byte for byte or a pair could overrun
@@ -80,20 +77,6 @@ std::uint64_t wfa_pool_wram_bytes() {
          + std::uint64_t{kRunChunk} * 4;        // staged CIGAR runs
 }
 
-void dma_read_chunked(DpuContext& ctx, upmem::PoolCost& pool,
-                      std::uint64_t mram_addr, std::uint64_t wram_addr,
-                      std::uint64_t bytes) {
-  while (bytes > 0) {
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
-                                                        upmem::kDmaMaxBytes);
-    ctx.mram_read(mram_addr, wram_addr, chunk);
-    pool.dma(chunk);
-    mram_addr += chunk;
-    wram_addr += chunk;
-    bytes -= chunk;
-  }
-}
-
 /// A packed sequence held fully WRAM-resident for the pair.
 struct ResidentSeq {
   DpuContext* ctx = nullptr;
@@ -117,54 +100,6 @@ struct ResidentSeq {
   }
 };
 
-/// Everything the kernel needs about the batch, parsed from MRAM. Identical
-/// to the NW kernel's reader: the container format is kernel-agnostic.
-struct Batch {
-  BatchHeader header;
-  align::Scoring scoring;
-
-  SeqEntry seq_entry(DpuContext& ctx, upmem::PoolCost& pool,
-                     std::uint32_t index) const {
-    SeqEntry entry;
-    const std::uint64_t addr = header.seq_table_off + index * sizeof(SeqEntry);
-    pool.set_phase(upmem::Phase::kSetup);
-    ctx.mram_read(addr, scratch_, sizeof(SeqEntry));
-    pool.dma(sizeof(SeqEntry));
-    std::memcpy(&entry, ctx.wram.raw(scratch_, sizeof(SeqEntry)),
-                sizeof(SeqEntry));
-    return entry;
-  }
-
-  PairEntry pair_entry(DpuContext& ctx, upmem::PoolCost& pool,
-                       std::uint32_t index) const {
-    pool.set_phase(upmem::Phase::kSetup);
-    if ((header.flags & kFlagSession) != 0) {
-      SessionPairEntry compact;
-      const std::uint64_t addr =
-          header.pair_table_off + index * sizeof(SessionPairEntry);
-      ctx.mram_read(addr, scratch_, sizeof(SessionPairEntry));
-      pool.dma(sizeof(SessionPairEntry));
-      std::memcpy(&compact, ctx.wram.raw(scratch_, sizeof(SessionPairEntry)),
-                  sizeof(SessionPairEntry));
-      PairEntry entry{};
-      entry.seq_a = compact.seq_a;
-      entry.seq_b = compact.seq_b;
-      entry.global_id = index;
-      return entry;
-    }
-    PairEntry entry;
-    const std::uint64_t addr =
-        header.pair_table_off + index * sizeof(PairEntry);
-    ctx.mram_read(addr, scratch_, sizeof(PairEntry));
-    pool.dma(sizeof(PairEntry));
-    std::memcpy(&entry, ctx.wram.raw(scratch_, sizeof(PairEntry)),
-                sizeof(PairEntry));
-    return entry;
-  }
-
-  std::uint64_t scratch_ = 0;  // small WRAM staging area for table entries
-};
-
 /// Per-pool WRAM working set, allocated once per launch and reused across
 /// the pairs the pool aligns.
 struct WfaPoolBuffers {
@@ -180,8 +115,7 @@ struct WfaPoolBuffers {
   std::span<std::int32_t> head;
   std::uint64_t probe_addr = 0;
   std::span<Offset> probe;
-  std::uint64_t run_buf_addr = 0;
-  std::span<std::uint32_t> run_buf;
+  RunBuffer runs;
 
   void allocate(DpuContext& ctx) {
     seq_a.wram_addr = ctx.wram.alloc(kWfaSeqBytes);
@@ -200,8 +134,7 @@ struct WfaPoolBuffers {
     head = ctx.wram.view<std::int32_t>(head_addr, 2);
     probe_addr = ctx.wram.alloc(8);
     probe = ctx.wram.view<Offset>(probe_addr, 2);
-    run_buf_addr = ctx.wram.alloc(std::uint64_t{kRunChunk} * 4);
-    run_buf = ctx.wram.view<std::uint32_t>(run_buf_addr, kRunChunk);
+    runs.allocate(ctx);
   }
 };
 
@@ -224,15 +157,9 @@ class WfaPairAligner {
         pool_index_(pool_index),
         wfa_max_cost_(wfa_max_cost) {}
 
-  void align(const PairEntry& pair, std::uint32_t pair_index);
+  void align(const PairEntry& pair, PairWriter& out);
 
  private:
-  std::uint64_t pool_cycles_now() const {
-    return pool_.critical_instr() *
-               upmem::issue_interval(ctx_.cost.active_tasklets()) +
-           pool_.critical_dma_cycles();
-  }
-
   // --- MRAM slot addressing ---
 
   std::uint64_t slot_index(std::uint64_t s) const {
@@ -316,9 +243,6 @@ class WfaPairAligner {
 
   std::optional<std::uint64_t> forward();
   dna::Cigar backtrace(std::uint64_t cost);
-  void write_result(std::uint32_t pair_index, const PairResult& result);
-  void flush_runs(const PairEntry& pair, bool final_flush);
-  void emit_run(const PairEntry& pair, dna::CigarOp op, std::uint32_t len);
 
   DpuContext& ctx_;
   upmem::PoolCost& pool_;
@@ -344,11 +268,6 @@ class WfaPairAligner {
 
   // Per-step work accumulator for the extend loop.
   std::uint64_t step_ext_bases_ = 0;
-
-  // Staged CIGAR runs.
-  std::uint32_t runs_staged_ = 0;
-  std::uint64_t runs_flushed_ = 0;
-  bool cigar_overflow_ = false;
 };
 
 std::optional<std::uint64_t> WfaPairAligner::forward() {
@@ -560,9 +479,7 @@ dna::Cigar WfaPairAligner::backtrace(std::uint64_t cost) {
   return cigar;
 }
 
-void WfaPairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
-  const std::uint64_t cycles_before = pool_cycles_now();
-  const std::uint64_t dma_before = pool_.dma_bytes();
+void WfaPairAligner::align(const PairEntry& pair, PairWriter& out) {
   pool_.set_phase(upmem::Phase::kSetup);
   pool_.serial(cost_.pair_setup_instr);
 
@@ -571,41 +488,11 @@ void WfaPairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
   m_ = sa.length;
   n_ = sb.length;
   k_final_ = static_cast<std::int32_t>(m_ - n_);
-  traceback_on_ = (batch_.header.flags & kFlagTraceback) != 0;
-  runs_staged_ = 0;
-  runs_flushed_ = 0;
-  cigar_overflow_ = false;
-
-  auto stamp_cost = [&](PairResult& result) {
-    const std::uint64_t cycles = pool_cycles_now() - cycles_before;
-    result.pool_cycles_lo = static_cast<std::uint32_t>(cycles);
-    result.pool_cycles_hi = static_cast<std::uint32_t>(cycles >> 32);
-    result.dma_bytes =
-        static_cast<std::uint32_t>(pool_.dma_bytes() - dma_before);
-  };
-
-  auto finish_with_cigar = [&](PairResult& result, const dna::Cigar& cigar) {
-    // Runs are written back-to-front, matching the MRAM reversed-run
-    // convention and the NW kernel's streaming emitter.
-    const auto& items = cigar.items();
-    for (auto it = items.rbegin(); it != items.rend(); ++it) {
-      emit_run(pair, it->op, it->len);
-    }
-    flush_runs(pair, true);
-    pool_.set_phase(upmem::Phase::kTraceback);
-    pool_.serial(cost_.traceback_op_instr * cigar.columns());
-    result.cigar_runs =
-        cigar_overflow_ ? 0 : static_cast<std::uint32_t>(items.size());
-    if (cigar_overflow_) result.status = kStatusCigarOverflow;
-  };
-
-  PairResult result{};
+  traceback_on_ = batch_.traceback();
 
   // Either side empty: the closed-form single-gap alignment (the host
   // wrapper's trivial case) — no wavefront machinery touched.
   if (m_ == 0 || n_ == 0) {
-    result.score = static_cast<Score>(
-        -batch_.scoring.gap_cost(static_cast<std::uint64_t>(m_ + n_)));
     if (traceback_on_) {
       dna::Cigar cigar;
       if (m_ > 0) {
@@ -614,10 +501,10 @@ void WfaPairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
       if (n_ > 0) {
         cigar.push(dna::CigarOp::kDelete, static_cast<std::uint32_t>(n_));
       }
-      finish_with_cigar(result, cigar);
+      out.put_cigar(cigar, cost_.traceback_op_instr);
     }
-    stamp_cost(result);
-    write_result(pair_index, result);
+    out.write(static_cast<Score>(
+        -batch_.scoring.gap_cost(static_cast<std::uint64_t>(m_ + n_))));
     return;
   }
 
@@ -650,79 +537,15 @@ void WfaPairAligner::align(const PairEntry& pair, std::uint32_t pair_index) {
   if (!cost) {
     // Cost bound exceeded — the exact condition under which the host
     // reference returns nullopt (kStatusUnreachable, like an NW band miss).
-    result.status = kStatusUnreachable;
-    result.score = 0;
-    stamp_cost(result);
-    write_result(pair_index, result);
+    out.write_unreachable();
     return;
   }
 
   const std::int64_t numerator =
       static_cast<std::int64_t>(batch_.scoring.match) * (m_ + n_) -
       static_cast<std::int64_t>(*cost);
-  result.score = static_cast<Score>(numerator / 2);
-  if (traceback_on_) {
-    const dna::Cigar cigar = backtrace(*cost);
-    finish_with_cigar(result, cigar);
-  }
-  stamp_cost(result);
-  write_result(pair_index, result);
-}
-
-void WfaPairAligner::emit_run(const PairEntry& pair, dna::CigarOp op,
-                              std::uint32_t len) {
-  if (cigar_overflow_) return;
-  if (runs_flushed_ + runs_staged_ >= pair.cigar_cap) {
-    cigar_overflow_ = true;
-    return;
-  }
-  buf_.run_buf[runs_staged_++] = encode_cigar_run(op, len);
-  if (runs_staged_ == kRunChunk) flush_runs(pair, false);
-}
-
-void WfaPairAligner::flush_runs(const PairEntry& pair, bool final_flush) {
-  if (cigar_overflow_ || runs_staged_ == 0) return;
-  std::uint32_t flush_count = runs_staged_;
-  if (!final_flush) {
-    flush_count &= ~1u;  // keep writes 8-byte aligned mid-stream
-    if (flush_count == 0) return;
-  }
-  const std::uint64_t bytes = align8(flush_count * 4);
-  pool_.set_phase(upmem::Phase::kTraceback);
-  ctx_.mram_write(buf_.run_buf_addr, pair.cigar_off + runs_flushed_ * 4,
-                  bytes);
-  pool_.dma(bytes);
-  runs_flushed_ += flush_count;
-  if (flush_count < runs_staged_) {
-    buf_.run_buf[0] = buf_.run_buf[flush_count];
-    runs_staged_ -= flush_count;
-  } else {
-    runs_staged_ = 0;
-  }
-}
-
-void WfaPairAligner::write_result(std::uint32_t pair_index,
-                                  const PairResult& result) {
-  pool_.set_phase(upmem::Phase::kSetup);
-  if ((batch_.header.flags & kFlagSession) != 0) {
-    SessionResult compact{};
-    compact.score = result.score;
-    compact.status = result.status;
-    compact.pool_cycles_lo = result.pool_cycles_lo;
-    compact.pool_cycles_hi = result.pool_cycles_hi;
-    std::memcpy(buf_.run_buf.data(), &compact, sizeof(SessionResult));
-    ctx_.mram_write(
-        buf_.run_buf_addr,
-        batch_.header.result_off + pair_index * sizeof(SessionResult),
-        sizeof(SessionResult));
-    pool_.dma(sizeof(SessionResult));
-    return;
-  }
-  std::memcpy(buf_.run_buf.data(), &result, sizeof(PairResult));
-  ctx_.mram_write(buf_.run_buf_addr,
-                  batch_.header.result_off + pair_index * sizeof(PairResult),
-                  sizeof(PairResult));
-  pool_.dma(sizeof(PairResult));
+  if (traceback_on_) out.put_cigar(backtrace(*cost), cost_.traceback_op_instr);
+  out.write(static_cast<Score>(numerator / 2));
 }
 
 }  // namespace
@@ -757,6 +580,25 @@ std::uint64_t wfa_cost_cap(std::uint64_t len_a, std::uint64_t len_b,
                            config.wfa_max_cost);
 }
 
+double wfa_estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                          const align::Scoring& scoring,
+                          double expected_divergence,
+                          std::uint64_t max_cost) {
+  // Modeled alignment cost: one error per expected_divergence bases at the
+  // converted mismatch penalty x = 2(a+b), clamped to the cost cap when there
+  // is one (beyond it the aligner gives up, so no more work accrues). The
+  // sweep touches ~s wavefronts of up to min(2s+1, m+n) diagonals — never
+  // fewer cells than the one pass the extend loop makes over similar
+  // sequences.
+  const double span = static_cast<double>(len_a + len_b);
+  const double penalty =
+      2.0 * static_cast<double>(scoring.match + scoring.mismatch);
+  double cost = expected_divergence * span * 0.5 * penalty;
+  if (max_cost != 0) cost = std::min(cost, static_cast<double>(max_cost));
+  const double width = std::min(2.0 * cost + 1.0, span);
+  return std::max(span, cost * width);
+}
+
 WfaDpuProgram::WfaDpuProgram(PoolConfig pool_config, KernelVariant variant,
                              std::uint64_t wfa_max_cost)
     : pool_config_(pool_config),
@@ -764,24 +606,9 @@ WfaDpuProgram::WfaDpuProgram(PoolConfig pool_config, KernelVariant variant,
       wfa_max_cost_(wfa_max_cost) {}
 
 void WfaDpuProgram::run(DpuContext& ctx) {
-  // Boot: parse the batch header.
-  Batch batch;
-  batch.scratch_ = ctx.wram.alloc(128);
-  ctx.cost.pool(0).set_phase(upmem::Phase::kSetup);
-  ctx.mram_read(0, batch.scratch_, align8(sizeof(BatchHeader)));
-  ctx.cost.pool(0).dma(align8(sizeof(BatchHeader)));
-  std::memcpy(&batch.header, ctx.wram.raw(batch.scratch_, sizeof(BatchHeader)),
-              sizeof(BatchHeader));
-  PIMNW_CHECK_MSG(batch.header.magic == kBatchMagic,
-                  "DPU launched on a bank without a batch image");
+  const Batch batch = Batch::boot(ctx);
   PIMNW_CHECK_MSG((batch.header.flags & kFlagWfa) != 0,
                   "WFA program launched on a non-WFA batch image");
-  batch.scoring = align::Scoring{
-      .match = batch.header.match,
-      .mismatch = batch.header.mismatch,
-      .gap_open = batch.header.gap_open,
-      .gap_extend = batch.header.gap_extend,
-  };
 
   const WfaKernelCost& cost = wfa_kernel_cost(variant_);
   const int pools = pool_config_.pools;
@@ -793,16 +620,15 @@ void WfaDpuProgram::run(DpuContext& ctx) {
     buffers[static_cast<std::size_t>(p)].allocate(ctx);
   }
 
-  // Work distribution: same dynamic pool scheduling as the NW kernel.
-  for (std::uint32_t pair_index = 0; pair_index < batch.header.nr_pairs;
-       ++pair_index) {
-    const int p = ctx.cost.least_loaded_pool();
-    upmem::PoolCost& pool = ctx.cost.pool(p);
-    const PairEntry pair = batch.pair_entry(ctx, pool, pair_index);
-    WfaPairAligner aligner(ctx, pool, buffers[static_cast<std::size_t>(p)],
-                           batch, cost, tasklets, p, wfa_max_cost_);
-    aligner.align(pair, pair_index);
-  }
+  for_each_pair(ctx, batch,
+                [&](int p, upmem::PoolCost& pool, const PairEntry& pair,
+                    std::uint32_t pair_index) {
+                  WfaPoolBuffers& buf = buffers[static_cast<std::size_t>(p)];
+                  PairWriter out(ctx, pool, batch, pair, pair_index, buf.runs);
+                  WfaPairAligner(ctx, pool, buf, batch, cost, tasklets, p,
+                                 wfa_max_cost_)
+                      .align(pair, out);
+                });
 }
 
 const char* WfaKernel::description() const {
@@ -812,14 +638,6 @@ const char* WfaKernel::description() const {
 
 std::uint32_t WfaKernel::batch_flags(const AlignConfig& config) const {
   return kFlagWfa | (config.traceback ? kFlagTraceback : 0);
-}
-
-std::uint32_t WfaKernel::pair_cigar_cap(std::uint64_t len_a,
-                                        std::uint64_t len_b,
-                                        const AlignConfig& config) const {
-  // Runs merge adjacent equal ops, so there are at most as many runs as
-  // alignment columns; same slack as the NW kernel.
-  return config.traceback ? static_cast<std::uint32_t>(len_a + len_b + 2) : 0;
 }
 
 std::uint64_t WfaKernel::pair_scratch_bytes(std::uint64_t len_a,
@@ -838,12 +656,21 @@ bool WfaKernel::pair_admissible(std::uint64_t len_a, std::uint64_t len_b,
                                 const AlignConfig& config,
                                 const PoolConfig& pools) const {
   (void)config;
-  if (len_a > kWfaMaxSeqBases || len_b > kWfaMaxSeqBases) return false;
+  if (len_a > max_sequence_bases() || len_b > max_sequence_bases()) {
+    return false;
+  }
   // The per-pool working set is length-independent; what must fit is P of
   // them plus the batch staging area.
   return 128 + static_cast<std::uint64_t>(pools.pools) *
                    wfa_pool_wram_bytes() <=
          upmem::kWramBytes;
+}
+
+double WfaKernel::estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                                 const AlignConfig& config,
+                                 double expected_divergence) const {
+  return wfa_estimate_cells(len_a, len_b, config.scoring, expected_divergence,
+                            config.wfa_max_cost);
 }
 
 std::unique_ptr<upmem::DpuProgram> WfaKernel::make_program(

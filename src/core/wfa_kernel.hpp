@@ -12,7 +12,8 @@
 //    rows WRAM→MRAM in kDmaMaxBytes-bounded chunks; the recurrence itself
 //    runs on WRAM chunk buffers, split across the pool's tasklets.
 //  * The backtrace walks the retained slots with small 8-byte probes and
-//    emits the CIGAR through the same staged-run machinery as the NW kernel.
+//    hands the CIGAR to the batch protocol shared with NW
+//    (core/kernel_io.hpp), which streams it to MRAM.
 //
 // The recurrence, tie-breaking, bounds arithmetic and backtrace source
 // disambiguation are identical to align::wfa_align — tests assert
@@ -67,6 +68,14 @@ std::uint64_t wfa_worst_cost(std::uint64_t len_a, std::uint64_t len_b,
 std::uint64_t wfa_cost_cap(std::uint64_t len_a, std::uint64_t len_b,
                            const AlignConfig& config);
 
+/// Wavefront cells a (len_a, len_b) pair is expected to cost, for routing:
+/// the alignment cost s ≈ divergence·(m+n)·x/2 (clamped to `max_cost` when
+/// it is not 0) drives O(s·w) work, never less than one pass over the
+/// sequences. One formula for the DPU kernel and the host WfaBackend.
+double wfa_estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                          const align::Scoring& scoring,
+                          double expected_divergence, std::uint64_t max_cost);
+
 /// The DPU program: runs the exact WFA recurrence against the simulated
 /// MRAM/WRAM/cost-model machinery. `wfa_max_cost` is carried host-side (it
 /// is planning state, not batch state — the BatchHeader stays byte-identical
@@ -92,14 +101,17 @@ class WfaKernel final : public PimKernel {
   const char* description() const override;
 
   std::uint32_t batch_flags(const AlignConfig& config) const override;
-  std::uint32_t pair_cigar_cap(std::uint64_t len_a, std::uint64_t len_b,
-                               const AlignConfig& config) const override;
   std::uint64_t pair_scratch_bytes(std::uint64_t len_a, std::uint64_t len_b,
                                    const AlignConfig& config) const override;
 
   bool pair_admissible(std::uint64_t len_a, std::uint64_t len_b,
                        const AlignConfig& config,
                        const PoolConfig& pools) const override;
+  std::uint64_t max_sequence_bases() const override { return kWfaMaxSeqBases; }
+
+  double estimate_cells(std::uint64_t len_a, std::uint64_t len_b,
+                        const AlignConfig& config,
+                        double expected_divergence) const override;
 
   std::unique_ptr<upmem::DpuProgram> make_program(
       const PimAlignerConfig& config,

@@ -13,6 +13,7 @@
 #include "align/verify.hpp"
 #include "core/backend.hpp"
 #include "core/dispatch.hpp"
+#include "core/wfa_kernel.hpp"
 #include "data/synthetic.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -191,6 +192,50 @@ TEST(DispatchRouting, CostModelPicksCheapestEstimate) {
     EXPECT_EQ(report.routed[static_cast<int>(BackendKind::kWfa)],
               t.pairs.size());
   }
+}
+
+// PiM-WFA holds at most kWfaMaxSeqBases per side in WRAM, so 9 kb pairs
+// must go to PiM-NW however cheap PiM-WFA's estimate looks, and its instant
+// kOversized rejections must not calibrate its cost scale towards zero.
+TEST(DispatchRouting, CostModelSkipsBackendsThatCannotHoldThePair) {
+  const TestPairs t = make_pairs(4, 9000, 0.05, 10);
+  PimAlignerConfig nw_config;
+  nw_config.nr_ranks = 1;
+  nw_config.align.traceback = false;
+  PimAlignerConfig wfa_config = nw_config;
+  wfa_config.kernel = &wfa_kernel();
+  wfa_config.align.wfa_max_cost = 0;
+  const auto pim = static_cast<std::size_t>(BackendKind::kPim);
+
+  {
+    PimBackend nw({nw_config});
+    PimBackend wfa({wfa_config});
+    ASSERT_EQ(wfa.kind(), BackendKind::kPimWfa);
+    ASSERT_EQ(wfa.capabilities().max_pair_length, kWfaMaxSeqBases);
+    Dispatcher dispatcher({.policy = RoutePolicy::kCostModel}, {&nw, &wfa});
+    dispatcher.calibrate(t.pairs, 2);
+    EXPECT_EQ(wfa.cost_scale(), 1.0);  // admitted no probe pair
+    std::vector<PairOutput> out;
+    const DispatchReport report = dispatcher.align(t.pairs, &out);
+    EXPECT_EQ(report.routed[pim], t.pairs.size());
+    EXPECT_EQ(report.aligned, t.pairs.size());
+  }
+
+  // A low divergence prior makes PiM-WFA's estimate the cheapest one.
+  PimBackend nw({nw_config});
+  PimBackend wfa({wfa_config, 0.001});
+  const PairInput& pair = t.pairs[0];
+  ASSERT_LT(wfa.estimate_seconds(pair.a.size(), pair.b.size()),
+            nw.estimate_seconds(pair.a.size(), pair.b.size()));
+  Dispatcher dispatcher({.policy = RoutePolicy::kCostModel}, {&nw, &wfa});
+  EXPECT_EQ(dispatcher.min_estimate_seconds(pair.a.size(), pair.b.size()),
+            nw.estimate_seconds(pair.a.size(), pair.b.size()));
+  std::vector<PairOutput> out;
+  const DispatchReport report =
+      dispatcher.align(std::span<const PairInput>(&pair, 1), &out);
+  EXPECT_EQ(report.routed[pim], 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].status, PairStatus::kOk);
 }
 
 TEST(DispatchMerge, OutputsStayInInputOrderAcrossBackends) {

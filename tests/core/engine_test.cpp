@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/host.hpp"
+#include "core/pim_kernel.hpp"
 #include "core/session.hpp"
 #include "core/stats.hpp"
 #include "data/pacbio.hpp"
@@ -105,7 +106,18 @@ struct ReferencePin {
   std::uint64_t output_digest;
 };
 
-void expect_matches_pin(const RunResult& r, const ReferencePin& pin) {
+/// output_digest plus every pair's status, for the pins whose workloads mix
+/// aligned, unreachable and oversized pairs.
+std::uint64_t status_digest(const std::vector<PairOutput>& out) {
+  std::uint64_t h = output_digest(out);
+  for (const PairOutput& o : out) h = fnv1a(h, &o.status, sizeof(o.status));
+  return h;
+}
+
+using Digest = std::uint64_t (*)(const std::vector<PairOutput>&);
+
+void expect_matches_pin(const RunResult& r, const ReferencePin& pin,
+                        Digest digest = output_digest) {
   EXPECT_EQ(r.report.batches, pin.batches);
   EXPECT_EQ(r.report.total_pairs, pin.total_pairs);
   EXPECT_EQ(r.report.rejected_pairs, pin.rejected_pairs);
@@ -115,7 +127,7 @@ void expect_matches_pin(const RunResult& r, const ReferencePin& pin) {
   EXPECT_EQ(r.report.total_instructions, pin.total_instructions);
   EXPECT_EQ(r.report.total_dma_bytes, pin.total_dma_bytes);
   EXPECT_EQ(r.report.makespan_seconds, pin.makespan_seconds);
-  EXPECT_EQ(output_digest(r.out), pin.output_digest);
+  EXPECT_EQ(digest(r.out), pin.output_digest);
 }
 
 struct EngineVariant {
@@ -214,6 +226,108 @@ TEST(EngineDeterminismTest, SetsBitIdenticalAcrossEngines) {
     SCOPED_TRACE("window " + std::to_string(v.window) + " threads " +
                  std::to_string(v.pool_threads));
     expect_identical(run_variant(v), reference);
+  }
+}
+
+/// 2 kb pairs at 1.5% divergence for the WFA pins: under the default
+/// wfa_max_cost some of them finish inside the cost cap and some do not.
+std::vector<PairInput> wfa_pairs() {
+  static const data::PairDataset dataset = [] {
+    data::SyntheticConfig data_config = data::s1000_config(24, 5);
+    data_config.read_length = 2000;
+    data_config.errors.error_rate = 0.015;
+    return data::generate_synthetic(data_config);
+  }();
+  std::vector<PairInput> pairs;
+  for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
+  return pairs;
+}
+
+PimAlignerConfig wfa_base_config() {
+  PimAlignerConfig base;
+  base.nr_ranks = 2;
+  base.batch_pairs = 6;  // 24 pairs -> 4 batches over 2 ranks
+  base.kernel = &wfa_kernel();
+  return base;
+}
+
+RunResult run_serial_pairs(const PimAlignerConfig& base,
+                           const std::vector<PairInput>& pairs) {
+  std::optional<ThreadPool> pool;
+  PimAligner aligner(variant_config(base, kSerial, pool));
+  RunResult r;
+  r.report = aligner.align_pairs(pairs, &r.out);
+  return r;
+}
+
+std::size_t count_status(const RunResult& r, PairStatus status) {
+  return static_cast<std::size_t>(std::count_if(
+      r.out.begin(), r.out.end(),
+      [status](const PairOutput& o) { return o.status == status; }));
+}
+
+// The WFA kernel and session rounds share the DPU batch protocol (header
+// boot, pair pull, CIGAR streaming, result write-back) with banded NW; these
+// pins hold that shared half to the numbers the two kernels produced while
+// each carried its own copy.
+TEST(EngineDeterminismTest, WfaPairsWithTracebackPinned) {
+  const RunResult r = run_serial_pairs(wfa_base_config(), wfa_pairs());
+  expect_matches_pin(r,
+                     {4, 24, 0, 27760, 0, 383704, 8974566, 12013352,
+                      0x1.72c5f7dfe6e6ep-6, 0xfeab06bf1d9757e7ULL},
+                     status_digest);
+  EXPECT_GT(count_status(r, PairStatus::kOk), 0u);
+  EXPECT_GT(count_status(r, PairStatus::kUnreachable), 0u);
+}
+
+TEST(EngineDeterminismTest, WfaScoreOnlyUncappedPairsPinned) {
+  PimAlignerConfig base = wfa_base_config();
+  base.align.traceback = false;
+  base.align.wfa_max_cost = 0;
+  const RunResult r = run_serial_pairs(base, wfa_pairs());
+  expect_matches_pin(r,
+                     {4, 24, 0, 27760, 0, 576, 9296620, 13243472,
+                      0x1.a0aa4102d8203p-6, 0xb4a0db356c33f2f8ULL},
+                     status_digest);
+  EXPECT_EQ(count_status(r, PairStatus::kOk), r.out.size());
+}
+
+TEST(EngineDeterminismTest, SessionRoundsPinnedForBothKernels) {
+  data::Phylo16sConfig data_config;
+  data_config.species = 16;
+  data_config.root_length = 600;
+  const std::vector<std::string> seqs = data::generate_16s(data_config);
+  std::vector<IndexPair> pairs;
+  for (std::uint32_t i = 0; i < seqs.size(); ++i) {
+    for (std::uint32_t j = i; j < seqs.size(); j += 3) pairs.push_back({i, j});
+  }
+
+  const struct {
+    const PimKernel* kernel;
+    ReferencePin pin;
+  } cases[] = {
+      {&nw_kernel(),
+       {2, 102, 0, 356720, 346112, 1632, 491150576, 53568,
+        0x1.82ab6dd30902ap-4, 0x051451b8d9679823ULL}},
+      {&wfa_kernel(),
+       {2, 102, 0, 356720, 346112, 1632, 28650228, 41277760,
+        0x1.3e4fae9b98567p-7, 0x7e32a51bd503a3c5ULL}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.kernel->name());
+    PimAlignerConfig base;
+    base.nr_ranks = 2;
+    base.kernel = c.kernel;
+    std::optional<ThreadPool> pool;
+    DbSession session(seqs, variant_config(base, kSerial, pool));
+    // Two calls on one resident database; the report is cumulative.
+    RunResult r;
+    std::vector<PairOutput> second;
+    session.align_pairs(pairs, &r.out);
+    r.report = session.align_pairs(pairs, &second);
+    expect_same_outputs(second, r.out);
+    r.out.insert(r.out.end(), second.begin(), second.end());
+    expect_matches_pin(r, c.pin, status_digest);
   }
 }
 

@@ -6,9 +6,9 @@
 //    shapes, with and without traceback.
 //  * Pure observer: attaching a StatsCollector (and thus collecting the
 //    profile) changes no score, CIGAR, modeled cycle or DMA byte.
-//  * The bt_stream_passes stress knob scales only modeled BT DMA traffic
-//    and drives the verdict from pipeline- to MRAM-bound; tiny pools expose
-//    the reentry-bound regime.
+//  * The verdict follows the regime: the WFA kernel's wavefront streaming
+//    is MRAM-bound, tiny pools are reentry-bound, a dense NW workload is
+//    pipeline-bound.
 //  * The stats JSON carries the "profile" object and the provenance stamp;
 //    the Perfetto trace carries phase sub-spans whose cycles reconcile too.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/host.hpp"
+#include "core/pim_kernel.hpp"
 #include "core/stats.hpp"
 #include "data/synthetic.hpp"
 #include "upmem/cost_model.hpp"
@@ -47,6 +48,20 @@ const std::vector<PairInput>& small_pairs() {
 const std::vector<PairInput>& dense_pairs() {
   static const std::vector<PairInput>* pairs = [] {
     data::SyntheticConfig dc = data::s1000_config(768, 12);
+    static const data::PairDataset dataset = data::generate_synthetic(dc);
+    auto* v = new std::vector<PairInput>();
+    for (const auto& [a, b] : dataset.pairs) v->push_back({a, b});
+    return v;
+  }();
+  return *pairs;
+}
+
+/// 192 pairs x ~2 kbp for the WFA kernel with traceback: every cost step
+/// streams its wavefronts through MRAM.
+const std::vector<PairInput>& wfa_pairs() {
+  static const std::vector<PairInput>* pairs = [] {
+    data::SyntheticConfig dc = data::s1000_config(192, 13);
+    dc.read_length = 2000;
     static const data::PairDataset dataset = data::generate_synthetic(dc);
     auto* v = new std::vector<PairInput>();
     for (const auto& [a, b] : dataset.pairs) v->push_back({a, b});
@@ -150,39 +165,19 @@ TEST(ProfilerTest, ProfilerIsPureObserver) {
   EXPECT_EQ(plain.report.total_dma_bytes, observed.report.total_dma_bytes);
 }
 
-TEST(ProfilerTest, BtStreamPassesScalesOnlyModeledDma) {
-  PimAlignerConfig config = base_config();
-  const RunResult one = run(config, small_pairs());
-  config.bt_stream_passes = 8;
-  StatsCollector stats;
-  config.stats = &stats;
-  const RunResult eight = run(config, small_pairs());
-
-  // Results are untouched — the knob models extra BT streaming traffic,
-  // never different alignments.
-  ASSERT_EQ(one.out.size(), eight.out.size());
-  for (std::size_t p = 0; p < one.out.size(); ++p) {
-    EXPECT_EQ(one.out[p].ok, eight.out[p].ok) << "pair " << p;
-    EXPECT_EQ(one.out[p].score, eight.out[p].score) << "pair " << p;
-    EXPECT_EQ(one.out[p].cigar, eight.out[p].cigar) << "pair " << p;
-  }
-  // But the modeled DMA traffic (and thus time) grows.
-  EXPECT_GT(eight.report.total_dma_bytes, one.report.total_dma_bytes);
-  EXPECT_GE(eight.report.makespan_seconds, one.report.makespan_seconds);
-  const upmem::DpuPhaseProfile& prof = stats.profile();
-  const auto bt = static_cast<std::size_t>(upmem::Phase::kBtDma);
-  EXPECT_GT(prof.dma_bytes[bt], 0u);
-  expect_reconciles(stats);
-}
-
-TEST(ProfilerTest, VerdictFlipsToMramBoundUnderBtStreaming) {
+TEST(ProfilerTest, VerdictIsMramBoundUnderWfaTraceback) {
+  // Each WFA cost step reads its source wavefronts from MRAM and writes
+  // three rows back; with traceback every step is kept, so on ~2 kb pairs
+  // that traffic, not the pipeline, bounds the launch.
   StatsCollector stats;
   PimAlignerConfig config = base_config();
-  config.bt_stream_passes = 400;
+  config.kernel = &wfa_kernel();
   config.stats = &stats;
-  run(config, small_pairs());
+  run(config, wfa_pairs());
   ASSERT_TRUE(stats.has_profile());
   EXPECT_EQ(stats.profile().bottleneck, upmem::Bottleneck::kMram);
+  const auto wf = static_cast<std::size_t>(upmem::Phase::kBtDma);
+  EXPECT_GT(stats.profile().dma_bytes[wf], 0u);
   expect_reconciles(stats);
 }
 
@@ -231,7 +226,7 @@ TEST(ProfilerTest, JsonCarriesProfileAndProvenance) {
   EXPECT_NE(json.find("\"git_sha\""), std::string::npos);
   EXPECT_NE(json.find("\"timestamp\""), std::string::npos);
   // The engine stamped the Params snapshot into the provenance block.
-  EXPECT_NE(json.find("\"bt_stream_passes\""), std::string::npos);
+  EXPECT_NE(json.find("\"batch_window\""), std::string::npos);
 }
 
 TEST(ProfilerTest, TracePhaseSubSpansReconcile) {

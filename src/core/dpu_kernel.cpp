@@ -39,19 +39,38 @@ std::uint64_t bt_row_bytes(std::int64_t w) {
   return align8(static_cast<std::uint64_t>(w + 1) / 2);
 }
 
-/// The write-side twin of dma_read_chunked (core/kernel_io.hpp).
-void dma_write_chunked(DpuContext& ctx, upmem::PoolCost& pool,
-                       std::uint64_t wram_addr, std::uint64_t mram_addr,
-                       std::uint64_t bytes) {
+/// One BT row's MRAM write, issued as a chain of maximal transfers like
+/// dma_read_chunked (core/kernel_io.hpp). charge_row_writes charges it.
+void write_row_chunked(DpuContext& ctx, std::uint64_t wram_addr,
+                       std::uint64_t mram_addr, std::uint64_t bytes) {
   while (bytes > 0) {
     const std::uint64_t chunk = std::min<std::uint64_t>(bytes,
                                                         upmem::kDmaMaxBytes);
     ctx.mram_write(wram_addr, mram_addr, chunk);
-    pool.dma(chunk);
     wram_addr += chunk;
     mram_addr += chunk;
     bytes -= chunk;
   }
+}
+
+/// Charge `rows` of write_row_chunked's transfers of `bytes` each.
+void charge_row_writes(upmem::PoolCost& pool, std::uint64_t bytes,
+                       std::uint64_t rows) {
+  const std::uint64_t full = bytes / upmem::kDmaMaxBytes;
+  const std::uint64_t tail = bytes % upmem::kDmaMaxBytes;
+  if (full > 0) pool.dma(upmem::kDmaMaxBytes, rows * full);
+  if (tail > 0) pool.dma(tail, rows);
+}
+
+/// A band array of w slots with one kNegInf sentinel slot on each side: the
+/// fast path's neighbour reads one slot past either band edge land on them.
+/// Nothing writes outside the w slots, so one store per launch suffices.
+std::span<Score> alloc_band(DpuContext& ctx, std::int64_t w) {
+  const std::span<Score> slots =
+      ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w) + 2);
+  slots.front() = kNegInf;
+  slots.back() = kNegInf;
+  return slots.subspan(1, static_cast<std::size_t>(w));
 }
 
 /// Sliding 2-bit-packed window over a sequence stored in MRAM.
@@ -163,6 +182,8 @@ class SeqWindow {
 /// Per-pool WRAM working set, allocated once per launch (the DPU program's
 /// static buffers) and reused across the pairs the pool aligns.
 struct PoolBuffers {
+  // The four band arrays, each with a kNegInf sentinel at both ends
+  // (alloc_band).
   std::span<Score> h[2];  // anti-diagonal H arrays, parity-rotated
   std::span<Score> iv;    // I on the previous anti-diagonal (in-place)
   std::span<Score> dv;    // D on the previous anti-diagonal (in-place)
@@ -176,28 +197,19 @@ struct PoolBuffers {
   std::uint64_t tb_lo_addr = 0;     // traceback lo cache
   std::span<std::uint32_t> tb_lo;
 
-  // Host-side fast-path scratch — deliberately NOT WRAM. The functional DPU
-  // state (H/I/D arrays, windows, BT rows) stays in simulated WRAM; these
-  // are read snapshots the fast path takes per anti-diagonal to break the
-  // scalar loop's in-place carry dependencies, so they model nothing and
-  // cost nothing (DESIGN.md "Simulator fast path"). Score snapshots carry
-  // one kNegInf pad element on each side so shifted neighbour reads resolve
-  // out-of-band lanes without branches. The storage (and the windows'
-  // decoded caches) is borrowed from a KernelScratch arena shared by every
-  // pool of the launch: pairs align strictly one at a time, so pools never
-  // overlap in it.
-  Score* snap_hp = nullptr;   // H on anti-diagonal s-1, padded
-  Score* snap_h2 = nullptr;   // H on anti-diagonal s-2, padded
-  Score* snap_ip = nullptr;   // I on anti-diagonal s-1, padded
-  Score* snap_dp = nullptr;   // D on anti-diagonal s-1, padded
+  // Host-side fast-path scratch — deliberately NOT WRAM: the BT code buffer
+  // (the windows' decoded caches are the other part). It models nothing and
+  // costs nothing (DESIGN.md "Simulator fast path"), and is borrowed from a
+  // KernelScratch arena shared by every pool of the launch: pairs align
+  // strictly one at a time, so pools never overlap in it.
   std::uint8_t* codes = nullptr;  // unpacked BT codes of one whole row
 
   void allocate(DpuContext& ctx, upmem::PoolCost& pool, std::int64_t w,
                 KernelScratch& scratch) {
-    h[0] = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
-    h[1] = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
-    iv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
-    dv = ctx.wram.alloc_array<Score>(static_cast<std::uint64_t>(w));
+    h[0] = alloc_band(ctx, w);
+    h[1] = alloc_band(ctx, w);
+    iv = alloc_band(ctx, w);
+    dv = alloc_band(ctx, w);
     const std::uint64_t win_bytes = SeqWindow::wram_bytes(w);
     win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
                scratch.cache_a.data(), /*reversed=*/false);
@@ -210,12 +222,17 @@ struct PoolBuffers {
     tb_rows_addr = ctx.wram.alloc(kTbCacheRows * bt_row_bytes(w));
     tb_lo_addr = ctx.wram.alloc(kTbLoCache * 4);
     tb_lo = ctx.wram.view<std::uint32_t>(tb_lo_addr, kTbLoCache);
-
-    snap_hp = scratch.snap_hp.data();
-    snap_h2 = scratch.snap_h2.data();
-    snap_ip = scratch.snap_ip.data();
-    snap_dp = scratch.snap_dp.data();
     codes = scratch.codes.data();
+  }
+
+  /// The eight sentinel slots still hold kNegInf.
+  bool sentinels_intact() const {
+    for (const std::span<Score> band : {h[0], h[1], iv, dv}) {
+      if (band.data()[-1] != kNegInf || band.data()[band.size()] != kNegInf) {
+        return false;
+      }
+    }
+    return true;
   }
 };
 
@@ -321,9 +338,6 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   std::int64_t lo1 = 0;
   std::int64_t lo2 = 0;
 
-  const std::uint64_t cell_instr =
-      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
-
   for (std::int64_t s = 0; s <= m + n; ++s) {
     // Stage this anti-diagonal's window origin for the traceback.
     if (traceback_on_) {
@@ -358,7 +372,7 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
 
     // Functional update of the anti-diagonal. Both paths produce bit-identical
     // band state and BT rows; the split only changes host wall-clock, never
-    // the PoolCost charges below (DESIGN.md "Simulator fast path").
+    // the PoolCost charges (DESIGN.md "Simulator fast path").
     if (fast_path_) {
       compute_diag_fast(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
                         bt_row);
@@ -367,20 +381,10 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
                           bt_row);
     }
 
-    // Charge the anti-diagonal: w cells split across the pool's tasklets,
-    // master bookkeeping, and the pool barrier.
-    pool_.set_phase(upmem::Phase::kCompute);
-    pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_);
-    pool_.balanced_step(
-        static_cast<std::uint64_t>(cost_.barrier_instr) *
-            static_cast<std::uint64_t>(tasklets_),
-        tasklets_);
-    pool_.set_phase(upmem::Phase::kBandShift);
-    pool_.serial(cost_.antidiag_master_instr);
-
+    // The row goes to MRAM now; its DMA is charged with the pair's other
+    // per-anti-diagonal work after the loop.
     if (traceback_on_) {
-      pool_.set_phase(upmem::Phase::kBtDma);
-      dma_write_chunked(ctx_, pool_, buf_.bt_row_addr,
+      write_row_chunked(ctx_, buf_.bt_row_addr,
                         rows_off + static_cast<std::uint64_t>(s) * row_bytes,
                         row_bytes);
     }
@@ -398,6 +402,28 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     lo2 = lo1;
     lo1 = lo;
     lo += down ? 1 : 0;
+  }
+  PIMNW_DCHECK(buf_.sentinels_intact());
+
+  // Charge the fixed work of all m+n+1 anti-diagonals at once: w cells split
+  // across the pool's tasklets, the pool barrier, the master's bookkeeping
+  // and the BT row DMA. The repeat counts leave every counter as charging
+  // each anti-diagonal would; window refills and lo flushes, which do not
+  // happen on every anti-diagonal, were charged where they happened.
+  const std::uint64_t diags = static_cast<std::uint64_t>(m + n + 1);
+  const std::uint64_t cell_instr =
+      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
+  pool_.set_phase(upmem::Phase::kCompute);
+  pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_,
+                      diags);
+  pool_.balanced_step(static_cast<std::uint64_t>(cost_.barrier_instr) *
+                          static_cast<std::uint64_t>(tasklets_),
+                      tasklets_, diags);
+  pool_.set_phase(upmem::Phase::kBandShift);
+  pool_.serial(cost_.antidiag_master_instr, diags);
+  if (traceback_on_) {
+    pool_.set_phase(upmem::Phase::kBtDma);
+    charge_row_writes(pool_, row_bytes, diags);
   }
 
   // Flush the tail of the lo staging buffer (padded to 8 bytes).
@@ -536,23 +562,27 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
 
 // Cycle-exact fast path. Same update as compute_diag_scalar, restructured:
 // the in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited),
-// the i==0 / j==0 boundary cells are peeled, the in-place carries are
-// replaced by padded snapshots of the previous band state, the bases come
-// from the windows' decoded caches (refreshed once per refill, not per
+// the i==0 / j==0 boundary cells are peeled, the bases come from the
+// windows' decoded caches (refreshed once per refill, not per
 // anti-diagonal), the interior run is handed to a branchless dense sweep
-// (AVX2 when available), and its BT codes are nibble-packed into the row in
-// one pass. The equivalence argument, per input:
-//   h_up     = H_prev[k+shift1-1]   (carry-free: h_prev is not written here)
-//   i_up     = I_prev[k+shift1-1]   (shift1==0: carry of old_i; ==1: old_i)
+// (AVX2 when available) that updates the WRAM band arrays in place, and its
+// BT codes are nibble-packed into the row in one pass. The equivalence
+// argument, per input:
+//   h_up     = H_prev[k+shift1-1]   (h_prev is not written here)
+//   i_up     = I_prev[k+shift1-1]   (iv in place)
 //   h_left   = H_prev[k+shift1]
-//   d_left   = D_prev[k+shift1]     (shift1==0: dv[k]; ==1: dv[k+1], unwritten
-//                                    ahead of the ascending walk)
-//   h_diag   = H_prev2[k+shift2-1]  (shift2==0: carry; ==1: old_h2; ==2:
-//                                    h_cur[k+1] ahead of the walk)
-// with any out-of-range index reading kNegInf — supplied here by one pad slot
-// on each side of the snapshots. Out-of-band slots are pre-filled with
-// kNegInf and BT code 0 exactly as the reference writes them (the pad
-// nibble of an odd band included).
+//   d_left   = D_prev[k+shift1]     (dv in place)
+//   h_diag   = H_prev2[k+shift2-1]  (h_cur in place)
+// The scalar loop resolves the in-place reads with carries; here the walk
+// direction does (simd::DiagSpan). With shift1 == 0 (so shift2 <= 1) every
+// in-place read is at slot k or k-1, and lanes walk descending; with
+// shift1 == 1 (so shift2 >= 1) at k or k+1, and lanes walk ascending. Either
+// way a slot is read before it is overwritten. Reads one slot past a band
+// edge hit the arrays' kNegInf sentinels, as the reference's range checks
+// would. The peeled cells and the out-of-band slots overwrite slots the
+// sweep may read as neighbours, so they are written after it; out-of-band
+// slots get kNegInf and BT code 0 exactly as the reference writes them (the
+// pad nibble of an odd band included).
 void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
                                     std::int64_t shift1, std::int64_t shift2,
                                     std::int64_t i_min, std::int64_t i_max,
@@ -561,82 +591,86 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
                                     std::uint8_t* bt_row) {
   const std::int64_t w = batch_.header.band_width;
   const align::Scoring& sc = batch_.scoring;
-  const std::size_t ws = static_cast<std::size_t>(w);
+  Score* const out_h = h_cur.data();
+  Score* const out_i = buf_.iv.data();
+  Score* const out_d = buf_.dv.data();
+  PIMNW_DCHECK(shift2 - shift1 == 0 || shift2 - shift1 == 1);
 
-  // Snapshot the band state this diagonal reads before overwriting it. The
-  // destination offset +1 preserves the kNegInf pads installed at allocation.
-  std::memcpy(buf_.snap_hp + 1, h_prev.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_h2 + 1, h_cur.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_ip + 1, buf_.iv.data(), ws * sizeof(Score));
-  std::memcpy(buf_.snap_dp + 1, buf_.dv.data(), ws * sizeof(Score));
-
-  std::fill_n(h_cur.data(), ws, kNegInf);
-  std::fill_n(buf_.iv.data(), ws, kNegInf);
-  std::fill_n(buf_.dv.data(), ws, kNegInf);
-
-  if (i_min > i_max) return;
-
-  std::int64_t ilo = i_min;
-  std::int64_t ihi = i_max;
-
-  // Peel the i == 0 boundary cell (only possible while lo == 0, at k == 0).
-  if (ilo == 0) {
-    const Score h =
-        (s == 0) ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
-    h_cur[static_cast<std::size_t>(-lo)] = h;
-    if (s > 0) buf_.dv[static_cast<std::size_t>(-lo)] = h;
-    ilo = 1;
-  }
-  // Peel the j == 0 boundary cell (i == s); s > 0 keeps it distinct from the
-  // origin cell peeled above.
-  if (ihi == s && s > 0 && ihi >= ilo) {
-    const Score h = -sc.gap_cost(static_cast<std::uint64_t>(s));
-    h_cur[static_cast<std::size_t>(s - lo)] = h;
-    buf_.iv[static_cast<std::size_t>(s - lo)] = h;
-    ihi = s - 1;
-  }
-
+  // Interior rows [ilo, ihi]: the band minus the peeled boundary cells.
+  const bool peel_i0 = i_min == 0;  // only while lo == 0, at k == 0
+  const std::int64_t ilo = peel_i0 ? 1 : i_min;
+  // s > 0 keeps the j == 0 cell (i == s) distinct from the origin cell.
+  const bool peel_j0 = i_max == s && s > 0 && i_max >= ilo;
+  const std::int64_t ihi = peel_j0 ? s - 1 : i_max;
   const std::int64_t len = ihi - ilo + 1;
-  if (len <= 0) return;
 
-  const std::int64_t ka = ilo - lo;
-  simd::DiagSpan span{};
-  span.up_h = buf_.snap_hp + 1 + ka + shift1 - 1;
-  span.up_i = buf_.snap_ip + 1 + ka + shift1 - 1;
-  span.left_h = buf_.snap_hp + 1 + ka + shift1;
-  span.left_d = buf_.snap_dp + 1 + ka + shift1;
-  span.diag_h = buf_.snap_h2 + 1 + ka + shift2 - 1;
-  // Lane t pairs a[ilo-1+t] with b[s-ilo-1-t]; b's cache is reversed, so
-  // both walk their caches ascending.
-  span.base_a = buf_.win_a.decoded(ilo - 1);
-  span.base_b = buf_.win_b.decoded(s - ilo - 1);
-  span.out_h = h_cur.data() + ka;
-  span.out_i = buf_.iv.data() + ka;
-  span.out_d = buf_.dv.data() + ka;
-  span.codes = traceback_on_ ? buf_.codes + ka : nullptr;
-  span.len = len;
-  span.match = sc.match;
-  span.mismatch = sc.mismatch;
-  span.gap_extend = sc.gap_extend;
-  span.open_ext = sc.open_extend();
+  if (len > 0) {
+    const std::int64_t ka = ilo - lo;
+    simd::DiagSpan span{};
+    span.up_h = h_prev.data() + ka + shift1 - 1;
+    span.up_i = out_i + ka + shift1 - 1;
+    span.left_h = h_prev.data() + ka + shift1;
+    span.left_d = out_d + ka + shift1;
+    span.diag_h = out_h + ka + shift2 - 1;
+    // Lane t pairs a[ilo-1+t] with b[s-ilo-1-t]; b's cache is reversed, so
+    // both walk their caches ascending.
+    span.base_a = buf_.win_a.decoded(ilo - 1);
+    span.base_b = buf_.win_b.decoded(s - ilo - 1);
+    span.out_h = out_h + ka;
+    span.out_i = out_i + ka;
+    span.out_d = out_d + ka;
+    span.codes = traceback_on_ ? buf_.codes + ka : nullptr;
+    span.len = len;
+    span.descending = shift1 == 0;
+    span.match = sc.match;
+    span.mismatch = sc.mismatch;
+    span.gap_extend = sc.gap_extend;
+    span.open_ext = sc.open_extend();
 
-  const std::size_t row_bytes = bt_row_bytes(w);
-  if (traceback_on_) std::memset(buf_.codes, 0, 2 * row_bytes);
+    const std::size_t row_bytes = bt_row_bytes(w);
+    if (traceback_on_) std::memset(buf_.codes, 0, 2 * row_bytes);
 
-  if (use_avx2_) {
-    simd::diag_update_avx2(span);
-  } else {
-    simd::diag_update_dense(span);
+    if (use_avx2_) {
+      simd::diag_update_avx2(span);
+    } else {
+      simd::diag_update_dense(span);
+    }
+
+    if (traceback_on_) {
+      // One pass over the whole row: cell k goes to nibble k, and every slot
+      // the sweep did not write packs as code 0.
+      const std::uint8_t* codes = buf_.codes;
+      for (std::size_t b = 0; b < row_bytes; ++b) {
+        bt_row[b] = static_cast<std::uint8_t>(codes[2 * b] |
+                                              (codes[2 * b + 1] << 4));
+      }
+    }
   }
 
-  if (traceback_on_) {
-    // One pass over the whole row: cell k goes to nibble k, and every slot
-    // the sweep did not write packs as code 0.
-    const std::uint8_t* codes = buf_.codes;
-    for (std::size_t b = 0; b < row_bytes; ++b) {
-      bt_row[b] = static_cast<std::uint8_t>(codes[2 * b] |
-                                            (codes[2 * b + 1] << 4));
-    }
+  if (peel_i0) {
+    const std::size_t k = static_cast<std::size_t>(-lo);
+    const Score h = (s == 0) ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
+    out_h[k] = h;
+    out_i[k] = kNegInf;
+    out_d[k] = (s == 0) ? kNegInf : h;
+  }
+  if (peel_j0) {
+    const std::size_t k = static_cast<std::size_t>(s - lo);
+    const Score h = -sc.gap_cost(static_cast<std::uint64_t>(s));
+    out_h[k] = h;
+    out_i[k] = h;
+    out_d[k] = kNegInf;
+  }
+
+  // Out-of-band slots [0, i_min-lo) and (i_max-lo, w); an empty diagonal
+  // (i_min > i_max) makes the two ranges cover the whole band.
+  const std::size_t below = static_cast<std::size_t>(std::min(i_min - lo, w));
+  const std::size_t above =
+      static_cast<std::size_t>(std::max<std::int64_t>(i_max - lo + 1, 0));
+  const std::size_t ws = static_cast<std::size_t>(w);
+  for (Score* band : {out_h, out_i, out_d}) {
+    std::fill(band, band + below, kNegInf);
+    std::fill(band + above, band + ws, kNegInf);
   }
 }
 
@@ -694,29 +728,14 @@ dna::Cigar PairAligner::traceback(std::int64_t m, std::int64_t n) {
 }  // namespace
 
 void KernelScratch::prepare(std::int64_t band_width) {
-  const std::size_t ws = static_cast<std::size_t>(band_width);
-  if (snap_hp.size() != ws + 2) {
-    snap_hp.assign(ws + 2, kNegInf);
-    snap_h2.assign(ws + 2, kNegInf);
-    snap_ip.assign(ws + 2, kNegInf);
-    snap_dp.assign(ws + 2, kNegInf);
-    cache_a.assign(SeqWindow::cache_bases(band_width), 0);
-    cache_b.assign(SeqWindow::cache_bases(band_width), 0);
-    // Two code slots per BT row byte, so the pack reads whole rows: the pad
-    // nibble of an odd band and the row's 8-byte rounding included.
-    codes.assign(2 * bt_row_bytes(band_width), 0);
-    return;
-  }
-  // Reused arena: the sweep memcpy-overwrites the interior [1, ws] before
-  // every read, the window caches are re-decoded by the refill that
-  // attach() forces at the start of every pair, and the code buffer is
-  // zeroed before every sweep, so stale content is unreachable. The pads
-  // are the one exception — they are read but never written; re-assert
-  // them against accidental clobber.
-  snap_hp.front() = snap_hp.back() = kNegInf;
-  snap_h2.front() = snap_h2.back() = kNegInf;
-  snap_ip.front() = snap_ip.back() = kNegInf;
-  snap_dp.front() = snap_dp.back() = kNegInf;
+  // Sized only: the window caches are re-decoded by the refill attach()
+  // forces at the start of every pair, and the code buffer is zeroed before
+  // every sweep, so stale content of a reused arena is never read.
+  cache_a.resize(SeqWindow::cache_bases(band_width));
+  cache_b.resize(SeqWindow::cache_bases(band_width));
+  // Two code slots per BT row byte, so the pack reads whole rows: the pad
+  // nibble of an odd band and the row's 8-byte rounding included.
+  codes.resize(2 * bt_row_bytes(band_width));
 }
 
 void NwDpuProgram::run(DpuContext& ctx) {

@@ -4,7 +4,10 @@
 //  * P pools of T tasklets align P pairs concurrently (§4.2.3). Pairs are
 //    pulled from the batch's work list by whichever pool frees up first.
 //  * Score state is four anti-diagonal arrays of width w in WRAM (§4.2.1),
-//    updated in place with carry registers (ascending-offset sweep).
+//    updated in place. The scalar reference sweeps ascending with carry
+//    registers; the fast path walks the band in whichever direction reads
+//    every slot before it is overwritten, and its neighbour reads past a
+//    band edge hit one kNegInf sentinel slot kept at each end of each array.
 //  * Sequences are read from MRAM through sliding 2-bit-packed WRAM windows
 //    (§4.1.1), refilled by DMA as the band advances.
 //  * Traceback state (4-bit BT rows + window origin per anti-diagonal) is
@@ -27,21 +30,15 @@
 
 namespace pimnw::core {
 
-/// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): the
-/// padded band snapshots, one decoded byte cache per sequence window, and a
-/// whole-row BT code buffer. It models no DPU state, so one instance can be
-/// shared by every pool of a launch (pairs align strictly one at a time)
-/// and reused across launches — the execution engine keeps one per worker
-/// thread instead of reallocating 7 vectors per DPU launch. Safe to reuse
-/// because the sweep rewrites every snapshot slot it reads and zeroes the
-/// code buffer each anti-diagonal, and attach() forces a window refill, and
-/// so a re-decode, at the start of every pair; only the kNegInf pads
-/// persist, and prepare() re-asserts them.
+/// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): one
+/// decoded byte cache per sequence window and a whole-row BT code buffer.
+/// It models no DPU state, so one instance can be shared by every pool of a
+/// launch (pairs align strictly one at a time) and reused across launches —
+/// the execution engine keeps one per worker thread instead of reallocating
+/// the two window caches and the code buffer per DPU launch. Safe to reuse
+/// because the sweep zeroes the code buffer each anti-diagonal and attach()
+/// forces a window refill, and so a re-decode, at the start of every pair.
 struct KernelScratch {
-  std::vector<align::Score> snap_hp;
-  std::vector<align::Score> snap_h2;
-  std::vector<align::Score> snap_ip;
-  std::vector<align::Score> snap_dp;
   /// a's window decoded at its last refill, one code byte per base.
   std::vector<std::uint8_t> cache_a;
   /// b's window likewise, stored back to front so anti-diagonal lanes
@@ -50,7 +47,7 @@ struct KernelScratch {
   /// BT codes of one anti-diagonal, one byte per nibble of the packed row.
   std::vector<std::uint8_t> codes;
 
-  /// Size for `band_width` and (re-)install the out-of-band pads.
+  /// Size for `band_width`.
   void prepare(std::int64_t band_width);
 };
 

@@ -14,7 +14,8 @@ using align::Score;
 
 template <bool kTraceback>
 void dense_sweep(const DiagSpan& d) {
-  for (std::int64_t t = 0; t < d.len; ++t) {
+  // Every input of lane t is read before its outputs are stored.
+  auto lane = [&](std::int64_t t) {
     const Score i_opn = d.up_h[t] - d.open_ext;
     const Score i_ext = d.up_i[t] - d.gap_extend;
     const bool i_open = i_opn >= i_ext;
@@ -42,6 +43,12 @@ void dense_sweep(const DiagSpan& d) {
                     : (i_ge_d ? align::bt::kOriginI : align::bt::kOriginD);
       d.codes[t] = align::bt::make(origin, i_open, d_open);
     }
+  };
+
+  if (d.descending) {
+    for (std::int64_t t = d.len - 1; t >= 0; --t) lane(t);
+  } else {
+    for (std::int64_t t = 0; t < d.len; ++t) lane(t);
   }
 }
 

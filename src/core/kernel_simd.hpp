@@ -7,9 +7,9 @@
 // (diag_update_avx2, runtime-dispatched).
 //
 // These kernels are pure arithmetic: no cost-model charging happens here.
-// Modeled cycles/DMA are charged per anti-diagonal by the caller, so the
-// execution path cannot perturb any Table 2–8 number (DESIGN.md "Simulator
-// fast path").
+// Modeled cycles/DMA are charged per unit of modeled work by the caller, so
+// the execution path cannot perturb any Table 2–8 number (DESIGN.md
+// "Simulator fast path").
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,19 @@ namespace pimnw::core::simd {
 /// One anti-diagonal's interior cells (i >= 1, j >= 1, inside the band) as
 /// dense parallel arrays. Every score pointer is pre-shifted by the caller
 /// so lane t of all inputs describes the same DP cell; lanes whose
-/// neighbour falls outside the band read align::kNegInf from padding the
-/// caller prepared. Input and output arrays must not alias.
+/// neighbour falls outside the band read align::kNegInf, from an
+/// out-of-band slot or from the sentinel slot the caller keeps at each end
+/// of its arrays.
+///
+/// The sweep updates the band in place, so an input may point into the
+/// array an output writes. The walk direction makes that safe: every slot
+/// is read before the lane that owns it is written.
+///  * descending (lanes len-1 down to 0): an input aliasing an output must
+///    sit at or below it (in <= out), i.e. read its own slot or one behind;
+///  * ascending (lanes 0 up to len-1): at or above it (in >= out).
+/// A kernel may handle a block of lanes at once provided it loads the
+/// block's inputs before storing its outputs and takes blocks in the walk
+/// order.
 struct DiagSpan {
   const align::Score* up_h;    // H_prev[k + shift1 - 1]  (vertical)
   const align::Score* up_i;    // I_prev[k + shift1 - 1]
@@ -38,6 +49,7 @@ struct DiagSpan {
   /// score-only mode.
   std::uint8_t* codes;
   std::int64_t len;
+  bool descending;          // walk direction (see above)
   align::Score match;       // added on equal bases
   align::Score mismatch;    // subtracted on unequal bases (magnitude)
   align::Score gap_extend;  // per-base gap charge (magnitude)

@@ -30,6 +30,24 @@ inline __m256i load_bases(const std::uint8_t* p) {
       _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
 }
 
+/// Lanes [first, first + len) of `d`, as a span of their own.
+DiagSpan lanes(const DiagSpan& d, std::int64_t first, std::int64_t len) {
+  DiagSpan part = d;
+  part.up_h += first;
+  part.up_i += first;
+  part.left_h += first;
+  part.left_d += first;
+  part.diag_h += first;
+  part.base_a += first;
+  part.base_b += first;
+  part.out_h += first;
+  part.out_i += first;
+  part.out_d += first;
+  if (part.codes != nullptr) part.codes += first;
+  part.len = len;
+  return part;
+}
+
 template <bool kTraceback>
 void avx2_sweep(const DiagSpan& d) {
   const __m256i v_gext = _mm256_set1_epi32(d.gap_extend);
@@ -37,8 +55,8 @@ void avx2_sweep(const DiagSpan& d) {
   const __m256i v_match = _mm256_set1_epi32(d.match);
   const __m256i v_mismatch = _mm256_set1_epi32(-d.mismatch);
 
-  std::int64_t t = 0;
-  for (; t + 8 <= d.len; t += 8) {
+  // Lanes [t, t+8): every input is loaded before any output is stored.
+  auto block = [&](std::int64_t t) {
     // I: vertical gap, extend vs open from the cell above.
     const __m256i i_opn = _mm256_sub_epi32(load(d.up_h + t), v_open);
     const __m256i i_ext = _mm256_sub_epi32(load(d.up_i + t), v_gext);
@@ -95,24 +113,19 @@ void avx2_sweep(const DiagSpan& d) {
       __builtin_memcpy(out, &lo, 4);
       __builtin_memcpy(out + 4, &hi, 4);
     }
-  }
+  };
 
-  if (t < d.len) {
-    // Remainder lanes: run the dense reference over the tail.
-    DiagSpan tail = d;
-    tail.up_h += t;
-    tail.up_i += t;
-    tail.left_h += t;
-    tail.left_d += t;
-    tail.diag_h += t;
-    tail.base_a += t;
-    tail.base_b += t;
-    tail.out_h += t;
-    tail.out_i += t;
-    tail.out_d += t;
-    if (tail.codes != nullptr) tail.codes += t;
-    tail.len = d.len - t;
-    diag_update_dense(tail);
+  // Whole blocks in the walk order (DiagSpan); the dense reference runs the
+  // remainder lanes, at the end the walk reaches last, in the same
+  // direction.
+  if (d.descending) {
+    std::int64_t t = d.len;
+    for (; t >= 8; t -= 8) block(t - 8);
+    if (t > 0) diag_update_dense(lanes(d, 0, t));
+  } else {
+    std::int64_t t = 0;
+    for (; t + 8 <= d.len; t += 8) block(t);
+    if (t < d.len) diag_update_dense(lanes(d, t, d.len - t));
   }
 }
 

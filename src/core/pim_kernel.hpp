@@ -47,7 +47,7 @@ namespace pimnw::core {
 
 /// Per-worker host-side scratch owned by the execution engine's arenas.
 /// Holds whatever the kernel's simulator wants to reuse across launches
-/// (e.g. the NW fast path's band snapshots); models no DPU state.
+/// (e.g. the NW fast path's decoded window caches); models no DPU state.
 class KernelWorkspace {
  public:
   virtual ~KernelWorkspace() = default;

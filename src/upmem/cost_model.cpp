@@ -115,12 +115,13 @@ void PoolCost::step(const std::vector<std::uint64_t>& per_tasklet_instr) {
   phase_instr_[static_cast<std::size_t>(phase_)] += sum;
 }
 
-void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets) {
+void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets,
+                             std::uint64_t repeat) {
   PIMNW_CHECK(tasklets >= 1);
   const std::uint64_t t = static_cast<std::uint64_t>(tasklets);
-  critical_instr_ += (total_instr + t - 1) / t;
-  total_instr_ += total_instr;
-  phase_instr_[static_cast<std::size_t>(phase_)] += total_instr;
+  critical_instr_ += repeat * ((total_instr + t - 1) / t);
+  total_instr_ += repeat * total_instr;
+  phase_instr_[static_cast<std::size_t>(phase_)] += repeat * total_instr;
   // Occupancy attribution: the first (total % t) tasklets run one extra
   // instruction — the same ceil/floor split the critical path assumes.
   const std::uint64_t base = total_instr / t;
@@ -128,24 +129,24 @@ void PoolCost::balanced_step(std::uint64_t total_instr, int tasklets) {
   const int used = std::min(tasklets, kMaxTasklets);
   for (int i = 0; i < used; ++i) {
     tasklet_instr_[static_cast<std::size_t>(i)] +=
-        base + (static_cast<std::uint64_t>(i) < extra ? 1 : 0);
+        repeat * (base + (static_cast<std::uint64_t>(i) < extra ? 1 : 0));
   }
 }
 
-void PoolCost::serial(std::uint64_t instr) {
-  critical_instr_ += instr;
-  total_instr_ += instr;
-  phase_instr_[static_cast<std::size_t>(phase_)] += instr;
-  tasklet_instr_[0] += instr;  // serial sections run on the master tasklet
+void PoolCost::serial(std::uint64_t instr, std::uint64_t repeat) {
+  critical_instr_ += repeat * instr;
+  total_instr_ += repeat * instr;
+  phase_instr_[static_cast<std::size_t>(phase_)] += repeat * instr;
+  tasklet_instr_[0] += repeat * instr;  // serial sections run on the master
 }
 
-void PoolCost::dma(std::uint64_t bytes) {
+void PoolCost::dma(std::uint64_t bytes, std::uint64_t repeat) {
   const std::uint64_t cycles = dma_cycles(bytes);
-  critical_dma_cycles_ += cycles;
-  dma_bytes_ += bytes;
-  phase_dma_cycles_[static_cast<std::size_t>(phase_)] += cycles;
-  phase_dma_bytes_[static_cast<std::size_t>(phase_)] += bytes;
-  dma_hist_[static_cast<std::size_t>(dma_hist_bucket(bytes))] += 1;
+  critical_dma_cycles_ += repeat * cycles;
+  dma_bytes_ += repeat * bytes;
+  phase_dma_cycles_[static_cast<std::size_t>(phase_)] += repeat * cycles;
+  phase_dma_bytes_[static_cast<std::size_t>(phase_)] += repeat * bytes;
+  dma_hist_[static_cast<std::size_t>(dma_hist_bucket(bytes))] += repeat;
 }
 
 DpuCostModel::DpuCostModel(int pools, int tasklets_per_pool)

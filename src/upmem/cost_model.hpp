@@ -112,13 +112,19 @@ class PoolCost {
   /// Balanced parallel step: `total_instr` split across `tasklets`, the
   /// slowest executing ceil(total/tasklets). The common fast path — avoids
   /// materialising a vector per anti-diagonal.
-  void balanced_step(std::uint64_t total_instr, int tasklets);
+  ///
+  /// This and the two charges below take a `repeat` count: one call charges
+  /// `repeat` identical steps, sections or transfers, and leaves every
+  /// counter exactly as `repeat` single calls would (a kernel charges a
+  /// pair's per-anti-diagonal work once).
+  void balanced_step(std::uint64_t total_instr, int tasklets,
+                     std::uint64_t repeat = 1);
 
   /// Master-tasklet-only (serial) section: the pool's other tasklets wait.
-  void serial(std::uint64_t instr);
+  void serial(std::uint64_t instr, std::uint64_t repeat = 1);
 
   /// A DMA transfer issued from this pool's critical path.
-  void dma(std::uint64_t bytes);
+  void dma(std::uint64_t bytes, std::uint64_t repeat = 1);
 
   std::uint64_t critical_instr() const { return critical_instr_; }
   std::uint64_t total_instr() const { return total_instr_; }

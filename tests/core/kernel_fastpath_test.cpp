@@ -66,6 +66,11 @@ TEST(KernelFastPathTest, Avx2BuildMatchesRuntime) {
   (void)simd::avx2_available();
 }
 
+// Also run at widths RandomizedEquivalenceSweep never draws: w = 2 and 3
+// keep every diagonal inside the dense tail of the AVX2 sweep, 9 and 17
+// leave one remainder lane on a full band, and at each width the
+// descending walk reads the band arrays' low sentinels and the ascending
+// walk their high ones.
 TEST(KernelFastPathTest, HandPickedEdgeCases) {
   const std::vector<std::pair<std::string, std::string>> pairs = {
       {"A", "A"},
@@ -78,11 +83,22 @@ TEST(KernelFastPathTest, HandPickedEdgeCases) {
       // Length-skewed: the band walks off one sequence (unreachable end).
       {"ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT", "AC"},
       {"AC", "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT"},
+      // A deletion then an insertion: at every width here the band fills
+      // and moves down, so both walk directions run on full bands.
+      {"ACGTTGCAACGTTGCAACGTTGCAACGTTGCAACGTTGCAACGTTGCA",
+       "ACGTTGCAACGTTCAACGTTGCAACGTTGCAAACGTTGCAACGTTGCA"},
   };
-  PimAlignerConfig config;
-  config.nr_ranks = 1;
-  config.align.band_width = 8;
-  expect_paths_agree(pairs, config, "edge");
+  for (const std::int64_t band : {2, 3, 8, 9, 16, 17}) {
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.band_width = band;
+    for (const bool traceback : {true, false}) {
+      config.align.traceback = traceback;
+      const std::string tag = "edge w=" + std::to_string(band) +
+                              (traceback ? "" : " score-only");
+      expect_paths_agree(pairs, config, tag.c_str());
+    }
+  }
 }
 
 // The main sweep: >1000 randomized pairs across band widths, pool shapes,

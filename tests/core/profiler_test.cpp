@@ -9,10 +9,15 @@
 //  * The verdict follows the regime: the WFA kernel's wavefront streaming
 //    is MRAM-bound, tiny pools are reentry-bound, a dense NW workload is
 //    pipeline-bound.
+//  * Pinned: every emulated counter of a fixed serial NW run (phase rows,
+//    DMA histogram, per-tasklet instructions, stall split, verdict) equals
+//    recorded constants, so a change to how the kernel charges cannot move
+//    them unnoticed.
 //  * The stats JSON carries the "profile" object and the provenance stamp;
 //    the Perfetto trace carries phase sub-spans whose cycles reconcile too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -63,6 +68,19 @@ const std::vector<PairInput>& wfa_pairs() {
     data::SyntheticConfig dc = data::s1000_config(192, 13);
     dc.read_length = 2000;
     static const data::PairDataset dataset = data::generate_synthetic(dc);
+    auto* v = new std::vector<PairInput>();
+    for (const auto& [a, b] : dataset.pairs) v->push_back({a, b});
+    return v;
+  }();
+  return *pairs;
+}
+
+/// 192 S1000-shaped pairs: three per DPU of one rank, so three pools of
+/// each DPU pull a pair.
+const std::vector<PairInput>& pinned_pairs() {
+  static const std::vector<PairInput>* pairs = [] {
+    static const data::PairDataset dataset =
+        data::generate_synthetic(data::s1000_config(192, 29));
     auto* v = new std::vector<PairInput>();
     for (const auto& [a, b] : dataset.pairs) v->push_back({a, b});
     return v;
@@ -136,6 +154,77 @@ TEST(ProfilerTest, ReconciliationAcrossEnginesAndShapes) {
     config.align.traceback = c.traceback;
     config.stats = &stats;
     run(config, small_pairs());
+    expect_reconciles(stats);
+  }
+}
+
+/// The emulated counters of one run's merged profile.
+struct ProfilePin {
+  std::array<std::uint64_t, upmem::kPhaseCount> issue_cycles;
+  std::array<std::uint64_t, upmem::kPhaseCount> dma_stall_cycles;
+  std::array<std::uint64_t, upmem::kPhaseCount> dma_bytes;
+  std::array<std::uint64_t, upmem::kDmaHistBuckets> dma_hist;
+  std::array<std::uint64_t, upmem::kMaxTasklets> tasklet_instr;
+  std::uint64_t reentry_stall_cycles;
+  std::uint64_t mram_contention_cycles;
+  upmem::Bottleneck bottleneck;
+};
+
+void expect_profile_matches(const upmem::DpuPhaseProfile& got,
+                            const ProfilePin& pin) {
+  EXPECT_EQ(got.issue_cycles, pin.issue_cycles);
+  EXPECT_EQ(got.dma_stall_cycles, pin.dma_stall_cycles);
+  EXPECT_EQ(got.dma_bytes, pin.dma_bytes);
+  EXPECT_EQ(got.dma_hist, pin.dma_hist);
+  EXPECT_EQ(got.tasklet_instr, pin.tasklet_instr);
+  EXPECT_EQ(got.reentry_stall_cycles, pin.reentry_stall_cycles);
+  EXPECT_EQ(got.mram_contention_cycles, pin.mram_contention_cycles);
+  EXPECT_EQ(got.bottleneck, pin.bottleneck);
+}
+
+TEST(ProfilerTest, EmulatedCountersPinned) {
+  // The serial schedule at w = 127: 127 cells of 46 (traceback) or 31
+  // (score-only) instructions split over 4 tasklets unevenly, so the
+  // per-tasklet split is pinned along with the phase rows and the DMA
+  // histogram. The constants were recorded before the kernel charged each
+  // pair's per-anti-diagonal work once instead of per anti-diagonal.
+  const ProfilePin traceback_pin = {
+      {883200, 2249899634, 7681460, 0, 2358276},
+      {153652, 0, 0, 25447496, 14777692},
+      {155752, 0, 0, 26117328, 26095608},
+      {1, 386, 385, 384440, 1240, 6142, 50984, 0, 0},
+      {128000, 0, 0, 0, 194075165, 190510065, 190380024, 190380024,
+       190929971, 187418915, 187290984, 187290984, 188200745, 184737965,
+       184611864, 184611864, 128000, 0, 0, 0, 128000, 0, 0, 0},
+      2370271118,
+      26710192,
+      upmem::Bottleneck::kReentry};
+  const ProfilePin score_only_pin = {
+      {883200, 1518240569, 7681460, 0, 0},
+      {153652, 0, 0, 0, 0},
+      {155752, 0, 0, 0, 0},
+      {0, 384, 384, 365, 1235, 0, 0, 0, 0},
+      {128000, 0, 0, 0, 131377769, 128480508, 128480508, 128480508,
+       129248779, 126395828, 126395828, 126395828, 127402309, 124587788,
+       124587788, 124587788, 128000, 0, 0, 0, 128000, 0, 0, 0},
+      1626157315,
+      103912,
+      upmem::Bottleneck::kReentry};
+
+  ThreadPool one(1);
+  for (const bool traceback : {true, false}) {
+    SCOPED_TRACE(traceback ? "traceback" : "score-only");
+    StatsCollector stats;
+    PimAlignerConfig config = base_config();
+    config.workers = &one;
+    config.batch_window = 1;
+    config.align.band_width = 127;
+    config.align.traceback = traceback;
+    config.stats = &stats;
+    run(config, pinned_pairs());
+    ASSERT_TRUE(stats.has_profile());
+    expect_profile_matches(stats.profile(),
+                           traceback ? traceback_pin : score_only_pin);
     expect_reconciles(stats);
   }
 }

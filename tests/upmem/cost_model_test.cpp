@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/check.hpp"
 
 namespace pimnw::upmem {
@@ -74,6 +76,65 @@ TEST(CostModelTest, BalancedStepRoundsUp) {
   model.pool(0).balanced_step(10, 4);  // ceil(10/4) = 3 on the critical path
   EXPECT_EQ(model.pool(0).critical_instr(), 3u);
   EXPECT_EQ(model.pool(0).total_instr(), 10u);
+}
+
+/// Every counter a PoolCost keeps, timing and emulated alike, agrees.
+void expect_same_counters(const PoolCost& a, const PoolCost& b) {
+  EXPECT_EQ(a.critical_instr(), b.critical_instr());
+  EXPECT_EQ(a.total_instr(), b.total_instr());
+  EXPECT_EQ(a.critical_dma_cycles(), b.critical_dma_cycles());
+  EXPECT_EQ(a.dma_bytes(), b.dma_bytes());
+  for (int ph = 0; ph < kPhaseCount; ++ph) {
+    const auto phase = static_cast<Phase>(ph);
+    EXPECT_EQ(a.phase_instr(phase), b.phase_instr(phase)) << phase_name(phase);
+    EXPECT_EQ(a.phase_dma_cycles(phase), b.phase_dma_cycles(phase))
+        << phase_name(phase);
+    EXPECT_EQ(a.phase_dma_bytes(phase), b.phase_dma_bytes(phase))
+        << phase_name(phase);
+  }
+  for (int t = 0; t < kMaxTasklets; ++t) {
+    EXPECT_EQ(a.tasklet_instr(t), b.tasklet_instr(t)) << "tasklet " << t;
+  }
+  for (int bucket = 0; bucket < kDmaHistBuckets; ++bucket) {
+    EXPECT_EQ(a.dma_hist(bucket), b.dma_hist(bucket)) << "bucket " << bucket;
+  }
+}
+
+TEST(CostModelTest, RepeatCountChargesLikeThatManySingleCalls) {
+  // A band of 127 cells at 46 instructions each: 5842 instructions, which
+  // neither 4 nor 3 tasklets split evenly, so the ceil on the critical path
+  // and the per-tasklet remainder both show.
+  const std::uint64_t cells_instr = 127 * 46;
+  for (const std::uint64_t n : {1u, 3u, 1000u}) {
+    for (const int tasklets : {4, 3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " tasklets " +
+                   std::to_string(tasklets));
+      PoolCost once;
+      PoolCost singles;
+      once.set_phase(Phase::kCompute);
+      singles.set_phase(Phase::kCompute);
+      once.balanced_step(cells_instr, tasklets, n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        singles.balanced_step(cells_instr, tasklets);
+      }
+      expect_same_counters(once, singles);
+
+      once.set_phase(Phase::kBandShift);
+      singles.set_phase(Phase::kBandShift);
+      once.serial(7, n);
+      for (std::uint64_t i = 0; i < n; ++i) singles.serial(7);
+      expect_same_counters(once, singles);
+
+      // A BT row, a maximal transfer and one that fills no bucket evenly.
+      once.set_phase(Phase::kBtDma);
+      singles.set_phase(Phase::kBtDma);
+      for (const std::uint64_t bytes : {64u, 2048u, 200u}) {
+        once.dma(bytes, n);
+        for (std::uint64_t i = 0; i < n; ++i) singles.dma(bytes);
+      }
+      expect_same_counters(once, singles);
+    }
+  }
 }
 
 TEST(CostModelTest, DmaShowsUpAsMramOverhead) {

@@ -87,6 +87,8 @@ enum class Arrivals { kFlood, kPoisson, kBursty };
 struct LoadResult {
   double wall_seconds = 0.0;
   core::ServiceMetrics metrics;
+  /// Exact quantiles over the point's dispatched requests.
+  core::RequestLatencies latency;
 };
 
 /// Drive `n_pairs` requests from `clients` threads through a fresh service
@@ -100,6 +102,8 @@ LoadResult run_load(core::Dispatcher& dispatcher,
                     Arrivals arrivals, double rate, std::size_t burst,
                     std::uint64_t seed) {
   core::AlignService service(&dispatcher, config);
+  // Client c owns the result slots p ≡ c mod clients: disjoint writes.
+  std::vector<core::ServiceResult> results(n_pairs);
   Stopwatch wall;
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) {
@@ -131,7 +135,11 @@ LoadResult run_load(core::Dispatcher& dispatcher,
         inflight.push_back(
             service.submit(w.pairs[p % w.pairs.size()]));
       }
-      for (auto& f : inflight) f.wait();
+      std::size_t p = c;
+      for (auto& f : inflight) {
+        results[p] = f.get();
+        p += clients;
+      }
     });
   }
   for (std::thread& t : threads) t.join();
@@ -139,6 +147,7 @@ LoadResult run_load(core::Dispatcher& dispatcher,
   LoadResult result;
   result.wall_seconds = wall.seconds();
   result.metrics = service.metrics();
+  result.latency = core::summarize_dispatched(results);
   return result;
 }
 
@@ -159,10 +168,10 @@ void write_point_json(std::ofstream& out, const char* label,
       << ", \"rejected_queue_full\": " << m.rejected_queue_full
       << ", \"achieved_pairs_per_sec\": " << achieved_per_sec(r)
       << ", \"batch_fill\": " << m.batch_fill_mean
-      << ", \"queue_p50_ms\": " << m.queue_wait.p50_ms
-      << ", \"p50_ms\": " << m.total_latency.p50_ms
-      << ", \"p90_ms\": " << m.total_latency.p90_ms
-      << ", \"p99_ms\": " << m.total_latency.p99_ms << " }";
+      << ", \"queue_p50_ms\": " << r.latency.queue_wait.p50_ms
+      << ", \"p50_ms\": " << r.latency.total_latency.p50_ms
+      << ", \"p90_ms\": " << r.latency.total_latency.p90_ms
+      << ", \"p99_ms\": " << r.latency.total_latency.p99_ms << " }";
 }
 
 }  // namespace
@@ -304,8 +313,8 @@ int main(int argc, char** argv) {
     std::printf(
         "  %-8s %s: p50 %6.2f ms  p90 %6.2f ms  p99 %6.2f ms  fill %.2f  "
         "rejected %llu\n",
-        point.label, load, r.metrics.total_latency.p50_ms,
-        r.metrics.total_latency.p90_ms, r.metrics.total_latency.p99_ms,
+        point.label, load, r.latency.total_latency.p50_ms,
+        r.latency.total_latency.p90_ms, r.latency.total_latency.p99_ms,
         r.metrics.batch_fill_mean,
         static_cast<unsigned long long>(r.metrics.rejected_queue_full));
   }
@@ -323,7 +332,7 @@ int main(int argc, char** argv) {
                              seed + 50 + i));
     std::printf(
         "  linger %4.1f ms: p50 %6.2f ms  fill %.2f  %6.0f pairs/s\n",
-        lingers_ms[i], sweep.back().metrics.total_latency.p50_ms,
+        lingers_ms[i], sweep.back().latency.total_latency.p50_ms,
         sweep.back().metrics.batch_fill_mean, achieved_per_sec(sweep.back()));
   }
 
@@ -359,12 +368,12 @@ int main(int argc, char** argv) {
   out << "  ],\n";
   out << "  \"linger_sweep\": [\n";
   for (std::size_t i = 0; i < lingers_ms.size(); ++i) {
-    const core::ServiceMetrics& m = sweep[i].metrics;
+    const LoadResult& r = sweep[i];
     out << "    { \"linger_ms\": " << lingers_ms[i]
-        << ", \"batch_fill\": " << m.batch_fill_mean
-        << ", \"p50_ms\": " << m.total_latency.p50_ms
-        << ", \"p99_ms\": " << m.total_latency.p99_ms
-        << ", \"achieved_pairs_per_sec\": " << achieved_per_sec(sweep[i])
+        << ", \"batch_fill\": " << r.metrics.batch_fill_mean
+        << ", \"p50_ms\": " << r.latency.total_latency.p50_ms
+        << ", \"p99_ms\": " << r.latency.total_latency.p99_ms
+        << ", \"achieved_pairs_per_sec\": " << achieved_per_sec(r)
         << " }" << (i + 1 < lingers_ms.size() ? "," : "") << "\n";
   }
   out << "  ]\n";

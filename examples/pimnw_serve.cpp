@@ -6,7 +6,9 @@
 // individual pairs with Poisson inter-arrival times at --rate requests/s
 // per client (rate 0 = closed loop: each client submits its next pair the
 // moment the previous future resolves). Prints the admission/latency
-// metrics and writes them as JSON; with --trace-out the Perfetto trace
+// metrics and writes them as JSON — the counters from
+// AlignService::metrics(), the exact latency quantiles from the dispatched
+// requests' own ServiceResults; with --trace-out the Perfetto trace
 // shows the coalescer's queue-wait spans next to the dispatch spans, over
 // the queue-depth and modeled-backlog counter tracks.
 //
@@ -26,8 +28,10 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -51,6 +55,37 @@ double poisson_gap_seconds(pimnw::Xoshiro256& rng, double rate) {
   double u = rng.uniform();
   if (u <= 0.0) u = 1e-12;
   return -std::log(u) / rate;
+}
+
+void write_latency_json(std::ostream& out, const char* key,
+                        const pimnw::core::LatencyStats& stats) {
+  out << "  \"" << key << "\": { \"count\": " << stats.count
+      << ", \"mean\": " << stats.mean_ms << ", \"p50\": " << stats.p50_ms
+      << ", \"p90\": " << stats.p90_ms << ", \"p99\": " << stats.p99_ms
+      << ", \"max\": " << stats.max_ms << " }";
+}
+
+void write_service_json(std::ostream& out,
+                        const pimnw::core::ServiceMetrics& metrics,
+                        const pimnw::core::RequestLatencies& latencies) {
+  out << "{\n";
+  out << "  \"submitted\": " << metrics.submitted << ",\n";
+  out << "  \"completed\": " << metrics.completed << ",\n";
+  out << "  \"rejected\": { \"queue_full\": " << metrics.rejected_queue_full
+      << ", \"deadline\": " << metrics.rejected_deadline
+      << ", \"shutdown\": " << metrics.rejected_shutdown << " },\n";
+  out << "  \"flushes\": { \"full\": " << metrics.flushes_full
+      << ", \"linger\": " << metrics.flushes_linger
+      << ", \"drain\": " << metrics.flushes_drain << " },\n";
+  out << "  \"batch_fill_mean\": " << metrics.batch_fill_mean << ",\n";
+  out << "  \"max_queue_depth\": " << metrics.max_queue_depth << ",\n";
+  out << "  \"max_backlog_seconds\": " << metrics.max_backlog_seconds << ",\n";
+  out << "  \"busy_seconds\": " << metrics.busy_seconds << ",\n";
+  out << "  \"modeled_seconds\": " << metrics.modeled_seconds << ",\n";
+  write_latency_json(out, "queue_wait_ms", latencies.queue_wait);
+  out << ",\n";
+  write_latency_json(out, "total_latency_ms", latencies.total_latency);
+  out << "\n}\n";
 }
 
 }  // namespace
@@ -97,16 +132,11 @@ int main(int argc, char** argv) {
   cli.flag("metrics-out", std::string(""),
            "write a final Prometheus text snapshot to this file (also the "
            "fallback when --metrics-port cannot bind)");
-  cli.flag("no-telemetry", false,
-           "disable the metrics registry (results are bit-identical either "
-           "way; this only skips the recording)");
   cli.flag("storm-dump", std::string(""),
            "flight-recorder black box path for deadline storms");
   cli.flag("storm-threshold", std::int64_t{32},
            "deadline expiries in one sweep that trigger --storm-dump");
   cli.parse(argc, argv);
-
-  if (cli.get_bool("no-telemetry")) metrics::set_enabled(false);
 
   auto threads = static_cast<std::size_t>(cli.get_int("threads"));
   if (threads == 0) {
@@ -191,24 +221,28 @@ int main(int argc, char** argv) {
   const double deadline = cli.get_double("deadline-ms") * 1e-3;
   const auto clients = static_cast<std::size_t>(cli.get_int("clients"));
 
+  // Each request's ServiceResult, in pair order (client c owns the slots
+  // p ≡ c mod clients, so the writes are disjoint).
+  std::vector<core::ServiceResult> results(pairs.size());
   Stopwatch wall;
   std::vector<std::thread> client_threads;
   for (std::size_t c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
       Xoshiro256 rng(static_cast<std::uint64_t>(cli.get_int("seed")) * 977 +
                      c);
-      std::vector<std::future<core::ServiceResult>> inflight;
+      std::vector<std::pair<std::size_t, std::future<core::ServiceResult>>>
+          inflight;
       for (std::size_t p = c; p < pairs.size(); p += clients) {
         if (rate > 0) {
           const double gap = poisson_gap_seconds(rng, rate);
           std::this_thread::sleep_for(std::chrono::duration<double>(gap));
-          inflight.push_back(service.submit(pairs[p], deadline));
+          inflight.emplace_back(p, service.submit(pairs[p], deadline));
         } else {
           // Closed loop: at most one outstanding request per client.
-          service.submit(pairs[p], deadline).wait();
+          results[p] = service.submit(pairs[p], deadline).get();
         }
       }
-      for (auto& f : inflight) f.wait();
+      for (auto& [p, f] : inflight) results[p] = f.get();
     });
   }
   for (std::thread& t : client_threads) t.join();
@@ -217,6 +251,7 @@ int main(int argc, char** argv) {
   if (tracing) trace::set_enabled(false);
 
   const core::ServiceMetrics metrics = service.metrics();
+  const core::RequestLatencies latencies = core::summarize_dispatched(results);
   std::printf(
       "%zu requests, %zu clients, %s: completed %llu, rejected %llu "
       "(queue) / %llu (deadline), %llu full + %llu linger + %llu drain "
@@ -234,14 +269,14 @@ int main(int argc, char** argv) {
       "%.2f ms / p90 %.2f ms / p99 %.2f ms (queue p50 %.2f ms)\n",
       wall_seconds > 0 ? static_cast<double>(metrics.completed) / wall_seconds
                        : 0.0,
-      wall_seconds, metrics.busy_seconds, metrics.total_latency.p50_ms,
-      metrics.total_latency.p90_ms, metrics.total_latency.p99_ms,
-      metrics.queue_wait.p50_ms);
+      wall_seconds, metrics.busy_seconds, latencies.total_latency.p50_ms,
+      latencies.total_latency.p90_ms, latencies.total_latency.p99_ms,
+      latencies.queue_wait.p50_ms);
 
   const std::string json_path = cli.get_string("json-out");
   std::ofstream json(json_path);
   if (json.good()) {
-    core::write_service_json(json, metrics);
+    write_service_json(json, metrics, latencies);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (tracing && trace::write_json_file(cli.get_string("trace-out"))) {

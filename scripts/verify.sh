@@ -28,19 +28,25 @@
 # monotonicity and admission.
 #
 # Each preset also runs the "serve" ctest label (the streaming alignment
-# service, DESIGN.md §14): submit/coalesce bit-identity, exact latency
-# quantiles, admission-window and backpressure edge cases — the label is in
-# the tsan preset's filter on purpose, the service is the most
-# concurrency-dense layer in the tree. The default preset also smoke-runs
-# the pimnw_serve example.
+# service, DESIGN.md §14): submit/coalesce bit-identity, the nearest-rank
+# quantile helpers, admission-window and backpressure edge cases — the label
+# is in the tsan preset's filter on purpose, the service is the most
+# concurrency-dense layer in the tree. The service keeps no latency samples
+# of its own; the default preset smoke-runs the pimnw_serve example and
+# checks (with python3) that the exact quantiles it computes from its own
+# ServiceResults are present, count every completed request, and are
+# ordered p50 <= p90 <= p99 <= max.
 #
 # Each preset also runs the "metrics" ctest label (production telemetry,
 # DESIGN.md §17): registry bucket arithmetic and merge associativity,
 # exposition purity, the scrape-while-recording hammer (tsan's reason to
-# care), the flight recorder's armed black box, and telemetry-on/off
-# bit-identity of modeled results. The default preset also smoke-runs
-# pimnw_serve --metrics-port 0 and curls /metrics + /healthz, checking the
-# instrumented families are actually exposed under load.
+# care), a silent client that must not block the endpoint's stop(), the
+# flight recorder's armed black box, and the reconciliation of the engine's
+# registry series with a run's launch records and RunReport. The default
+# preset also smoke-runs pimnw_serve --metrics-port 0 and curls /metrics +
+# /healthz, checking the instrumented families are actually exposed under
+# load — including the byte counters perfbench reads through a
+# get-or-create lookup, which would silently read 0 after a rename.
 #
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
@@ -131,6 +137,21 @@ for preset in "${PRESETS[@]}"; do
     echo "=== [$preset] pimnw_serve smoke"
     "$BUILD_DIR/examples/pimnw_serve" --pairs 128 --length 200 --clients 2 \
         --json-out "$BUILD_DIR/serve_metrics.json" >/dev/null
+    python3 - "$BUILD_DIR/serve_metrics.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    report = json.load(f)
+for key in ("queue_wait_ms", "total_latency_ms"):
+    block = report[key]
+    assert block["p50"] <= block["p90"] <= block["p99"] <= block["max"], \
+        f"{key} quantiles out of order: {block}"
+assert report["total_latency_ms"]["count"] == report["completed"], \
+    "total_latency_ms.count != completed"
+assert report["queue_wait_ms"]["count"] == report["completed"], \
+    "queue_wait_ms.count != completed"
+PY
     echo "=== [$preset] pimnw_serve /metrics scrape smoke"
     SERVE_LOG="$BUILD_DIR/serve_scrape_smoke.log"
     "$BUILD_DIR/examples/pimnw_serve" --pairs 4096 --length 300 --clients 2 \
@@ -162,6 +183,9 @@ for preset in "${PRESETS[@]}"; do
           pimnw_service_slo_burn_rate \
           pimnw_dispatch_routed_pairs_total \
           pimnw_engine_launches_total \
+          pimnw_engine_bytes_to_dpus_total \
+          pimnw_engine_bytes_from_dpus_total \
+          pimnw_engine_dpu_cycles_total \
           pimnw_pool_tasks_executed_total \
           pimnw_mram_chunks_live; do
         echo "$SCRAPE" | grep -q "^# TYPE $family " || { MISSING=1; break; }

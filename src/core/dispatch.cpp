@@ -290,12 +290,10 @@ DispatchReport Dispatcher::align(std::span<const PairInput> pairs,
     if (bucket[b].empty()) continue;
     PIMNW_TRACE_SPAN(std::string("submit ") +
                      backend_kind_name(backends_[b]->kind()));
-    if (metrics::enabled()) {
-      routed_counter(backends_[b]->kind()).add(bucket[b].size());
-      for (const PairInput& pair : bucket[b]) {
-        predicted[b] +=
-            backends_[b]->estimate_seconds(pair.a.size(), pair.b.size());
-      }
+    routed_counter(backends_[b]->kind()).add(bucket[b].size());
+    for (const PairInput& pair : bucket[b]) {
+      predicted[b] +=
+          backends_[b]->estimate_seconds(pair.a.size(), pair.b.size());
     }
     ticket[b] = backends_[b]->submit(bucket[b]);
     report.routed[static_cast<std::size_t>(backends_[b]->kind())] +=
@@ -331,20 +329,18 @@ DispatchReport Dispatcher::align(std::span<const PairInput> pairs,
   for (AlignerBackend* b : backends_) {
     report.backends.push_back(b->drain());
   }
-  if (metrics::enabled()) {
-    // Calibration drift: actual/predicted per backend for this call. Modeled
-    // backends are judged on modeled seconds (that is what the estimator
-    // predicts); host backends on measured wall-clock.
-    for (std::size_t b = 0; b < backends_.size(); ++b) {
-      if (bucket[b].empty() || predicted[b] <= 0.0) continue;
-      const BackendReport& br = report.backends[b];
-      const double actual = backends_[b]->capabilities().modeled_time
-                                ? br.modeled_seconds
-                                : br.measured_seconds;
-      if (actual > 0.0) {
-        estimate_error_histogram(backends_[b]->kind())
-            .record(actual / predicted[b]);
-      }
+  // Calibration drift: actual/predicted per backend for this call. Modeled
+  // backends are judged on modeled seconds (that is what the estimator
+  // predicts); host backends on measured wall-clock.
+  for (std::size_t b = 0; b < backends_.size(); ++b) {
+    if (bucket[b].empty() || predicted[b] <= 0.0) continue;
+    const BackendReport& br = report.backends[b];
+    const double actual = backends_[b]->capabilities().modeled_time
+                              ? br.modeled_seconds
+                              : br.measured_seconds;
+    if (actual > 0.0) {
+      estimate_error_histogram(backends_[b]->kind())
+          .record(actual / predicted[b]);
     }
   }
   report.wall_seconds = watch.seconds();

@@ -14,25 +14,42 @@ namespace pimnw::core {
 
 namespace {
 
-// Host<->DPU transfer volume and pipeline occupancy (DESIGN.md §17). Charged
-// at the per-commit accumulation sites, never from finish() totals — finish()
+// The modeled device's Prometheus series (DESIGN.md §17): launches, DPU
+// cycles, host<->DPU transfer volume, broadcasts and pipeline occupancy. The
+// engine is their only writer, charging them at the per-commit (and
+// per-broadcast) accumulation sites, never from finish() totals — finish()
 // can run once per flush and would double-count. Pure observers.
 struct EngineSeries {
+  metrics::Counter& launches;
+  metrics::Counter& dpu_cycles;
+  metrics::Counter& active_dpus;
   metrics::Counter& bytes_to_dpus;
   metrics::Counter& bytes_from_dpus;
   metrics::Counter& dpu_dma_bytes;
+  metrics::Counter& broadcasts;
+  metrics::Counter& broadcast_bytes;
   metrics::Gauge& slots_in_flight;
 };
 
 EngineSeries& engine_series() {
   auto& reg = metrics::MetricsRegistry::global();
   static EngineSeries series{
+      reg.counter("pimnw_engine_launches_total",
+                  "Rank launches committed on the modeled device"),
+      reg.counter("pimnw_engine_dpu_cycles_total",
+                  "Modeled DPU cycles summed over all launched DPUs"),
+      reg.counter("pimnw_engine_active_dpus_total",
+                  "DPUs that ran at least one pair, summed over launches"),
       reg.counter("pimnw_engine_bytes_to_dpus_total",
                   "Host->DPU bytes (batch images + broadcasts)"),
       reg.counter("pimnw_engine_bytes_from_dpus_total",
                   "DPU->host readback bytes"),
       reg.counter("pimnw_engine_dpu_dma_bytes_total",
                   "Modeled MRAM<->WRAM DMA bytes inside the DPUs"),
+      reg.counter("pimnw_upmem_broadcasts_total",
+                  "Broadcast transfers to every bank"),
+      reg.counter("pimnw_upmem_broadcast_bytes_total",
+                  "Bytes moved by broadcast transfers"),
       reg.gauge("pimnw_engine_slots_in_flight",
                 "Pipelined batch slots scheduled but not yet committed"),
   };
@@ -223,9 +240,10 @@ void ExecEngine::set_broadcast(std::span<const std::uint8_t> bytes,
   report_.bytes_to_dpus += stats.bytes;
   report_.bytes_broadcast += stats.bytes;
   report_.transfer_seconds += stats.seconds;
-  if (metrics::enabled()) {
-    engine_series().bytes_to_dpus.add(stats.bytes);
-  }
+  EngineSeries& series = engine_series();
+  series.bytes_to_dpus.add(stats.bytes);
+  series.broadcasts.add(1);
+  series.broadcast_bytes.add(stats.bytes);
   for (double& t : rank_free_) t = std::max(t, stats.seconds);
   makespan_ = std::max(makespan_, stats.seconds);
   stats_->on_broadcast(stats.seconds, stats.bytes, config_.nr_ranks);
@@ -482,13 +500,20 @@ void ExecEngine::commit(Slot& slot, std::vector<PairOutput>* out) {
   rank_free_[static_cast<std::size_t>(r)] = end;
   rank_exec_[static_cast<std::size_t>(r)] += launch_stats.seconds;
   makespan_ = std::max(makespan_, end);
-  if (metrics::enabled()) {
-    EngineSeries& series = engine_series();
-    series.bytes_to_dpus.add(in_stats.bytes);
-    series.bytes_from_dpus.add(out_stats.bytes);
-    series.dpu_dma_bytes.add(launch_stats.total_dma_bytes);
+  std::uint64_t dpu_cycles = 0;
+  for (int d = 0; d < upmem::kDpusPerRank; ++d) {
+    if (slot.ran[static_cast<std::size_t>(d)]) {
+      dpu_cycles += slot.summaries[static_cast<std::size_t>(d)].cycles;
+    }
   }
-  engine_series().slots_in_flight.add(-1.0);
+  EngineSeries& series = engine_series();
+  series.launches.add(1);
+  series.dpu_cycles.add(dpu_cycles);
+  series.active_dpus.add(static_cast<std::uint64_t>(launch_stats.active_dpus));
+  series.bytes_to_dpus.add(in_stats.bytes);
+  series.bytes_from_dpus.add(out_stats.bytes);
+  series.dpu_dma_bytes.add(launch_stats.total_dma_bytes);
+  series.slots_in_flight.add(-1.0);
   stats_->add_cells(slot.prepared.total_workload);
   stats_->on_launch(report_.batches, r, start, in_stats.seconds,
                     host_cost_.per_launch_seconds, out_stats.seconds,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <ostream>
 #include <utility>
 
 #include "upmem/arch.hpp"
@@ -16,6 +15,15 @@
 namespace pimnw::core {
 
 namespace {
+
+// Deadline-miss SLO behind the burn-rate gauges: the target fraction of
+// admitted requests that resolve without kDeadlineExceeded (burn rate 1.0 =
+// consuming the error budget exactly as fast as the objective allows), over
+// a short (paging) and a long (ticket) window — the standard multi-window
+// alert shape.
+constexpr double kSloObjective = 0.999;
+constexpr double kSloShortWindowSeconds = 60.0;
+constexpr double kSloLongWindowSeconds = 600.0;
 
 // Prometheus series for the service front door (DESIGN.md §17). Created on
 // first use; the handles are stable for the process lifetime. All pure
@@ -137,41 +145,24 @@ LatencyStats summarize_latencies(const std::vector<double>& seconds) {
   return stats;
 }
 
-namespace {
-
-void write_latency_json(std::ostream& out, const char* key,
-                        const LatencyStats& stats) {
-  out << "  \"" << key << "\": { \"count\": " << stats.count
-      << ", \"mean\": " << stats.mean_ms << ", \"p50\": " << stats.p50_ms
-      << ", \"p90\": " << stats.p90_ms << ", \"p99\": " << stats.p99_ms
-      << ", \"max\": " << stats.max_ms << " }";
-}
-
-}  // namespace
-
-void write_service_json(std::ostream& out, const ServiceMetrics& metrics) {
-  out << "{\n";
-  out << "  \"submitted\": " << metrics.submitted << ",\n";
-  out << "  \"completed\": " << metrics.completed << ",\n";
-  out << "  \"rejected\": { \"queue_full\": " << metrics.rejected_queue_full
-      << ", \"deadline\": " << metrics.rejected_deadline
-      << ", \"shutdown\": " << metrics.rejected_shutdown << " },\n";
-  out << "  \"flushes\": { \"full\": " << metrics.flushes_full
-      << ", \"linger\": " << metrics.flushes_linger
-      << ", \"drain\": " << metrics.flushes_drain << " },\n";
-  out << "  \"batch_fill_mean\": " << metrics.batch_fill_mean << ",\n";
-  out << "  \"max_queue_depth\": " << metrics.max_queue_depth << ",\n";
-  out << "  \"max_backlog_seconds\": " << metrics.max_backlog_seconds << ",\n";
-  out << "  \"busy_seconds\": " << metrics.busy_seconds << ",\n";
-  out << "  \"modeled_seconds\": " << metrics.modeled_seconds << ",\n";
-  write_latency_json(out, "queue_wait_ms", metrics.queue_wait);
-  out << ",\n";
-  write_latency_json(out, "total_latency_ms", metrics.total_latency);
-  out << "\n}\n";
+RequestLatencies summarize_dispatched(
+    const std::vector<ServiceResult>& results) {
+  std::vector<double> queue_seconds;
+  std::vector<double> total_seconds;
+  for (const ServiceResult& result : results) {
+    if (result.batch_id == 0) continue;
+    queue_seconds.push_back(result.queue_seconds);
+    total_seconds.push_back(result.total_seconds);
+  }
+  return {summarize_latencies(queue_seconds),
+          summarize_latencies(total_seconds)};
 }
 
 AlignService::AlignService(Dispatcher* dispatcher, ServiceConfig config)
-    : dispatcher_(dispatcher), config_(config) {
+    : dispatcher_(dispatcher),
+      config_(config),
+      slo_short_(kSloShortWindowSeconds, kSloObjective),
+      slo_long_(kSloLongWindowSeconds, kSloObjective) {
   PIMNW_CHECK_MSG(dispatcher_ != nullptr, "service needs a dispatcher");
   if (config_.max_batch_pairs == 0) {
     // Rank-sized auto, the same formula PimAligner::align_pairs uses for
@@ -187,14 +178,6 @@ AlignService::AlignService(Dispatcher* dispatcher, ServiceConfig config)
   }
   PIMNW_CHECK_MSG(config_.max_linger_seconds > 0,
                   "max_linger_seconds must be positive");
-  PIMNW_CHECK_MSG(config_.latency_sample_cap > 0,
-                  "latency_sample_cap must be positive");
-  PIMNW_CHECK_MSG(config_.slo_objective > 0 && config_.slo_objective < 1,
-                  "slo_objective must be in (0, 1)");
-  slo_short_ = std::make_unique<metrics::SloBurnWindow>(
-      config_.slo_short_window_seconds, config_.slo_objective);
-  slo_long_ = std::make_unique<metrics::SloBurnWindow>(
-      config_.slo_long_window_seconds, config_.slo_objective);
   coalescer_ = std::thread([this] { coalescer_main(); });
 }
 
@@ -215,7 +198,7 @@ std::future<ServiceResult> AlignService::submit(PairInput pair,
 
   if (stopping_.load(std::memory_order_seq_cst)) {
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics::enabled()) service_series().rejected_shutdown.add(1);
+    service_series().rejected_shutdown.add(1);
     return rejected_future(PairStatus::kShutdown);
   }
 
@@ -255,7 +238,7 @@ std::future<ServiceResult> AlignService::submit(PairInput pair,
   if (!try_admit(&depth, &backlog)) {
     if (!config_.block_when_full) {
       rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics::enabled()) service_series().rejected_queue_full.add(1);
+      service_series().rejected_queue_full.add(1);
       return rejected_future(PairStatus::kQueueFull);
     }
     // Closed-loop client: wait for capacity. flush() notifies space_cv_
@@ -266,7 +249,7 @@ std::future<ServiceResult> AlignService::submit(PairInput pair,
     for (;;) {
       if (stopping_.load(std::memory_order_seq_cst)) {
         rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics::enabled()) service_series().rejected_shutdown.add(1);
+        service_series().rejected_shutdown.add(1);
         return rejected_future(PairStatus::kShutdown);
       }
       if (try_admit(&depth, &backlog)) break;
@@ -275,11 +258,9 @@ std::future<ServiceResult> AlignService::submit(PairInput pair,
   }
   raise(max_queue_depth_, depth);
   raise(max_backlog_us_, backlog);
-  if (metrics::enabled()) {
-    ServiceSeries& series = service_series();
-    series.queue_depth.set(static_cast<double>(depth));
-    series.backlog_seconds.set(static_cast<double>(backlog) / 1e6);
-  }
+  ServiceSeries& series = service_series();
+  series.queue_depth.set(static_cast<double>(depth));
+  series.backlog_seconds.set(static_cast<double>(backlog) / 1e6);
 
   Request* request = new Request;
   request->pair = pair;
@@ -317,33 +298,14 @@ void AlignService::drain_incoming(std::vector<Request*>& pending) {
                pending.end());
 }
 
-void AlignService::record_sample_locked(std::vector<double>& samples,
-                                        double value) {
-  if (samples.size() < config_.latency_sample_cap) {
-    samples.push_back(value);
-    return;
-  }
-  // Algorithm R: replace a random slot with probability cap/seen, keeping a
-  // uniform subsample of everything ever offered. latency_samples_seen_ was
-  // already incremented for this sample.
-  std::uniform_int_distribution<std::uint64_t> dist(
-      0, latency_samples_seen_ - 1);
-  const std::uint64_t slot = dist(sample_rng_);
-  if (slot < samples.size()) {
-    samples[static_cast<std::size_t>(slot)] = value;
-  }
-}
-
 void AlignService::record_slo(double now_seconds, bool good,
                               std::size_t count) {
   if (count == 0) return;
-  slo_short_->record(now_seconds, good, count);
-  slo_long_->record(now_seconds, good, count);
-  if (metrics::enabled()) {
-    ServiceSeries& series = service_series();
-    series.burn_short.set(slo_short_->burn_rate(now_seconds));
-    series.burn_long.set(slo_long_->burn_rate(now_seconds));
-  }
+  slo_short_.record(now_seconds, good, count);
+  slo_long_.record(now_seconds, good, count);
+  ServiceSeries& series = service_series();
+  series.burn_short.set(slo_short_.burn_rate(now_seconds));
+  series.burn_long.set(slo_long_.burn_rate(now_seconds));
 }
 
 void AlignService::undo_admission(const Request& request) {
@@ -449,45 +411,34 @@ void AlignService::flush(std::vector<Request*>& batch, FlushKind kind) {
     }
     busy_seconds_ += busy_seconds;
     modeled_seconds_ += modeled_seconds;
-    if (config_.collect_latencies) {
-      for (const ServiceResult& result : results) {
-        ++latency_samples_seen_;
-        record_sample_locked(queue_wait_samples_, result.queue_seconds);
-        record_sample_locked(total_latency_samples_, result.total_seconds);
-      }
-    }
   }
 
   // Live telemetry for the flush (pure observers, outside metrics_mutex_).
-  if (metrics::enabled()) {
-    ServiceSeries& series = service_series();
-    switch (kind) {
-      case FlushKind::kFull:
-        series.admitted_full.add(batch.size());
-        break;
-      case FlushKind::kLinger:
-        series.admitted_linger.add(batch.size());
-        break;
-      case FlushKind::kDrain:
-        series.admitted_drain.add(batch.size());
-        break;
-    }
-    std::uint64_t oversized = 0;
-    for (const ServiceResult& result : results) {
-      series.queue_wait_seconds.record(result.queue_seconds);
-      series.total_latency_seconds.record(result.total_seconds);
-      if (!result.output.ok &&
-          result.output.status == PairStatus::kOversized) {
-        ++oversized;
-      }
-    }
-    if (oversized > 0) series.rejected_oversized.add(oversized);
-    series.queue_depth.set(
-        static_cast<double>(queued_pairs_.load(std::memory_order_relaxed)));
-    series.backlog_seconds.set(
-        static_cast<double>(backlog_us_.load(std::memory_order_relaxed)) /
-        1e6);
+  ServiceSeries& series = service_series();
+  switch (kind) {
+    case FlushKind::kFull:
+      series.admitted_full.add(batch.size());
+      break;
+    case FlushKind::kLinger:
+      series.admitted_linger.add(batch.size());
+      break;
+    case FlushKind::kDrain:
+      series.admitted_drain.add(batch.size());
+      break;
   }
+  std::uint64_t oversized = 0;
+  for (const ServiceResult& result : results) {
+    series.queue_wait_seconds.record(result.queue_seconds);
+    series.total_latency_seconds.record(result.total_seconds);
+    if (!result.output.ok && result.output.status == PairStatus::kOversized) {
+      ++oversized;
+    }
+  }
+  if (oversized > 0) series.rejected_oversized.add(oversized);
+  series.queue_depth.set(
+      static_cast<double>(queued_pairs_.load(std::memory_order_relaxed)));
+  series.backlog_seconds.set(
+      static_cast<double>(backlog_us_.load(std::memory_order_relaxed)) / 1e6);
   // Every dispatched request beat its deadline (expiries were filtered
   // before the flush), so they all count as SLO-good at completion time.
   record_slo(done_seconds, /*good=*/true, batch.size());
@@ -530,9 +481,7 @@ void AlignService::coalescer_main() {
       pending.resize(keep);
       if (expired > 0) {
         record_slo(now, /*good=*/false, expired);
-        if (metrics::enabled()) {
-          service_series().rejected_deadline.add(expired);
-        }
+        service_series().rejected_deadline.add(expired);
         flight_record(FlightEventKind::kNote,
                       "deadline sweep expired " + std::to_string(expired) +
                           " of " + std::to_string(keep + expired) +
@@ -634,7 +583,7 @@ void AlignService::stop() {
   drain_incoming(leftovers);
   for (Request* r : leftovers) {
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics::enabled()) service_series().rejected_shutdown.add(1);
+    service_series().rejected_shutdown.add(1);
     resolve_undispatched(r, PairStatus::kShutdown, /*was_admitted=*/true);
   }
 }
@@ -663,12 +612,6 @@ ServiceMetrics AlignService::metrics() const {
                   : 0.0;
   m.busy_seconds = busy_seconds_;
   m.modeled_seconds = modeled_seconds_;
-  m.queue_wait = summarize_latencies(queue_wait_samples_);
-  m.total_latency = summarize_latencies(total_latency_samples_);
-  m.latency_samples_seen = latency_samples_seen_;
-  const double now = clock_.seconds();
-  m.slo_burn_short = slo_short_->burn_rate(now);
-  m.slo_burn_long = slo_long_->burn_rate(now);
   return m;
 }
 

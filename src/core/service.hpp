@@ -49,10 +49,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
-#include <iosfwd>
-#include <memory>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,24 +79,6 @@ struct ServiceConfig {
   /// When a cap is hit: false = reject with kQueueFull (shed load), true =
   /// block the submitting thread until capacity frees (closed-loop client).
   bool block_when_full = false;
-  /// Record per-request latency samples for metrics() quantiles. Costs one
-  /// mutex acquisition per flush (not per request); disable only for
-  /// submit-rate microbenchmarks.
-  bool collect_latencies = true;
-  /// Cap on retained latency samples per series. Below the cap every sample
-  /// is kept and metrics() quantiles are exact (nearest-rank, as before);
-  /// past it, reservoir sampling (Algorithm R, deterministic seed) keeps a
-  /// uniform subsample so a week-long run holds bounded memory. The bounded
-  /// Prometheus histograms are unaffected — they see every sample.
-  std::size_t latency_sample_cap = 65536;
-  /// Deadline-miss SLO objective: the target fraction of admitted requests
-  /// that resolve without kDeadlineExceeded. Burn rate 1.0 = consuming the
-  /// error budget exactly as fast as the objective allows.
-  double slo_objective = 0.999;
-  /// Sliding windows for the burn-rate pair (short = paging signal, long =
-  /// ticket signal, the standard multi-window alert shape).
-  double slo_short_window_seconds = 60.0;
-  double slo_long_window_seconds = 600.0;
   /// Deadline-storm black box: when one coalescer sweep expires at least
   /// this many deadlines (0 = disabled), dump the flight recorder to
   /// `storm_dump_path` (once per service lifetime).
@@ -140,6 +119,16 @@ double exact_quantile(const std::vector<double>& sorted_ascending, double q);
 /// Sort a copy of `seconds` and fill a LatencyStats (values in ms).
 LatencyStats summarize_latencies(const std::vector<double>& seconds);
 
+/// Exact latency quantiles of a run's dispatched requests (batch_id != 0).
+/// The service keeps no per-request samples: a caller that wants exact
+/// per-run numbers keeps its ServiceResults and summarizes them here.
+struct RequestLatencies {
+  LatencyStats queue_wait;     // submit → flush
+  LatencyStats total_latency;  // submit → resolve
+};
+RequestLatencies summarize_dispatched(
+    const std::vector<ServiceResult>& results);
+
 struct ServiceMetrics {
   std::uint64_t submitted = 0;   // submit() calls, any outcome
   std::uint64_t completed = 0;   // dispatched and resolved
@@ -163,18 +152,7 @@ struct ServiceMetrics {
   /// rank-granular on the modeled device, so this is where coalescing pays:
   /// a batch=1 flush bills a whole launch for one pair's work.
   double modeled_seconds = 0.0;
-  LatencyStats queue_wait;     // submit → flush
-  LatencyStats total_latency;  // submit → resolve
-  /// Samples ever recorded per series (>= the retained count once the
-  /// latency_sample_cap reservoir engages).
-  std::uint64_t latency_samples_seen = 0;
-  /// Deadline-miss SLO burn rates over the configured short/long windows,
-  /// evaluated at snapshot time (0 when nothing was recorded in a window).
-  double slo_burn_short = 0.0;
-  double slo_burn_long = 0.0;
 };
-
-void write_service_json(std::ostream& out, const ServiceMetrics& metrics);
 
 class AlignService {
  public:
@@ -199,9 +177,10 @@ class AlignService {
   /// coalescer. Idempotent; the destructor calls it.
   void stop();
 
-  /// Snapshot of the counters + exact latency quantiles so far. Cheap
-  /// enough to poll, but sorts the sample vectors — call between load
-  /// phases, not per-request.
+  /// Snapshot of the counters so far; cheap enough to poll. Latency lives
+  /// in each request's ServiceResult (exact, per run — see
+  /// summarize_dispatched) and in the registry histograms (live,
+  /// process-wide, bucketed).
   ServiceMetrics metrics() const;
 
   /// The resolved configuration (max_batch_pairs after the auto rule).
@@ -229,8 +208,6 @@ class AlignService {
   void resolve_undispatched(Request* request, PairStatus status,
                             bool was_admitted);
   void undo_admission(const Request& request);
-  /// Reservoir-bounded sample push (metrics_mutex_ must be held).
-  void record_sample_locked(std::vector<double>& samples, double value);
   /// Record `count` deadline-SLO events into both burn windows and refresh
   /// the exported burn gauges.
   void record_slo(double now_seconds, bool good, std::size_t count = 1);
@@ -267,8 +244,8 @@ class AlignService {
   std::mutex stop_mutex_;  // serializes concurrent stop() calls
 
   // Counters producers touch stay atomic (submit takes no mutex); the
-  // flush-side aggregates and latency samples are mutex-guarded and
-  // touched once per flush, not per request.
+  // flush-side aggregates are mutex-guarded and touched once per flush, not
+  // per request.
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_queue_full_{0};
   std::atomic<std::uint64_t> rejected_deadline_{0};
@@ -283,19 +260,10 @@ class AlignService {
   std::uint64_t dispatched_pairs_ = 0;
   double busy_seconds_ = 0.0;
   double modeled_seconds_ = 0.0;
-  std::vector<double> queue_wait_samples_;
-  std::vector<double> total_latency_samples_;
-  /// Samples ever offered to each reservoir (both series see every request,
-  /// so one counter serves both vectors).
-  std::uint64_t latency_samples_seen_ = 0;
-  /// Deterministic reservoir RNG: two services fed the same request sequence
-  /// retain the same subsample (metrics_mutex_-guarded like the vectors).
-  std::minstd_rand sample_rng_{20260809};
 
-  /// Deadline-miss burn windows (constructed from config in the ctor; the
-  /// internal mutexes make the class immovable, hence the indirection).
-  std::unique_ptr<metrics::SloBurnWindow> slo_short_;
-  std::unique_ptr<metrics::SloBurnWindow> slo_long_;
+  /// Deadline-miss burn windows behind the exported burn-rate gauges.
+  metrics::SloBurnWindow slo_short_;
+  metrics::SloBurnWindow slo_long_;
   std::atomic<bool> storm_dumped_{false};
 
   std::uint64_t next_batch_id_ = 0;  // coalescer-only

@@ -7,7 +7,6 @@
 
 #include "core/host.hpp"
 #include "util/logging.hpp"
-#include "util/metrics.hpp"
 #include "util/provenance.hpp"
 #include "util/trace.hpp"
 
@@ -15,35 +14,6 @@ namespace pimnw::core {
 namespace {
 
 constexpr double kSecondsToUs = 1e6;
-
-// Prometheus series for the modeled device (DESIGN.md §17). Every engine run
-// feeds a StatsCollector (engine-owned when the caller attached none), so
-// this is the single choke point for launch-granular counters. Pure
-// observers: nothing here feeds back into the modeled arithmetic.
-struct LaunchSeries {
-  metrics::Counter& launches;
-  metrics::Counter& dpu_cycles;
-  metrics::Counter& active_dpus;
-  metrics::Counter& broadcasts;
-  metrics::Counter& broadcast_bytes;
-};
-
-LaunchSeries& launch_series() {
-  auto& reg = metrics::MetricsRegistry::global();
-  static LaunchSeries series{
-      reg.counter("pimnw_engine_launches_total",
-                  "Rank launches committed on the modeled device"),
-      reg.counter("pimnw_engine_dpu_cycles_total",
-                  "Modeled DPU cycles summed over all launched DPUs"),
-      reg.counter("pimnw_engine_active_dpus_total",
-                  "DPUs that ran at least one pair, summed over launches"),
-      reg.counter("pimnw_upmem_broadcasts_total",
-                  "Broadcast transfers to every bank"),
-      reg.counter("pimnw_upmem_broadcast_bytes_total",
-                  "Bytes moved by broadcast transfers"),
-  };
-  return series;
-}
 
 }  // namespace
 
@@ -83,15 +53,13 @@ void StatsCollector::on_launch(
   record.exec_end_seconds = record.exec_start_seconds + agg.seconds;
   record.end_seconds = record.exec_end_seconds + out_seconds;
   record.max_cycles = agg.max_cycles;
+  record.min_cycles = agg.max_cycles;  // lowered below; 0 if no DPU ran
   record.active_dpus = agg.active_dpus;
   for (int d = 0; d < upmem::kDpusPerRank; ++d) {
     if (!ran[static_cast<std::size_t>(d)]) continue;
     const auto& summary = summaries[static_cast<std::size_t>(d)];
     record.sum_dpu_cycles += summary.cycles;
-    cycles_min_ = std::min(cycles_min_, summary.cycles);
-    cycles_max_ = std::max(cycles_max_, summary.cycles);
-    cycles_sum_ += summary.cycles;
-    ++dpu_count_;
+    record.min_cycles = std::min(record.min_cycles, summary.cycles);
   }
 
   upmem::DpuPhaseProfile launch_prof;
@@ -109,13 +77,6 @@ void StatsCollector::on_launch(
     has_profile_ = true;
   }
   launches_.push_back(record);
-
-  if (metrics::enabled()) {
-    LaunchSeries& series = launch_series();
-    series.launches.add(1);
-    series.dpu_cycles.add(record.sum_dpu_cycles);
-    series.active_dpus.add(static_cast<std::uint64_t>(agg.active_dpus));
-  }
 
   if (trace::enabled()) {
     name_rank_lanes(rank);
@@ -185,11 +146,6 @@ void StatsCollector::on_broadcast(double seconds, std::uint64_t bytes,
   ++broadcasts_;
   broadcast_bytes_ += bytes;
   broadcast_seconds_ += seconds;
-  if (metrics::enabled()) {
-    LaunchSeries& series = launch_series();
-    series.broadcasts.add(1);
-    series.broadcast_bytes.add(bytes);
-  }
   if (!trace::enabled()) return;
   for (int r = 0; r < nr_ranks; ++r) {
     name_rank_lanes(r);
@@ -200,6 +156,38 @@ void StatsCollector::on_broadcast(double seconds, std::uint64_t bytes,
 }
 
 void StatsCollector::add_cells(std::uint64_t cells) { cells_ += cells; }
+
+std::uint64_t StatsCollector::dpu_count() const {
+  std::uint64_t count = 0;
+  for (const LaunchRecord& record : launches_) {
+    count += static_cast<std::uint64_t>(record.active_dpus);
+  }
+  return count;
+}
+
+std::uint64_t StatsCollector::dpu_cycles_min() const {
+  std::uint64_t lowest = dpu_cycles_max();
+  for (const LaunchRecord& record : launches_) {
+    if (record.active_dpus > 0) lowest = std::min(lowest, record.min_cycles);
+  }
+  return lowest;
+}
+
+std::uint64_t StatsCollector::dpu_cycles_max() const {
+  std::uint64_t highest = 0;
+  for (const LaunchRecord& record : launches_) {
+    highest = std::max(highest, record.max_cycles);
+  }
+  return highest;
+}
+
+double StatsCollector::dpu_cycles_mean() const {
+  const std::uint64_t count = dpu_count();
+  if (count == 0) return 0.0;
+  std::uint64_t sum = 0;
+  for (const LaunchRecord& record : launches_) sum += record.sum_dpu_cycles;
+  return static_cast<double>(sum) / static_cast<double>(count);
+}
 
 void StatsCollector::note_pool(std::uint64_t executed, std::uint64_t stolen,
                                std::uint64_t injected) {
@@ -232,7 +220,7 @@ void StatsCollector::write_json(std::ostream& out,
   out << "  \"mean_pipeline_utilization\": "
       << report.mean_pipeline_utilization << ",\n";
   out << "  \"mean_mram_overhead\": " << report.mean_mram_overhead << ",\n";
-  out << "  \"dpu_launches\": " << dpu_count_ << ",\n";
+  out << "  \"dpu_launches\": " << dpu_count() << ",\n";
   out << "  \"dpu_cycles\": { \"min\": " << dpu_cycles_min()
       << ", \"mean\": " << dpu_cycles_mean()
       << ", \"max\": " << dpu_cycles_max() << " },\n";

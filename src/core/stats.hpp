@@ -2,11 +2,14 @@
 //
 // StatsCollector is a passive observer the execution engine feeds from its
 // sequenced commit stage: one LaunchRecord per rank-batch (timeline
-// placement + cycle aggregates), streaming per-DPU cycle min/mean/max,
-// banded-cell totals for GCUPS and work-stealing counters from the thread
-// pool. It never participates in the RunReport arithmetic, so modeled
-// outputs are bit-identical whether or not a collector (or tracing) is
-// attached — engine_test pins this.
+// placement + cycle aggregates), banded-cell totals for GCUPS and
+// work-stealing counters from the thread pool. The per-DPU cycle count,
+// min, mean and max are derived from the LaunchRecords, not kept twice.
+// It never participates in the RunReport arithmetic, so modeled outputs are
+// bit-identical whether or not a collector (or tracing) is attached —
+// engine_test pins this. The collector is run-scoped and writes no
+// process-wide state: the engine writes the matching Prometheus series
+// itself, next to its byte counters (DESIGN.md §17).
 //
 // When tracing is enabled (util/trace.hpp) the collector also reconstructs
 // the *modeled PiM timeline* as trace spans: a lane per rank (transfer /
@@ -39,6 +42,7 @@ struct LaunchRecord {
   double exec_end_seconds = 0.0;
   double end_seconds = 0.0;         // after the readback transfer
   std::uint64_t max_cycles = 0;     // == LaunchStats.max_cycles
+  std::uint64_t min_cycles = 0;     // min cycles over the launched DPUs
   std::uint64_t sum_dpu_cycles = 0; // Σ cycles over the launched DPUs
   int active_dpus = 0;
   // Profiler view (zero unless the engine passed per-DPU phase profiles).
@@ -90,14 +94,12 @@ class StatsCollector {
 
   const std::vector<LaunchRecord>& launches() const { return launches_; }
   std::uint64_t total_cells() const { return cells_; }
-  std::uint64_t dpu_count() const { return dpu_count_; }
-  std::uint64_t dpu_cycles_min() const { return dpu_count_ ? cycles_min_ : 0; }
-  std::uint64_t dpu_cycles_max() const { return cycles_max_; }
-  double dpu_cycles_mean() const {
-    return dpu_count_ ? static_cast<double>(cycles_sum_) /
-                            static_cast<double>(dpu_count_)
-                      : 0.0;
-  }
+  /// Per-DPU cycle distribution over every launched DPU of the run, derived
+  /// from launches() (all zero before the first launch).
+  std::uint64_t dpu_count() const;
+  std::uint64_t dpu_cycles_min() const;
+  std::uint64_t dpu_cycles_max() const;
+  double dpu_cycles_mean() const;
   /// Run-wide phase profile: the merge of every launched DPU's
   /// DpuPhaseProfile (empty/has_profile()==false when the engine never
   /// attached profiles).
@@ -142,10 +144,6 @@ class StatsCollector {
   std::uint64_t broadcasts_ = 0;
   std::uint64_t broadcast_bytes_ = 0;
   double broadcast_seconds_ = 0.0;
-  std::uint64_t cycles_min_ = ~std::uint64_t{0};
-  std::uint64_t cycles_max_ = 0;
-  std::uint64_t cycles_sum_ = 0;
-  std::uint64_t dpu_count_ = 0;
   std::uint64_t pool_executed_ = 0;
   std::uint64_t pool_stolen_ = 0;
   std::uint64_t pool_injected_ = 0;

@@ -53,11 +53,9 @@ std::uint8_t* Mram::chunk_for_write(std::uint64_t index) {
       chunk = std::make_unique<std::uint8_t[]>(kChunkBytes);  // zero-filled
     }
     ++materialised_;
-    if (metrics::enabled()) {
-      MramSeries& series = mram_series();
-      (recycled ? series.chunks_recycled : series.chunks_allocated).add(1);
-      series.chunks_live.add(1.0);
-    }
+    MramSeries& series = mram_series();
+    (recycled ? series.chunks_recycled : series.chunks_allocated).add(1);
+    series.chunks_live.add(1.0);
   }
   return chunk.get();
 }
@@ -72,7 +70,7 @@ void Mram::clear() {
   }
   chunks_.clear();
   materialised_ = 0;
-  if (released > 0 && metrics::enabled()) {
+  if (released > 0) {
     MramSeries& series = mram_series();
     series.chunks_released.add(released);
     series.chunks_live.add(-static_cast<double>(released));
@@ -131,7 +129,7 @@ std::uint64_t Mram::release_below(std::uint64_t offset) {
     }
   }
   materialised_ -= released;
-  if (released > 0 && metrics::enabled()) {
+  if (released > 0) {
     MramSeries& series = mram_series();
     series.chunks_released.add(released);
     series.chunks_live.add(-static_cast<double>(released));

@@ -42,7 +42,6 @@ void write_json_escaped(std::ostream& os, const std::string& s) {
 
 const char* flight_event_kind_name(FlightEventKind kind) {
   switch (kind) {
-    case FlightEventKind::kSpan: return "span";
     case FlightEventKind::kFlush: return "flush";
     case FlightEventKind::kLog: return "log";
     case FlightEventKind::kFault: return "fault";
@@ -61,20 +60,6 @@ FlightRecorder& FlightRecorder::global() {
   // destruction of other objects.
   static FlightRecorder* recorder = new FlightRecorder();
   return *recorder;
-}
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Event> events = chronological_locked();
-  if (events.size() > capacity) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<std::ptrdiff_t>(capacity));
-  }
-  capacity_ = capacity;
-  ring_ = std::move(events);
-  ring_.reserve(capacity_);
-  next_ = ring_.size() % capacity_;
 }
 
 void FlightRecorder::record_locked(FlightEventKind kind, std::string message) {

@@ -1,7 +1,7 @@
 // Fault flight recorder (DESIGN.md §17).
 //
-// A bounded ring of recent events — spans, flush records, warn/error log
-// lines, faults, free-form notes — that can be dumped as a provenance-stamped
+// A bounded ring of recent events — flush records, warn/error log lines,
+// faults, free-form notes — that can be dumped as a provenance-stamped
 // JSON "black box" when something goes wrong: a PIMNW_CHECK failure (opt-in
 // via arm_check_dump, so tests that intentionally provoke CheckError do not
 // spew files), a deadline storm detected by the service, or an explicit
@@ -18,7 +18,7 @@
 
 namespace pimnw {
 
-enum class FlightEventKind { kSpan, kFlush, kLog, kFault, kNote };
+enum class FlightEventKind { kFlush, kLog, kFault, kNote };
 
 const char* flight_event_kind_name(FlightEventKind kind);
 
@@ -31,10 +31,6 @@ class FlightRecorder {
   /// The process-global recorder that check/log hooks and service
   /// instrumentation feed. Tests may construct private instances.
   static FlightRecorder& global();
-
-  /// Resize the ring; existing events are kept newest-first up to the new
-  /// capacity.
-  void set_capacity(std::size_t capacity);
 
   void record(FlightEventKind kind, std::string message);
 
@@ -75,7 +71,7 @@ class FlightRecorder {
 
   mutable std::mutex mutex_;
   std::vector<Event> ring_;
-  std::size_t capacity_;
+  const std::size_t capacity_;
   std::size_t next_ = 0;   // ring write position
   std::uint64_t seq_ = 0;  // total events ever recorded
   std::string check_dump_path_;

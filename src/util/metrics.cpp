@@ -13,8 +13,6 @@ namespace pimnw {
 namespace metrics {
 namespace {
 
-std::atomic<bool> g_enabled{true};
-
 std::uint64_t double_bits(double v) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
@@ -90,10 +88,6 @@ std::string label_block(const Labels& labels, const char* extra_key = nullptr,
 }
 
 }  // namespace
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
 // Counter

@@ -7,15 +7,17 @@
 //   * Gauge      — a double that can move both ways (queue depth, backlog).
 //   * Histogram  — log-bucketed with a fixed bucket count, so memory stays
 //                  bounded no matter how many samples are recorded; snapshots
-//                  are mergeable and support quantile *estimation* (the exact
-//                  nearest-rank quantiles in core/service.cpp remain the
-//                  test-grade reference under its sample cap).
+//                  are mergeable and support quantile *estimation*. Exact
+//                  per-run quantiles come from the callers' own per-request
+//                  results (core::summarize_dispatched), not from here.
 //   * SloBurnWindow — sliding-window good/bad event ratio for SLO burn-rate
 //                  tracking (deadline misses over short and long windows).
 //
-// Every value here is a pure observer: instrumentation reads modeled state and
-// never feeds back into it, so scores/CIGARs/modeled cycles/DMA bytes are
-// bit-identical with telemetry enabled or disabled (pinned by metrics_test).
+// The registry is always on: there is no switch, and each number has one
+// writer per layer (service, dispatch, engine, pool, MRAM). Every value here
+// is a pure observer — instrumentation reads modeled state and never feeds
+// back into it — and the engine's series reconcile exactly with the run's
+// StatsCollector records and RunReport (pinned by telemetry_identity_test).
 //
 // Exposition: `write_prometheus` emits Prometheus text format 0.0.4;
 // `write_file` snapshots it to disk for no-network environments; the embedded
@@ -39,11 +41,6 @@
 
 namespace pimnw {
 namespace metrics {
-
-/// Global on/off switch (default on). Checked with one relaxed atomic load at
-/// every instrumentation site; when off, instrumented code records nothing.
-bool enabled();
-void set_enabled(bool on);
 
 /// Label set for one series within a family, e.g. {{"backend", "pim"}}.
 /// Order is normalised (sorted by key) when the series is registered.

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,6 +17,8 @@
 namespace pimnw {
 namespace metrics {
 namespace {
+
+constexpr int kRecvTimeoutSeconds = 1;
 
 void send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
@@ -97,6 +100,10 @@ void MetricsHttpServer::serve_loop() {
       if (errno == EINTR) continue;
       break;  // listener socket gone
     }
+    // A client that connects and never sends must not hold the listener:
+    // scrapes are served one at a time, and stop() joins this thread.
+    const timeval timeout{kRecvTimeoutSeconds, 0};
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     char buf[2048];
     const ssize_t n = ::recv(conn, buf, sizeof(buf) - 1, 0);
     if (n > 0) {

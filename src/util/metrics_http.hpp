@@ -6,7 +6,9 @@
 //   GET /healthz  -> 200 "ok"
 // Anything else is 404. Connections are handled sequentially on the listener
 // thread — a scrape is a single small response, and this endpoint is for one
-// Prometheus scraper, not user traffic.
+// Prometheus scraper, not user traffic. Each accepted connection gets a 1 s
+// receive timeout, so a client that connects and sends nothing delays other
+// scrapes and stop() by at most that long.
 //
 // Port 0 binds an ephemeral port (readable via port() after start), which is
 // what the verify.sh smoke and tests use to avoid collisions. If binding

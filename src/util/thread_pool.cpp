@@ -15,8 +15,8 @@ namespace pimnw {
 namespace {
 
 // Work-stealing activity (DESIGN.md §17). The counters double the pool's own
-// relaxed atomics into the scrapeable registry; one extra relaxed add per
-// task when telemetry is on, nothing when off.
+// relaxed atomics into the scrapeable registry: one extra relaxed add per
+// task.
 struct PoolSeries {
   metrics::Counter& executed;
   metrics::Counter& stolen;
@@ -176,7 +176,7 @@ ThreadPool::Task* ThreadPool::acquire(int index) {
     }
     if (task != nullptr) {
       stolen_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics::enabled()) pool_series().stolen.add(1);
+      pool_series().stolen.add(1);
     }
   }
   if (task == nullptr) {
@@ -185,13 +185,13 @@ ThreadPool::Task* ThreadPool::acquire(int index) {
       task = injector_.front();
       injector_.pop_front();
       injected_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics::enabled()) pool_series().injected.add(1);
+      pool_series().injected.add(1);
     }
   }
   if (task != nullptr) {
     pending_.fetch_sub(1, std::memory_order_seq_cst);
     executed_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics::enabled()) pool_series().executed.add(1);
+    pool_series().executed.add(1);
   }
   return task;
 }

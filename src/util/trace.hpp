@@ -20,8 +20,9 @@
 // owning thread), and nothing is shared until export. Recording is gated on
 // one relaxed atomic load; when tracing is off a span costs that load and
 // nothing else (the PIMNW_TRACE_SPAN macro skips even the name formatting).
-// Compile-time opt-out: configure with -DPIMNW_TRACE=OFF and every macro
-// expands to nothing.
+// The runtime toggle is the only telemetry switch in the tree (the metrics
+// registry is always on); tracing stays opt-in because its buffers grow
+// without bound.
 //
 // Exporting (`write_json`) must not race recording: call it after the run
 // under observation has completed, as bench/host_throughput and the
@@ -128,9 +129,7 @@ class Span {
 
 }  // namespace pimnw::trace
 
-// Macro layer: evaluates the name expression only when tracing is enabled,
-// and compiles to nothing under -DPIMNW_TRACE=OFF.
-#ifndef PIMNW_TRACE_DISABLED
+// Macro layer: evaluates the name expression only when tracing is enabled.
 #define PIMNW_TRACE_CONCAT_(a, b) a##b
 #define PIMNW_TRACE_CONCAT(a, b) PIMNW_TRACE_CONCAT_(a, b)
 #define PIMNW_TRACE_SPAN(name_expr)                            \
@@ -147,8 +146,3 @@ class Span {
     if (::pimnw::trace::enabled())                             \
       ::pimnw::trace::instant((name_expr));                    \
   } while (0)
-#else
-#define PIMNW_TRACE_SPAN(name_expr) do {} while (0)
-#define PIMNW_TRACE_COUNTER(name_expr, value_expr) do {} while (0)
-#define PIMNW_TRACE_INSTANT(name_expr) do {} while (0)
-#endif

@@ -81,8 +81,10 @@ TEST(ServiceBitIdentity, MatchesDirectAlignPairs) {
   }
   for (std::thread& c : clients) c.join();
 
+  std::vector<ServiceResult> results;
+  results.reserve(t.pairs.size());
   for (std::size_t p = 0; p < t.pairs.size(); ++p) {
-    const ServiceResult result = futures[p].get();
+    const ServiceResult& result = results.emplace_back(futures[p].get());
     EXPECT_EQ(result.output.ok, direct_out[p].ok) << "pair " << p;
     EXPECT_EQ(result.output.status, direct_out[p].status) << "pair " << p;
     EXPECT_EQ(result.output.score, direct_out[p].score) << "pair " << p;
@@ -101,7 +103,7 @@ TEST(ServiceBitIdentity, MatchesDirectAlignPairs) {
   EXPECT_EQ(m.submitted, t.pairs.size());
   EXPECT_EQ(m.completed, t.pairs.size());
   EXPECT_EQ(m.rejected_queue_full, 0u);
-  EXPECT_EQ(m.total_latency.count, t.pairs.size());
+  EXPECT_EQ(summarize_dispatched(results).total_latency.count, t.pairs.size());
 }
 
 TEST(ServiceQuantiles, ExactNearestRank) {
@@ -194,10 +196,13 @@ TEST(ServiceAdmission, DeadlineExpiresBeforeDispatch) {
   EXPECT_EQ(dead.output.status, PairStatus::kDeadlineExceeded);
   EXPECT_EQ(dead.batch_id, 0u);
   s.service.stop();
-  EXPECT_TRUE(fresh.get().output.ok);
+  const ServiceResult live = fresh.get();
+  EXPECT_TRUE(live.output.ok);
   const ServiceMetrics m = s.service.metrics();
   EXPECT_EQ(m.rejected_deadline, 1u);
   EXPECT_EQ(m.completed, 1u);
+  // Only the dispatched request enters the exact quantiles.
+  EXPECT_EQ(summarize_dispatched({dead, live}).total_latency.count, 1u);
 }
 
 TEST(ServiceAdmission, QueueFullRejects) {

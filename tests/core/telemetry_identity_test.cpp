@@ -1,140 +1,124 @@
-// Telemetry must be a pure observer (DESIGN.md §17): this file pins
-// bit-identity of everything the simulator models — scores, CIGARs, per-pair
-// DPU cycles and DMA bytes, the RunReport timeline — between runs with the
-// metrics registry enabled and disabled. It also pins the service-side
-// reservoir cap: bounded retained samples, exact sample accounting.
+// The metrics registry reconciles with the run (DESIGN.md §17). The registry
+// is always on and the engine is the only writer of the modeled device's
+// series, so over one run the registry deltas must equal the matching sums
+// over the run's StatsCollector launch records and its RunReport. A series
+// written twice (say, by the collector as well as by the engine's commit
+// stage) or charged from cumulative totals shows up here as a mismatch.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
-#include "core/dispatch.hpp"
 #include "core/host.hpp"
-#include "core/service.hpp"
+#include "core/session.hpp"
+#include "core/stats.hpp"
+#include "data/phylo16s.hpp"
 #include "data/synthetic.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pimnw {
 namespace core {
 namespace {
 
-/// Restores the global telemetry switch on scope exit.
-struct EnabledGuard {
-  bool saved = metrics::enabled();
-  ~EnabledGuard() { metrics::set_enabled(saved); }
+/// The engine-written counters of the process-global registry.
+struct EngineCounters {
+  std::uint64_t launches = 0;
+  std::uint64_t dpu_cycles = 0;
+  std::uint64_t active_dpus = 0;
+  std::uint64_t bytes_to_dpus = 0;
+  std::uint64_t bytes_from_dpus = 0;
+  std::uint64_t dpu_dma_bytes = 0;
+  std::uint64_t broadcasts = 0;
+  std::uint64_t broadcast_bytes = 0;
 };
 
-data::PairDataset make_dataset(std::size_t pairs, std::size_t length) {
-  data::SyntheticConfig config;
-  config.pair_count = pairs;
-  config.read_length = length;
-  config.errors.error_rate = 0.08;
-  config.seed = 77;
-  return data::generate_synthetic(config);
+EngineCounters read_counters() {
+  metrics::MetricsRegistry& reg = metrics::MetricsRegistry::global();
+  const auto value = [&reg](const char* name) {
+    return reg.counter(name, "").value();
+  };
+  EngineCounters c;
+  c.launches = value("pimnw_engine_launches_total");
+  c.dpu_cycles = value("pimnw_engine_dpu_cycles_total");
+  c.active_dpus = value("pimnw_engine_active_dpus_total");
+  c.bytes_to_dpus = value("pimnw_engine_bytes_to_dpus_total");
+  c.bytes_from_dpus = value("pimnw_engine_bytes_from_dpus_total");
+  c.dpu_dma_bytes = value("pimnw_engine_dpu_dma_bytes_total");
+  c.broadcasts = value("pimnw_upmem_broadcasts_total");
+  c.broadcast_bytes = value("pimnw_upmem_broadcast_bytes_total");
+  return c;
 }
 
-struct AlignRun {
-  RunReport report;
-  std::vector<PairOutput> outputs;
-};
-
-AlignRun run_aligner(const data::PairDataset& dataset) {
-  std::vector<PairInput> pairs;
-  pairs.reserve(dataset.pairs.size());
-  for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
-  PimAlignerConfig config;
-  config.nr_ranks = 1;
-  config.align.traceback = true;
-  PimAligner aligner(config);
-  AlignRun run;
-  run.report = aligner.align_pairs(pairs, &run.outputs);
-  return run;
-}
-
-TEST(TelemetryIdentity, MetricsOnOffBitIdentical) {
-  EnabledGuard guard;
-  const data::PairDataset dataset = make_dataset(48, 220);
-
-  metrics::set_enabled(true);
-  const AlignRun on = run_aligner(dataset);
-  metrics::set_enabled(false);
-  const AlignRun off = run_aligner(dataset);
-
-  // The modeled timeline and bus traffic are bit-identical.
-  EXPECT_EQ(on.report.makespan_seconds, off.report.makespan_seconds);
-  EXPECT_EQ(on.report.transfer_seconds, off.report.transfer_seconds);
-  EXPECT_EQ(on.report.batches, off.report.batches);
-  EXPECT_EQ(on.report.total_pairs, off.report.total_pairs);
-  EXPECT_EQ(on.report.bytes_to_dpus, off.report.bytes_to_dpus);
-  EXPECT_EQ(on.report.bytes_from_dpus, off.report.bytes_from_dpus);
-  EXPECT_EQ(on.report.total_dma_bytes, off.report.total_dma_bytes);
-
-  // Every per-pair result is bit-identical: score, CIGAR, modeled cycles,
-  // DPU-internal DMA.
-  ASSERT_EQ(on.outputs.size(), off.outputs.size());
-  for (std::size_t i = 0; i < on.outputs.size(); ++i) {
-    EXPECT_EQ(on.outputs[i].score, off.outputs[i].score) << "pair " << i;
-    EXPECT_EQ(on.outputs[i].ok, off.outputs[i].ok) << "pair " << i;
-    EXPECT_EQ(on.outputs[i].status, off.outputs[i].status) << "pair " << i;
-    EXPECT_EQ(on.outputs[i].cigar.to_string(), off.outputs[i].cigar.to_string())
-        << "pair " << i;
-    EXPECT_EQ(on.outputs[i].dpu_pool_cycles, off.outputs[i].dpu_pool_cycles)
-        << "pair " << i;
-    EXPECT_EQ(on.outputs[i].dpu_dma_bytes, off.outputs[i].dpu_dma_bytes)
-        << "pair " << i;
+/// Asserts that the registry moved from `before` to now by exactly what
+/// `stats` recorded and `report` accumulated over one run.
+void expect_reconciles(const EngineCounters& before,
+                       const StatsCollector& stats, const RunReport& report) {
+  const EngineCounters after = read_counters();
+  std::uint64_t dpu_cycles = 0;
+  std::uint64_t active_dpus = 0;
+  for (const LaunchRecord& record : stats.launches()) {
+    dpu_cycles += record.sum_dpu_cycles;
+    active_dpus += static_cast<std::uint64_t>(record.active_dpus);
   }
+  ASSERT_GT(stats.launches().size(), 0u);
+  EXPECT_EQ(after.launches - before.launches, stats.launches().size());
+  EXPECT_EQ(after.dpu_cycles - before.dpu_cycles, dpu_cycles);
+  EXPECT_EQ(after.active_dpus - before.active_dpus, active_dpus);
+  EXPECT_EQ(after.bytes_to_dpus - before.bytes_to_dpus, report.bytes_to_dpus);
+  EXPECT_EQ(after.bytes_from_dpus - before.bytes_from_dpus,
+            report.bytes_from_dpus);
+  EXPECT_EQ(after.dpu_dma_bytes - before.dpu_dma_bytes,
+            report.total_dma_bytes);
+  EXPECT_EQ(after.broadcasts - before.broadcasts, stats.broadcasts());
+  EXPECT_EQ(after.broadcast_bytes - before.broadcast_bytes,
+            stats.broadcast_bytes());
 }
 
-TEST(TelemetryIdentity, ServiceReservoirCapBoundsSamples) {
-  EnabledGuard guard;
-  metrics::set_enabled(true);
-  const data::PairDataset dataset = make_dataset(100, 120);
-  ThreadPool workers(2);
-  CpuBackend cpu(CpuBackend::Config{}, &workers);
-  DispatchConfig dispatch_config;
-  dispatch_config.single = BackendKind::kCpu;
-  Dispatcher dispatcher(dispatch_config, {&cpu});
+TEST(TelemetryIdentity, RegistryReconcilesWithRun) {
+  // align_pairs with traceback: batch images in, CIGARs back, no broadcast.
+  {
+    data::SyntheticConfig data_config;
+    data_config.pair_count = 48;
+    data_config.read_length = 220;
+    data_config.errors.error_rate = 0.08;
+    data_config.seed = 77;
+    const data::PairDataset dataset = data::generate_synthetic(data_config);
+    std::vector<PairInput> pairs;
+    for (const auto& [a, b] : dataset.pairs) pairs.push_back({a, b});
 
-  ServiceConfig config;
-  config.latency_sample_cap = 16;
-  AlignService service(&dispatcher, config);
-  for (const auto& [a, b] : dataset.pairs) {
-    service.submit({a, b}).wait();
+    StatsCollector stats;
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.traceback = true;
+    config.stats = &stats;
+    const EngineCounters before = read_counters();
+    std::vector<PairOutput> outputs;
+    const RunReport report = PimAligner(config).align_pairs(pairs, &outputs);
+    expect_reconciles(before, stats, report);
   }
-  service.stop();
+  // A DbSession call: the database broadcast plus one score-only round set.
+  {
+    data::Phylo16sConfig db_config;
+    db_config.species = 8;
+    db_config.root_length = 48;
+    db_config.seed = 29;
+    const std::vector<std::string> db = data::generate_16s(db_config);
+    std::vector<IndexPair> pairs;
+    for (std::uint32_t i = 0; i < db.size(); ++i) {
+      for (std::uint32_t j = i + 1; j < db.size(); ++j) pairs.push_back({i, j});
+    }
 
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.completed, 100u);
-  // Every request was offered to the reservoirs...
-  EXPECT_EQ(metrics.latency_samples_seen, 100u);
-  // ...but only the cap is retained, and the quantiles come from a full
-  // reservoir (count reports retained samples).
-  EXPECT_EQ(metrics.total_latency.count, 16u);
-  EXPECT_EQ(metrics.queue_wait.count, 16u);
-  EXPECT_GT(metrics.total_latency.p50_ms, 0.0);
-  EXPECT_LE(metrics.total_latency.p50_ms, metrics.total_latency.max_ms);
-}
-
-TEST(TelemetryIdentity, ServiceBelowCapKeepsExactQuantiles) {
-  EnabledGuard guard;
-  const data::PairDataset dataset = make_dataset(20, 120);
-  ThreadPool workers(2);
-  CpuBackend cpu(CpuBackend::Config{}, &workers);
-  DispatchConfig dispatch_config;
-  dispatch_config.single = BackendKind::kCpu;
-  Dispatcher dispatcher(dispatch_config, {&cpu});
-
-  AlignService service(&dispatcher);  // default cap 65536: nothing sampled out
-  for (const auto& [a, b] : dataset.pairs) {
-    service.submit({a, b}).wait();
+    StatsCollector stats;
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.stats = &stats;
+    const EngineCounters before = read_counters();
+    DbSession session(db, config);
+    const RunReport report = session.align_pairs(pairs, nullptr);
+    ASSERT_EQ(stats.broadcasts(), 1u);
+    expect_reconciles(before, stats, report);
   }
-  service.stop();
-  const ServiceMetrics metrics = service.metrics();
-  EXPECT_EQ(metrics.completed, 20u);
-  EXPECT_EQ(metrics.latency_samples_seen, 20u);
-  EXPECT_EQ(metrics.total_latency.count, 20u);  // exact: every sample kept
 }
 
 }  // namespace

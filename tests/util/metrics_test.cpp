@@ -2,7 +2,8 @@
 // sharded counters, log-bucketed histograms (boundary arithmetic, merge
 // associativity, quantile estimation), SLO burn windows, Prometheus
 // exposition determinism and purity, and the embedded scrape endpoint —
-// including a scrape-while-recording hammer that the tsan preset runs.
+// including a scrape-while-recording hammer that the tsan preset runs and a
+// silent client that must not block stop().
 #include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +14,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -237,26 +240,25 @@ TEST(MetricsRegistry, LabelValueEscaping) {
             std::string::npos);
 }
 
-TEST(MetricsEnabled, Toggle) {
-  EXPECT_TRUE(enabled());  // default on
-  set_enabled(false);
-  EXPECT_FALSE(enabled());
-  set_enabled(true);
-  EXPECT_TRUE(enabled());
-}
-
-/// Blocking loopback GET returning the raw response (empty on failure).
-std::string http_get(int port, const std::string& path) {
+/// A loopback TCP connection to `port`; -1 on failure.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::string();
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return std::string();
+    return -1;
   }
+  return fd;
+}
+
+/// Blocking loopback GET returning the raw response (empty on failure).
+std::string http_get(int port, const std::string& path) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return std::string();
   const std::string request =
       "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   (void)!::send(fd, request.data(), request.size(), 0);
@@ -321,6 +323,28 @@ TEST(MetricsHttp, ScrapeWhileRecording) {
   server.stop();
   // After the dust settles the counter equals the histogram's sample count.
   EXPECT_EQ(hot.value(), lat.snapshot().count);
+}
+
+TEST(MetricsHttp, IdleClientDoesNotBlockStop) {
+  // A client that connects and never sends a request must not hold the
+  // listener thread: stop() has to return within the receive timeout.
+  MetricsRegistry reg;
+  MetricsHttpServer server(&reg);
+  ASSERT_TRUE(server.start(0));
+  const int idle = connect_loopback(server.port());
+  ASSERT_GE(idle, 0);
+  // Let the listener accept the connection and block reading it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.stop(); });
+  const bool returned =
+      stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  // On a regression, closing the client unblocks stop() so the test fails
+  // instead of hanging.
+  ::close(idle);
+  stopped.wait();
+  EXPECT_TRUE(returned) << "stop() blocked on a silent client";
+  EXPECT_FALSE(server.running());
 }
 
 }  // namespace

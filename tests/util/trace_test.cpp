@@ -45,12 +45,8 @@ TEST(TraceTest, SpanMacroSkipsNameFormattingWhenDisabled) {
   set_enabled(true);
   { PIMNW_TRACE_SPAN(make_name()); }
   set_enabled(false);
-#ifndef PIMNW_TRACE_DISABLED
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(events_named("t2 span").size(), 1u);
-#else
-  EXPECT_EQ(evaluations, 0);
-#endif
   clear();
 }
 

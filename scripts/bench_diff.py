@@ -9,8 +9,8 @@ baseline, direction-aware —
   * keys containing "per_second"/"gcups"/"speedup"  higher is better
   * anything else                                   informational only
 
-A leaf regresses when it is worse than the baseline by more than
---tolerance (relative). Wall-clock benches are noisy, so the default
+A leaf regresses when it is worse than the baseline by --tolerance
+(relative) or more. Wall-clock benches are noisy, so the default
 tolerance is deliberately loose (20%); the gate exists to catch real
 regressions (the injected-regression check in verify.sh uses the same
 mechanism), not 2% jitter.
@@ -22,9 +22,15 @@ the "scaling" section of BENCH_host.json (sim seconds vs thread count):
 both are machine-dependent by construction — a 1-core CI runner and a
 32-core workstation produce legitimately different numbers there.
 
+The string and boolean leaves under "workload" name what was measured
+(BENCH_kernel.json's "isa" is the vector sweep the run used): if one differs
+between the two files, or is present in only one, the numbers are not
+comparable, so that is a structural mismatch too — an AVX-512 number is
+never gated against an AVX2 baseline.
+
 Exit status: 0 when no leaf regressed, 1 on regression or structural
 mismatch (a numeric leaf present in the baseline but missing from the fresh
-report), 2 on usage/IO errors.
+report, or a differing workload leaf), 2 on usage/IO errors.
 
 Usage:
   scripts/bench_diff.py BASELINE FRESH [--tolerance 0.20] [--update]
@@ -67,6 +73,21 @@ def numeric_leaves(node, path=""):
         yield path, path.rsplit(".", 1)[-1], float(node)
 
 
+def workload_leaves(report):
+    """{dotted_path: value} of the string/boolean leaves under "workload"."""
+    leaves = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(node, (str, bool)):
+            leaves[path] = node
+
+    walk(report.get("workload"), "workload")
+    return leaves
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="direction-aware BENCH_*.json regression diff")
@@ -104,13 +125,26 @@ def main():
         line = (f"  {path}: {base:g} -> {new:g} "
                 f"({'-' if delta > 0 else '+'}{abs(delta) * 100:.1f}% "
                 f"{'worse' if delta > 0 else 'better'})")
-        if delta > args.tolerance:
+        # A leaf worse by the whole tolerance fails too; the epsilon absorbs
+        # the rounding of the ratio (x * 0.8 can read 19.99...% worse).
+        if delta >= args.tolerance - 1e-9:
             regressions.append(line)
         elif delta < -args.tolerance:
             improvements.append(line)
 
+    base_workload = workload_leaves(baseline)
+    fresh_workload = workload_leaves(fresh)
+    mismatched = [
+        f"  {p}: {base_workload.get(p, '(missing)')!r} -> "
+        f"{fresh_workload.get(p, '(missing)')!r}"
+        for p in sorted(set(base_workload) | set(fresh_workload))
+        if base_workload.get(p) != fresh_workload.get(p)]
+
     print(f"bench_diff: {args.fresh} vs {args.baseline} "
           f"(tolerance {args.tolerance * 100:.0f}%)")
+    if mismatched:
+        print("WORKLOAD MISMATCH (numbers not comparable):")
+        print("\n".join(mismatched))
     if improvements:
         print("improvements beyond tolerance:")
         print("\n".join(improvements))
@@ -120,14 +154,14 @@ def main():
     if regressions:
         print("REGRESSIONS:")
         print("\n".join(regressions))
-    if not (regressions or missing):
+    if not (regressions or missing or mismatched):
         print("no regressions")
 
     if args.update:
         shutil.copyfile(args.fresh, args.baseline)
         print(f"bench_diff: updated {args.baseline}")
 
-    return 1 if (regressions or missing) else 0
+    return 1 if (regressions or missing or mismatched) else 0
 
 
 if __name__ == "__main__":

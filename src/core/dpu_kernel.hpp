@@ -13,6 +13,9 @@
 //  * Traceback state (4-bit BT rows + window origin per anti-diagonal) is
 //    streamed to a per-pool MRAM scratch area (§4.2.2), then walked
 //    backwards by the pool's master tasklet to emit a run-length CIGAR.
+//    The modeled kernel stages each row in WRAM and DMAs it out; the
+//    simulator's fast path stores the packed row straight into the bank
+//    through an Mram row cursor, charging the same DMA.
 //
 // The kernel's arithmetic, tie-breaking and window steering are identical to
 // align::banded_adaptive — tests assert bit-identical scores and CIGARs.
@@ -31,21 +34,19 @@
 namespace pimnw::core {
 
 /// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): one
-/// decoded byte cache per sequence window and a whole-row BT code buffer.
-/// It models no DPU state, so one instance can be shared by every pool of a
-/// launch (pairs align strictly one at a time) and reused across launches —
-/// the execution engine keeps one per worker thread instead of reallocating
-/// the two window caches and the code buffer per DPU launch. Safe to reuse
-/// because the sweep zeroes the code buffer each anti-diagonal and attach()
-/// forces a window refill, and so a re-decode, at the start of every pair.
+/// decoded byte cache per sequence window. It models no DPU state, so one
+/// instance can be shared by every pool of a launch (pairs align strictly
+/// one at a time) and reused across launches — the execution engine keeps
+/// one per worker thread instead of reallocating the two window caches per
+/// DPU launch. Safe to reuse because attach() forces a window refill, and
+/// so a re-decode, at the start of every pair. (BT rows need no host
+/// buffer: the sweep stores them packed, straight into the bank.)
 struct KernelScratch {
   /// a's window decoded at its last refill, one code byte per base.
   std::vector<std::uint8_t> cache_a;
   /// b's window likewise, stored back to front so anti-diagonal lanes
   /// read it ascending.
   std::vector<std::uint8_t> cache_b;
-  /// BT codes of one anti-diagonal, one byte per nibble of the packed row.
-  std::vector<std::uint8_t> codes;
 
   /// Size for `band_width`.
   void prepare(std::int64_t band_width);

@@ -149,4 +149,26 @@ void Mram::check_dma(std::uint64_t addr, std::uint64_t bytes) const {
                                                     << bytes);
 }
 
+Mram::RowCursor Mram::row_cursor(std::uint64_t base, std::uint64_t row_bytes,
+                                 std::uint64_t rows) {
+  PIMNW_CHECK_MSG(base % kDmaAlign == 0,
+                  "DMA address " << base << " not 8-byte aligned");
+  PIMNW_CHECK_MSG(row_bytes % kDmaAlign == 0 && row_bytes >= kDmaMinBytes,
+                  "DMA row of " << row_bytes
+                                << " bytes is not a chain of [8, 2048]-byte"
+                                   " transfers of multiples of 8");
+  PIMNW_CHECK_MSG(base <= capacity_ && rows <= (capacity_ - base) / row_bytes,
+                  "DMA rows out of bank: addr=" << base << " rows=" << rows
+                                                << " x " << row_bytes);
+  return RowCursor(*this, base, row_bytes, rows);
+}
+
+std::span<std::uint8_t> Mram::RowCursor::row(std::uint64_t r) {
+  PIMNW_CHECK_MSG(r < rows_, "row " << r << " outside a cursor of " << rows_);
+  const std::uint64_t addr = base_ + r * row_bytes_;
+  const std::uint64_t off = addr % kChunkBytes;
+  if (off + row_bytes_ > kChunkBytes) return {};
+  return {mram_->chunk_for_write(addr / kChunkBytes) + off, row_bytes_};
+}
+
 }  // namespace pimnw::upmem

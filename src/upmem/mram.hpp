@@ -15,7 +15,15 @@
 // recycling keeps that locality instead of bouncing pages through the
 // allocator (DESIGN.md §15). Recycled chunks are re-zeroed before reuse:
 // reads of released-then-unwritten ranges must yield zeros exactly like
-// never-written ones.
+// never-written ones. That holds for the row cursor too: a writer that
+// covers every byte of its rows would not need the zeros, but the same
+// chunk may also back bytes nobody rewrites before they are read.
+//
+// A row cursor (row_cursor()) lets a DPU kernel that streams equally sized
+// rows to the bank, one DMA chain per row (the BT rows of §4.2.2), write
+// each row in place: it checks the whole region once, with check_dma's
+// rules, and then hands out each row's bytes inside its chunk. The modeled
+// DMA is still charged by the kernel, row by row.
 //
 // Every access is bounds-checked
 // against the architectural 64 MB, and DMA-shaped accesses additionally
@@ -53,6 +61,35 @@ class Mram {
   /// CheckError otherwise. (The real engine silently corrupts on misuse;
   /// the simulator makes misuse loud.)
   void check_dma(std::uint64_t addr, std::uint64_t bytes) const;
+
+  /// Writable rows of a region row_cursor() checked.
+  class RowCursor {
+   public:
+    /// Row `r`'s bytes, in place in its chunk (materialised as write()
+    /// would), or an empty span when the row straddles a chunk boundary: the
+    /// caller then stages the row and writes it with write().
+    std::span<std::uint8_t> row(std::uint64_t r);
+
+   private:
+    friend class Mram;
+    RowCursor(Mram& mram, std::uint64_t base, std::uint64_t row_bytes,
+              std::uint64_t rows)
+        : mram_(&mram), base_(base), row_bytes_(row_bytes), rows_(rows) {}
+
+    Mram* mram_;
+    std::uint64_t base_;
+    std::uint64_t row_bytes_;
+    std::uint64_t rows_;
+  };
+
+  /// A cursor over `rows` rows of `row_bytes` bytes from `base`, each row
+  /// written as a chain of DMA transfers of at most 2048 bytes. One check
+  /// covers every transfer of every row with check_dma's rules: an 8-byte
+  /// aligned base and row size (so each transfer is a multiple of 8 in
+  /// [8, 2048]) and the whole region inside the bank. Throws CheckError
+  /// otherwise.
+  RowCursor row_cursor(std::uint64_t base, std::uint64_t row_bytes,
+                       std::uint64_t rows);
 
   /// Zero the bank (between unrelated launches in tests). Materialised
   /// chunks move to the free list for recycling rather than being freed.

@@ -168,5 +168,46 @@ TEST(MramTest, ClearMovesChunksToFreeList) {
   EXPECT_EQ(mram.free_chunks(), 1u);
 }
 
+TEST(MramTest, RowCursorChecksTheWholeRegionOnce) {
+  // The cursor rejects every region the per-row check_dma calls of its rows'
+  // DMA chains would reject.
+  Mram mram;
+  EXPECT_THROW(mram.row_cursor(4, 64, 10), CheckError);   // misaligned base
+  EXPECT_THROW(mram.row_cursor(0, 60, 10), CheckError);   // row not 8-aligned
+  EXPECT_THROW(mram.row_cursor(0, 0, 10), CheckError);    // no transfer
+  // Past the bank end, by one row and by a row count that would wrap.
+  EXPECT_THROW(mram.row_cursor(mram.capacity() - 128, 64, 3), CheckError);
+  EXPECT_THROW(mram.row_cursor(64, 64, ~std::uint64_t{0} / 32), CheckError);
+  EXPECT_THROW(mram.row_cursor(mram.capacity() + 8, 64, 0), CheckError);
+  EXPECT_NO_THROW(mram.row_cursor(mram.capacity() - 128, 64, 2));
+  // Rows wider than one DMA are chains of transfers, and accepted.
+  EXPECT_NO_THROW(mram.row_cursor(0, 4096 + 64, 3));
+  // Nothing materialises until a row is asked for.
+  EXPECT_EQ(mram.footprint(), 0u);
+}
+
+TEST(MramTest, RowCursorWritesInPlaceAndSkipsStraddlingRows) {
+  Mram mram;
+  const std::uint64_t chunk = 64 * 1024;  // kChunkBytes
+  // Rows of 48 bytes from 40 bytes below a chunk boundary: row 0 straddles
+  // it, row 1 lies inside the next chunk.
+  Mram::RowCursor rows = mram.row_cursor(3 * chunk - 40, 48, 4);
+  EXPECT_TRUE(rows.row(0).empty());
+  EXPECT_EQ(mram.footprint(), 0u);
+  EXPECT_THROW(rows.row(4), CheckError);
+
+  const std::span<std::uint8_t> row = rows.row(1);
+  ASSERT_EQ(row.size(), 48u);
+  EXPECT_EQ(mram.footprint(), chunk);  // the row's chunk, materialised
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    row[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  std::vector<std::uint8_t> back(48);
+  mram.read(3 * chunk + 8, back);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i], i + 1) << "byte " << i;
+  }
+}
+
 }  // namespace
 }  // namespace pimnw::upmem

@@ -1,16 +1,23 @@
 // dpu_hello — the UPMEM substrate without the alignment stack: write your
-// own DPU kernel against the simulator through the SDK-style facade.
+// own DPU kernel against the simulator.
 //
 // The kernel below is the PiM "hello world": each DPU sums an array of
 // uint64 it finds in its MRAM, using all tasklets (a parallel reduction
 // with one partial sum per tasklet), and writes the result back. The host
-// side allocates ranks, scatters per-DPU data, launches, and gathers — the
-// same four-step loop as the paper's host program (§4.1).
+// side runs one rank of 64 DPUs through the same four-step loop as the
+// paper's host program (§4.1): scatter per-DPU data into the banks, launch,
+// wait on the rank barrier, gather. Like the execution engine, it charges
+// the transfers through the bus model (upmem/system.hpp) and folds the
+// per-DPU launches through the barrier (upmem/rank.hpp).
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <iostream>
-#include <numeric>
+#include <vector>
 
-#include "upmem/host_api.hpp"
+#include "upmem/dpu.hpp"
+#include "upmem/rank.hpp"
+#include "upmem/system.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -66,62 +73,65 @@ class SumKernel : public upmem::DpuProgram {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli("dpu_hello", "parallel sum on simulated DPUs via the SDK facade");
-  cli.flag("ranks", std::int64_t{1}, "ranks to allocate");
+  Cli cli("dpu_hello", "parallel sum on the 64 simulated DPUs of one rank");
   cli.flag("elems", std::int64_t{100'000}, "uint64 elements per DPU");
   cli.flag("tasklets", std::int64_t{16}, "tasklets per DPU");
   cli.parse(argc, argv);
 
-  const int ranks = static_cast<int>(cli.get_int("ranks"));
   const auto elems = static_cast<std::uint64_t>(cli.get_int("elems"));
   const int tasklets = static_cast<int>(cli.get_int("tasklets"));
+  constexpr auto kDpus = static_cast<std::size_t>(upmem::kDpusPerRank);
 
-  upmem::DpuSet set = upmem::DpuSet::allocate_ranks(ranks);
-  std::cout << "allocated " << set.nr_dpus() << " DPUs in " << ranks
-            << " rank(s)\n";
+  std::vector<upmem::Dpu> dpus(kDpus);
+  std::cout << "allocated " << dpus.size() << " DPUs in 1 rank\n";
 
   // Scatter: every DPU gets its own random array (count header + payload).
   Xoshiro256 rng(1);
-  std::vector<std::vector<std::uint8_t>> buffers(
-      static_cast<std::size_t>(set.nr_dpus()));
-  std::vector<std::uint64_t> expected(buffers.size(), 0);
-  for (std::size_t d = 0; d < buffers.size(); ++d) {
-    buffers[d].resize(8 + elems * 8);
-    std::memcpy(buffers[d].data(), &elems, 8);
+  std::vector<std::uint64_t> expected(kDpus, 0);
+  std::vector<std::uint8_t> buffer(8 + elems * 8);
+  std::uint64_t in_bytes = 0;
+  for (std::size_t d = 0; d < kDpus; ++d) {
+    std::memcpy(buffer.data(), &elems, 8);
     for (std::uint64_t e = 0; e < elems; ++e) {
       const std::uint64_t v = rng.below(1000);
-      std::memcpy(buffers[d].data() + 8 + e * 8, &v, 8);
+      std::memcpy(buffer.data() + 8 + e * 8, &v, 8);
       expected[d] += v;
     }
+    dpus[d].mram().write(kCountOffset, buffer);
+    in_bytes += buffer.size();
   }
-  const auto in = set.copy_to(kCountOffset, buffers);
+  const upmem::TransferStats in = upmem::transfer_stats(in_bytes);
 
-  // Launch synchronously on all ranks.
-  const auto exec = set.exec(
-      [&](int, int) { return std::make_unique<SumKernel>(tasklets); },
-      /*pools=*/1, tasklets);
+  // Launch one kernel per DPU; the rank finishes at its barrier.
+  std::array<upmem::DpuCostModel::Summary, kDpus> summaries{};
+  std::array<bool, kDpus> ran{};
+  for (std::size_t d = 0; d < kDpus; ++d) {
+    SumKernel kernel(tasklets);
+    summaries[d] = dpus[d].launch(kernel, /*pools=*/1, tasklets);
+    ran[d] = true;
+  }
+  const upmem::LaunchStats exec = upmem::aggregate_launch(summaries, ran);
 
   // Gather and check.
-  std::vector<std::uint64_t> sizes(buffers.size(), 8);
-  std::vector<std::vector<std::uint8_t>> results;
-  const auto out = set.copy_from(kResultOffset, sizes, results);
   std::size_t correct = 0;
-  for (std::size_t d = 0; d < results.size(); ++d) {
-    std::uint64_t sum;
-    std::memcpy(&sum, results[d].data(), 8);
+  std::array<std::uint8_t, 8> result{};
+  for (std::size_t d = 0; d < kDpus; ++d) {
+    dpus[d].mram().read(kResultOffset, result);
+    std::uint64_t sum = 0;
+    std::memcpy(&sum, result.data(), 8);
     if (sum == expected[d]) ++correct;
   }
+  const upmem::TransferStats out = upmem::transfer_stats(8 * kDpus);
 
-  const auto& rank0 = exec.per_rank.front();
-  std::cout << correct << "/" << results.size() << " DPU sums correct\n"
+  std::cout << correct << "/" << kDpus << " DPU sums correct\n"
             << "modeled: scatter " << in.seconds * 1e3 << " ms, exec "
             << exec.seconds * 1e3 << " ms, gather " << out.seconds * 1e6
             << " us\n"
             << "pipeline utilisation "
-            << rank0.mean_pipeline_utilization * 100 << "%, MRAM overhead "
-            << rank0.mean_mram_overhead * 100
+            << exec.mean_pipeline_utilization * 100 << "%, MRAM overhead "
+            << exec.mean_mram_overhead * 100
             << "% — a 3-instruction/element sum is DMA-bound, unlike the "
                "alignment kernel (~45 instr/cell); compare --tasklets 16 "
                "vs 8 for the 11-slot pipeline re-entry effect (§2.1)\n";
-  return correct == results.size() ? 0 : 1;
+  return correct == kDpus ? 0 : 1;
 }

@@ -17,6 +17,10 @@
 # profiler of DESIGN.md §12), and the default preset smoke-runs the
 # pimnw_prof example on both registered kernels (nw and wfa).
 #
+# The default preset also smoke-runs the dpu_hello example, the tree's
+# write-your-own-kernel walkthrough: a parallel sum on the 64 simulated DPUs
+# of one rank, which exits 0 only when every DPU's sum is right.
+#
 # Each preset also runs the "16s" ctest label (persistent-database sessions,
 # DESIGN.md §13): bit-identity of the session path, the exactly-once tiling
 # property, the streaming reduction and the bounded-footprint reset.
@@ -129,6 +133,8 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] ctest -L metrics"
   ctest --test-dir "$BUILD_DIR" -L metrics -j "$JOBS" --output-on-failure
   if [ "$preset" = default ]; then
+    echo "=== [$preset] dpu_hello smoke"
+    "$BUILD_DIR/examples/dpu_hello" >/dev/null
     echo "=== [$preset] pimnw_prof smoke"
     "$BUILD_DIR/examples/pimnw_prof" --pairs 96 --length 300 >/dev/null
     echo "=== [$preset] pimnw_prof smoke (wfa kernel)"

@@ -25,8 +25,4 @@ std::string check_alignment(const AlignResult& result, std::string_view a,
   return std::string();
 }
 
-bool is_accurate(const AlignResult& result, Score optimal) {
-  return result.reached_end && result.score == optimal;
-}
-
 }  // namespace pimnw::align

@@ -18,9 +18,4 @@ namespace pimnw::align {
 std::string check_alignment(const AlignResult& result, std::string_view a,
                             std::string_view b, const Scoring& scoring);
 
-/// True iff a banded result found the optimal score (Table 1 accuracy
-/// criterion: a pair is "correct" when the heuristic matches the full-DP
-/// optimum). `optimal` comes from nw_full / nw_full_score.
-bool is_accurate(const AlignResult& result, Score optimal);
-
 }  // namespace pimnw::align

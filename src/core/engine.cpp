@@ -5,6 +5,8 @@
 #include <cstring>
 
 #include "align/result.hpp"
+#include "upmem/rank.hpp"
+#include "upmem/system.hpp"
 #include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -231,11 +233,11 @@ void ExecEngine::set_broadcast(std::span<const std::uint8_t> bytes,
                                std::uint64_t mram_offset) {
   // One host-side copy instead of nr_dpus bank writes; each worker arena
   // installs it lazily before its first job. The modeled cost is still a
-  // write of every bank, exactly as PimSystem::broadcast_all charges.
+  // write of every bank (upmem::broadcast_stats).
   broadcast_bytes_.assign(bytes.begin(), bytes.end());
   broadcast_off_ = mram_offset;
   ++broadcast_version_;
-  const upmem::TransferStats stats = upmem::PimSystem::broadcast_stats(
+  const upmem::TransferStats stats = upmem::broadcast_stats(
       bytes.size(), config_.nr_ranks * upmem::kDpusPerRank);
   report_.bytes_to_dpus += stats.bytes;
   report_.bytes_broadcast += stats.bytes;
@@ -466,13 +468,12 @@ void ExecEngine::commit(Slot& slot, std::vector<PairOutput>* out) {
       std::min_element(rank_free_.begin(), rank_free_.end()) -
       rank_free_.begin());
 
-  const upmem::TransferStats in_stats =
-      upmem::PimSystem::transfer_stats(in_bytes);
+  const upmem::TransferStats in_stats = upmem::transfer_stats(in_bytes);
   report_.bytes_to_dpus += in_stats.bytes;
   report_.transfer_seconds += in_stats.seconds;
 
-  const upmem::Rank::LaunchStats launch_stats =
-      upmem::Rank::aggregate(slot.summaries, slot.ran);
+  const upmem::LaunchStats launch_stats =
+      upmem::aggregate_launch(slot.summaries, slot.ran);
   util_sum_ += launch_stats.mean_pipeline_utilization;
   mram_sum_ += launch_stats.mean_mram_overhead;
   ++launches_;
@@ -485,8 +486,7 @@ void ExecEngine::commit(Slot& slot, std::vector<PairOutput>* out) {
     if (plan.batch.pairs.empty()) continue;
     out_bytes += plan.image.readback_bytes;
   }
-  const upmem::TransferStats out_stats =
-      upmem::PimSystem::transfer_stats(out_bytes);
+  const upmem::TransferStats out_stats = upmem::transfer_stats(out_bytes);
   report_.bytes_from_dpus += out_stats.bytes;
   report_.transfer_seconds += out_stats.seconds;
 

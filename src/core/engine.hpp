@@ -34,7 +34,6 @@
 #include "core/mram_layout.hpp"
 #include "core/pim_kernel.hpp"
 #include "core/stats.hpp"
-#include "upmem/system.hpp"
 
 namespace pimnw {
 class ThreadPool;

@@ -135,10 +135,7 @@ RunReport PimAligner::align_pairs(std::span<const PairInput> pairs,
   }
 
   const std::size_t batch_pairs =
-      config_.batch_pairs != 0
-          ? config_.batch_pairs
-          : static_cast<std::size_t>(upmem::kDpusPerRank) *
-                static_cast<std::size_t>(config_.pool.pools) * 2;
+      rank_batch_pairs(config_.batch_pairs, config_.pool);
 
   RunSpec spec;
   spec.total_pairs = accepted.size();

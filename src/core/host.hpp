@@ -25,7 +25,6 @@
 #include "core/dpu_cost.hpp"
 #include "core/params.hpp"
 #include "core/types.hpp"
-#include "upmem/system.hpp"
 
 namespace pimnw::core {
 

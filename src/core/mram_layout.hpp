@@ -207,7 +207,7 @@ dna::Cigar decode_cigar(std::span<const std::uint32_t> reversed_runs);
 ///   [ sequence pool ]            2-bit packed bases
 ///
 /// Returns the raw bytes; the caller broadcasts them via
-/// ExecEngine::set_broadcast / DpuSet::broadcast.
+/// ExecEngine::set_broadcast.
 std::vector<std::uint8_t> build_session_db_image(const SeqPool& pool,
                                                  std::uint64_t db_mram_offset);
 

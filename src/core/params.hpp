@@ -1,6 +1,7 @@
 // User-facing configuration of the PiM aligner.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -51,6 +52,15 @@ struct PoolConfig {
 
   int active_tasklets() const { return pools * tasklets_per_pool; }
 };
+
+/// Pairs per rank-batch: `configured` when nonzero, else rank-sized — every
+/// pool of every DPU of a rank sees two pairs (kDpusPerRank x pools x 2).
+inline std::size_t rank_batch_pairs(std::size_t configured,
+                                    const PoolConfig& pool) {
+  if (configured != 0) return configured;
+  return static_cast<std::size_t>(upmem::kDpusPerRank) *
+         static_cast<std::size_t>(pool.pools) * 2;
+}
 
 /// Alignment job parameters.
 struct AlignConfig {

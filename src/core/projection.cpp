@@ -45,10 +45,7 @@ ProjectionResult project_run(std::span<const MeasuredPair> measured,
   result.virtual_pairs = virtual_pairs;
 
   const std::size_t batch_pairs =
-      config.batch_pairs != 0
-          ? config.batch_pairs
-          : static_cast<std::size_t>(upmem::kDpusPerRank) *
-                static_cast<std::size_t>(config.pool.pools) * 2;
+      rank_batch_pairs(config.batch_pairs, config.pool);
 
   std::vector<double> rank_free(static_cast<std::size_t>(config.nr_ranks), 0.0);
   std::vector<double> rank_exec(static_cast<std::size_t>(config.nr_ranks), 0.0);

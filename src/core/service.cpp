@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "upmem/arch.hpp"
+#include "core/params.hpp"
 #include "util/check.hpp"
 #include "util/flight_recorder.hpp"
 #include "util/logging.hpp"
@@ -164,18 +164,17 @@ AlignService::AlignService(Dispatcher* dispatcher, ServiceConfig config)
       slo_short_(kSloShortWindowSeconds, kSloObjective),
       slo_long_(kSloLongWindowSeconds, kSloObjective) {
   PIMNW_CHECK_MSG(dispatcher_ != nullptr, "service needs a dispatcher");
-  if (config_.max_batch_pairs == 0) {
-    // Rank-sized auto, the same formula PimAligner::align_pairs uses for
-    // its auto batch: every pool of every DPU of a rank sees two pairs.
-    std::size_t batch = static_cast<std::size_t>(upmem::kDpusPerRank) * 6 * 2;
-    if (const AlignerBackend* b = dispatcher_->backend(BackendKind::kPim)) {
-      // kind() == kPim implies the concrete type.
-      const auto* pim = static_cast<const PimBackend*>(b);
-      batch = static_cast<std::size_t>(upmem::kDpusPerRank) *
-              static_cast<std::size_t>(pim->aligner_config().pool.pools) * 2;
+  // Rank-sized auto, as PimAligner::align_pairs sizes its batch, on the
+  // pools of whichever PiM kernel is registered.
+  PoolConfig pool;
+  for (const BackendKind kind : {BackendKind::kPim, BackendKind::kPimWfa}) {
+    if (const AlignerBackend* b = dispatcher_->backend(kind)) {
+      // kind() == kPim or kPimWfa implies the concrete type.
+      pool = static_cast<const PimBackend*>(b)->aligner_config().pool;
+      break;
     }
-    config_.max_batch_pairs = batch;
   }
+  config_.max_batch_pairs = rank_batch_pairs(config_.max_batch_pairs, pool);
   PIMNW_CHECK_MSG(config_.max_linger_seconds > 0,
                   "max_linger_seconds must be positive");
   coalescer_ = std::thread([this] { coalescer_main(); });

@@ -62,10 +62,10 @@
 namespace pimnw::core {
 
 struct ServiceConfig {
-  /// Flush as soon as this many pairs are waiting. 0 = rank-sized auto:
-  /// kDpusPerRank × pools × 2 from the registered PiM backend's config (the
-  /// same formula PimAligner uses for its auto batch), or 768 when no PiM
-  /// backend is registered.
+  /// Flush as soon as this many pairs are waiting. 0 = rank-sized auto
+  /// (rank_batch_pairs, the rule PimAligner uses for its auto batch) on the
+  /// pools of the registered PiM backend — kPim first, then kPimWfa — or on
+  /// the default PoolConfig (768 pairs) when no PiM backend is registered.
   std::size_t max_batch_pairs = 0;
   /// Flush when the oldest admitted request has waited this long, even if
   /// the batch is not full — the latency bound under light load.

@@ -179,10 +179,7 @@ RunReport DbSession::align_pairs(std::span<const IndexPair> pairs,
   }
 
   const std::size_t round_pairs =
-      config_.batch_pairs != 0
-          ? config_.batch_pairs
-          : static_cast<std::size_t>(upmem::kDpusPerRank) *
-                static_cast<std::size_t>(config_.pool.pools) * 2;
+      rank_batch_pairs(config_.batch_pairs, config_.pool);
   const std::size_t n_batches =
       (pairs.size() + round_pairs - 1) / round_pairs;
 

@@ -43,7 +43,7 @@ void StatsCollector::on_launch(
     const std::array<upmem::DpuCostModel::Summary, upmem::kDpusPerRank>&
         summaries,
     const std::array<bool, upmem::kDpusPerRank>& ran,
-    const upmem::Rank::LaunchStats& agg,
+    const upmem::LaunchStats& agg,
     const std::array<upmem::DpuPhaseProfile, upmem::kDpusPerRank>* profiles) {
   LaunchRecord record;
   record.batch = batch;

@@ -72,7 +72,7 @@ class StatsCollector {
       const std::array<upmem::DpuCostModel::Summary, upmem::kDpusPerRank>&
           summaries,
       const std::array<bool, upmem::kDpusPerRank>& ran,
-      const upmem::Rank::LaunchStats& agg,
+      const upmem::LaunchStats& agg,
       const std::array<upmem::DpuPhaseProfile, upmem::kDpusPerRank>*
           profiles = nullptr);
 

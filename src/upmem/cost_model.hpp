@@ -102,7 +102,6 @@ class PoolCost {
   /// pattern (profile_test pins the reconciliation; engine_test the
   /// bit-identity).
   void set_phase(Phase phase) { phase_ = phase; }
-  Phase current_phase() const { return phase_; }
 
   /// One barrier-delimited parallel step: each of the pool's tasklets
   /// executed the given instruction counts. Critical path takes the max.

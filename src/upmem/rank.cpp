@@ -1,59 +1,10 @@
 #include "upmem/rank.hpp"
 
 #include <algorithm>
-#include <array>
-#include <string>
-
-#include "util/check.hpp"
-#include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 namespace pimnw::upmem {
 
-Rank::Rank() = default;
-
-Dpu& Rank::dpu(int index) {
-  PIMNW_CHECK_MSG(index >= 0 && index < kDpusPerRank,
-                  "DPU index " << index << " out of rank");
-  return dpus_[static_cast<std::size_t>(index)];
-}
-
-const Dpu& Rank::dpu(int index) const {
-  PIMNW_CHECK_MSG(index >= 0 && index < kDpusPerRank,
-                  "DPU index " << index << " out of rank");
-  return dpus_[static_cast<std::size_t>(index)];
-}
-
-Rank::LaunchStats Rank::launch(
-    const std::function<std::unique_ptr<DpuProgram>(int)>& make_program,
-    int pools, int tasklets_per_pool) {
-  // DPUs are independent by construction (each owns its bank), so the
-  // simulation executes them on the host's worker threads; results and
-  // modeled times are bit-identical to a serial run. Programs are created
-  // up-front because make_program may not be thread-safe.
-  std::array<std::unique_ptr<DpuProgram>, kDpusPerRank> programs;
-  std::array<bool, kDpusPerRank> ran{};
-  for (int d = 0; d < kDpusPerRank; ++d) {
-    programs[static_cast<std::size_t>(d)] = make_program(d);
-    ran[static_cast<std::size_t>(d)] =
-        programs[static_cast<std::size_t>(d)] != nullptr;
-  }
-  std::array<DpuCostModel::Summary, kDpusPerRank> summaries;
-  ThreadPool& tp = global_pool();
-  const auto body = [&](std::size_t d) {
-    if (!programs[d]) return;
-    PIMNW_TRACE_SPAN("sim dpu " + std::to_string(d));
-    summaries[d] = dpus_[d].launch(*programs[d], pools, tasklets_per_pool);
-  };
-  if (tp.size() > 1) {
-    tp.parallel_for(kDpusPerRank, body);
-  } else {
-    for (std::size_t d = 0; d < kDpusPerRank; ++d) body(d);
-  }
-  return aggregate(summaries, ran);
-}
-
-Rank::LaunchStats Rank::aggregate(
+LaunchStats aggregate_launch(
     const std::array<DpuCostModel::Summary, kDpusPerRank>& summaries,
     const std::array<bool, kDpusPerRank>& ran) {
   LaunchStats stats;

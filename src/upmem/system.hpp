@@ -1,18 +1,17 @@
-// The whole PiM server: N ranks of 64 DPUs plus the host<->MRAM transfer
-// model. Mirrors the UPMEM SDK host API surface the paper's host program
-// uses: allocate ranks, copy per-DPU buffers, broadcast, launch, sync.
+// The host<->MRAM transfer model of the PiM server. The execution engine
+// simulates DPUs on per-worker banks (core/engine.hpp) and charges every
+// scatter, gather and broadcast through these functions; only the byte count
+// decides the modeled duration.
 //
-// Timing: every operation returns its modeled duration; the orchestrator in
-// src/core composes those durations on an event timeline (transfers to a
-// rank serialise with that rank's execution — §2.1: the host cannot touch
-// MRAM while the DPUs run — while different ranks overlap freely).
+// Timing: the orchestrator in src/core composes these durations on an event
+// timeline (transfers to a rank serialise with that rank's execution — §2.1:
+// the host cannot touch MRAM while the DPUs run — while different ranks
+// overlap freely).
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "upmem/rank.hpp"
+#include "upmem/arch.hpp"
 
 namespace pimnw::upmem {
 
@@ -22,60 +21,22 @@ struct TransferStats {
   double seconds = 0.0;
 };
 
-class PimSystem {
- public:
-  /// `nr_ranks` ranks of 64 DPUs (the paper's server: 40; Tables 2–6 sweep
-  /// 10/20/40).
-  explicit PimSystem(int nr_ranks);
+/// Modeled duration of moving `bytes` between host RAM and MRAM over the
+/// DDR bus (§4.1.1: ~60 GB/s aggregate).
+inline double host_transfer_seconds(std::uint64_t bytes) {
+  return static_cast<double>(bytes) / kHostXferBytesPerSec;
+}
 
-  int nr_ranks() const { return static_cast<int>(ranks_.size()); }
-  int nr_dpus() const { return nr_ranks() * kDpusPerRank; }
+/// Modeled cost of a transfer totalling `bytes` (per-DPU buffers summed).
+inline TransferStats transfer_stats(std::uint64_t bytes) {
+  return {bytes, host_transfer_seconds(bytes)};
+}
 
-  Rank& rank(int r);
-  const Rank& rank(int r) const;
-
-  /// Modeled duration of moving `bytes` between host RAM and MRAM over the
-  /// DDR bus (§4.1.1: ~60 GB/s aggregate).
-  static double host_transfer_seconds(std::uint64_t bytes) {
-    return static_cast<double>(bytes) / kHostXferBytesPerSec;
-  }
-
-  /// Modeled cost of a transfer totalling `bytes`, without moving anything —
-  /// the execution engine simulates DPUs on per-worker scratch banks and
-  /// charges transfers through this (identical arithmetic to copy_to_rank /
-  /// copy_from_rank on the same byte count).
-  static TransferStats transfer_stats(std::uint64_t bytes) {
-    return {bytes, host_transfer_seconds(bytes)};
-  }
-
-  /// Modeled cost of broadcasting a `buffer_bytes` buffer to `nr_dpus` DPUs
-  /// (each bank is written individually on the wire, as broadcast_all does).
-  static TransferStats broadcast_stats(std::uint64_t buffer_bytes,
-                                       int nr_dpus) {
-    return transfer_stats(buffer_bytes * static_cast<std::uint64_t>(nr_dpus));
-  }
-
-  /// Write one buffer per DPU of rank `r` at `mram_offset` (buffers may have
-  /// different sizes; empty buffers skip their DPU).
-  TransferStats copy_to_rank(int r,
-                             const std::vector<std::vector<std::uint8_t>>& per_dpu,
-                             std::uint64_t mram_offset);
-
-  /// Read `bytes_per_dpu[d]` bytes from each DPU of rank `r` at
-  /// `mram_offset` into `out[d]`.
-  TransferStats copy_from_rank(int r,
-                               const std::vector<std::uint64_t>& bytes_per_dpu,
-                               std::uint64_t mram_offset,
-                               std::vector<std::vector<std::uint8_t>>& out);
-
-  /// Write the same buffer to every DPU of every rank (the 16S experiment's
-  /// broadcast, §5.3). On the wire each bank is still written individually,
-  /// so the modeled bytes are buffer-size x nr_dpus.
-  TransferStats broadcast_all(std::span<const std::uint8_t> buffer,
-                              std::uint64_t mram_offset);
-
- private:
-  std::vector<Rank> ranks_;
-};
+/// Modeled cost of broadcasting a `buffer_bytes` buffer to `nr_dpus` DPUs
+/// (the 16S experiment's broadcast, §5.3). On the wire each bank is still
+/// written individually, so the modeled bytes are buffer size x nr_dpus.
+inline TransferStats broadcast_stats(std::uint64_t buffer_bytes, int nr_dpus) {
+  return transfer_stats(buffer_bytes * static_cast<std::uint64_t>(nr_dpus));
+}
 
 }  // namespace pimnw::upmem

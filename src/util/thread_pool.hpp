@@ -1,7 +1,6 @@
 // Work-stealing thread pool with futures and parallel_for helpers. Used by
 // (a) the host execution engine to run simulated DPU jobs from multiple
-// in-flight rank-batches, (b) upmem::Rank::launch, and (c) the CPU baseline
-// batch aligner.
+// in-flight rank-batches and (b) the CPU baseline batch aligner.
 //
 // Scheduling: each worker owns a Chase–Lev deque. Tasks submitted from a
 // worker go to its own deque (LIFO for the owner, cheap and cache-warm);

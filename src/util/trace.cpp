@@ -120,17 +120,6 @@ void counter(std::string name, double value) {
   buf.events.push_back(std::move(e));
 }
 
-void instant(std::string name) {
-  if (!enabled()) return;
-  Event e;
-  e.name = std::move(name);
-  e.ts_us = now_us();
-  e.phase = 'i';
-  Buffer& buf = local_buffer();
-  e.tid = buf.tid;
-  buf.events.push_back(std::move(e));
-}
-
 void modeled_span(std::string name, std::uint32_t tid, double ts_us,
                   double dur_us, std::uint64_t cycles) {
   if (!enabled()) return;
@@ -220,7 +209,6 @@ void write_json(std::ostream& out) {
     out << '"';
     if (e.phase == 'X') out << R"(,"dur":)" << e.dur_us;
     if (e.phase == 'C') out << R"(,"args":{"value":)" << e.value << '}';
-    if (e.phase == 'i') out << R"(,"s":"t")";
     if (e.phase == 'X' && e.cycles != 0) {
       out << R"(,"args":{"cycles":)" << e.cycles << '}';
     }

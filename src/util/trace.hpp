@@ -49,7 +49,7 @@ struct Event {
   double dur_us = 0.0;  // 'X' spans only
   std::uint32_t pid = kHostPid;
   std::uint32_t tid = 0;
-  char phase = 'X';  // 'X' complete span, 'C' counter, 'i' instant
+  char phase = 'X';  // 'X' complete span, 'C' counter
   double value = 0.0;              // 'C' events
   std::uint64_t cycles = 0;        // modeled DPU cycles (args.cycles if != 0)
 };
@@ -75,9 +75,6 @@ void complete_span(std::string name, double ts_us, double dur_us);
 
 /// Record a monotonic-counter sample on the calling thread's lane.
 void counter(std::string name, double value);
-
-/// Record an instant event on the calling thread's lane.
-void instant(std::string name);
 
 /// Record a span on a modeled-timeline lane with explicit virtual
 /// timestamps. `cycles`, when nonzero, is exported as args.cycles so
@@ -136,13 +133,3 @@ class Span {
   ::pimnw::trace::Span PIMNW_TRACE_CONCAT(pimnw_trace_span_,   \
                                           __LINE__)(           \
       ::pimnw::trace::enabled() ? (name_expr) : std::string())
-#define PIMNW_TRACE_COUNTER(name_expr, value_expr)             \
-  do {                                                         \
-    if (::pimnw::trace::enabled())                             \
-      ::pimnw::trace::counter((name_expr), (value_expr));      \
-  } while (0)
-#define PIMNW_TRACE_INSTANT(name_expr)                         \
-  do {                                                         \
-    if (::pimnw::trace::enabled())                             \
-      ::pimnw::trace::instant((name_expr));                    \
-  } while (0)

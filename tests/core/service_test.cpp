@@ -16,6 +16,7 @@
 
 #include "core/backend.hpp"
 #include "core/dispatch.hpp"
+#include "core/pim_kernel.hpp"
 #include "core/service.hpp"
 #include "data/synthetic.hpp"
 #include "util/rng.hpp"
@@ -163,6 +164,25 @@ TEST(ServiceAdmission, FullFlushAtBatchSize) {
   EXPECT_EQ(m.flushes_full, 2u);
   EXPECT_EQ(m.flushes_linger, 0u);
   EXPECT_DOUBLE_EQ(m.batch_fill_mean, 1.0);
+}
+
+// The automatic flush is rank-sized (kDpusPerRank x pools x 2) on the pools
+// of whichever PiM kernel the dispatcher serves, and on the default pools
+// (6, so 768 pairs) when no PiM backend is registered.
+TEST(ServiceAdmission, AutoBatchIsRankSizedForEitherPimKernel) {
+  for (const PimKernel* kernel : {&nw_kernel(), &wfa_kernel()}) {
+    PimAlignerConfig aligner = small_pim_config();
+    aligner.kernel = kernel;
+    aligner.pool.pools = 3;
+    PimBackend pim({aligner});
+    Dispatcher dispatcher({.policy = RoutePolicy::kSingle,
+                           .single = pim.kind()},
+                          {&pim});
+    AlignService service(&dispatcher);
+    EXPECT_EQ(service.config().max_batch_pairs, 384u) << kernel->name();
+  }
+  CpuService cpu(ServiceConfig{});
+  EXPECT_EQ(cpu.service.config().max_batch_pairs, 768u);
 }
 
 TEST(ServiceAdmission, LingerFlushUnderFull) {

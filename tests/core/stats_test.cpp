@@ -22,7 +22,7 @@ using upmem::kDpusPerRank;
 struct FakeLaunch {
   std::array<DpuCostModel::Summary, kDpusPerRank> summaries{};
   std::array<bool, kDpusPerRank> ran{};
-  upmem::Rank::LaunchStats agg;
+  upmem::LaunchStats agg;
 };
 
 FakeLaunch make_launch(int active) {

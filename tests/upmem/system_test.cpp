@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "upmem/dpu.hpp"
-#include "util/check.hpp"
+#include "upmem/rank.hpp"
 
 namespace pimnw::upmem {
 namespace {
@@ -46,91 +51,66 @@ TEST(DpuTest, WramIsFreshPerLaunch) {
   EXPECT_NO_THROW(dpu.launch(program, 1, 1));
 }
 
-TEST(RankTest, HasSixtyFourDpus) {
-  Rank rank;
-  EXPECT_EQ(Rank::size(), 64);
-  EXPECT_NO_THROW(rank.dpu(0));
-  EXPECT_NO_THROW(rank.dpu(63));
-  EXPECT_THROW(rank.dpu(64), CheckError);
-  EXPECT_THROW(rank.dpu(-1), CheckError);
+/// One rank's launch: `make_program(d)` runs on DPU d (nullptr idles it)
+/// and the summaries are what the rank barrier folds.
+struct RankLaunch {
+  std::array<DpuCostModel::Summary, kDpusPerRank> summaries{};
+  std::array<bool, kDpusPerRank> ran{};
+};
+
+RankLaunch launch_rank(
+    const std::function<std::unique_ptr<DpuProgram>(int)>& make_program) {
+  std::vector<Dpu> dpus(kDpusPerRank);
+  RankLaunch launch;
+  for (int d = 0; d < kDpusPerRank; ++d) {
+    const std::unique_ptr<DpuProgram> program = make_program(d);
+    if (!program) continue;
+    const auto i = static_cast<std::size_t>(d);
+    launch.summaries[i] = dpus[i].launch(*program, 1, 1);
+    launch.ran[i] = true;
+  }
+  return launch;
 }
 
 TEST(RankTest, LaunchTimeIsSlowestDpu) {
-  Rank rank;
   // DPU 5 gets 10x the work of the others; the rank barrier makes its time
   // the rank's time (the effect the LPT balancer minimises, §4.1.2).
-  const auto stats = rank.launch(
-      [](int d) -> std::unique_ptr<DpuProgram> {
-        return std::make_unique<CopyProgram>(d == 5 ? 100'000 : 10'000);
-      },
-      1, 1);
+  const RankLaunch launch = launch_rank([](int d) {
+    return std::make_unique<CopyProgram>(d == 5 ? 100'000 : 10'000);
+  });
+  const LaunchStats stats = aggregate_launch(launch.summaries, launch.ran);
   EXPECT_EQ(stats.active_dpus, 64);
+  EXPECT_EQ(stats.seconds, launch.summaries[5].seconds);
+  EXPECT_EQ(stats.max_cycles, launch.summaries[5].cycles);
   EXPECT_NEAR(stats.seconds, 100'000.0 * 11 / kDpuFrequencyHz, 1e-6);
   EXPECT_LT(stats.fastest_dpu_seconds, stats.seconds / 5);
 }
 
 TEST(RankTest, NullProgramsLeaveDpusIdle) {
-  Rank rank;
-  const auto stats = rank.launch(
-      [](int d) -> std::unique_ptr<DpuProgram> {
-        if (d >= 8) return nullptr;
-        return std::make_unique<CopyProgram>(1000);
-      },
-      1, 1);
+  RankLaunch launch = launch_rank([](int d) -> std::unique_ptr<DpuProgram> {
+    if (d >= 8) return nullptr;
+    return std::make_unique<CopyProgram>(1000);
+  });
+  // A DPU that did not run is never read, whatever its slot holds.
+  launch.summaries[20].cycles = 1'000'000'000;
+  launch.summaries[20].seconds = 10.0;
+  launch.summaries[20].instructions = 1;
+  const LaunchStats stats = aggregate_launch(launch.summaries, launch.ran);
   EXPECT_EQ(stats.active_dpus, 8);
-}
-
-TEST(SystemTest, RankCountAndDpuCount) {
-  PimSystem system(3);
-  EXPECT_EQ(system.nr_ranks(), 3);
-  EXPECT_EQ(system.nr_dpus(), 192);
-  EXPECT_THROW(system.rank(3), CheckError);
-  EXPECT_THROW(PimSystem(0), CheckError);
+  EXPECT_EQ(stats.seconds, launch.summaries[0].seconds);
+  EXPECT_EQ(stats.total_instructions, 8u * 1000);
 }
 
 TEST(SystemTest, TransferTimeMatchesBandwidthModel) {
   // 60 GB at 60 GB/s = 1 s.
-  EXPECT_NEAR(PimSystem::host_transfer_seconds(60ull * 1000 * 1000 * 1000),
-              1.0, 1e-9);
-}
-
-TEST(SystemTest, CopyToRankWritesPerDpuBuffers) {
-  PimSystem system(1);
-  std::vector<std::vector<std::uint8_t>> buffers(64);
-  buffers[0] = {1, 2, 3};
-  buffers[63] = {4, 5};
-  const TransferStats stats = system.copy_to_rank(0, buffers, 128);
-  EXPECT_EQ(stats.bytes, 5u);
-  std::vector<std::uint8_t> back(3);
-  system.rank(0).dpu(0).mram().read(128, back);
-  EXPECT_EQ(back, (std::vector<std::uint8_t>{1, 2, 3}));
-  std::vector<std::uint8_t> back2(2);
-  system.rank(0).dpu(63).mram().read(128, back2);
-  EXPECT_EQ(back2, (std::vector<std::uint8_t>{4, 5}));
-}
-
-TEST(SystemTest, CopyFromRankReadsBack) {
-  PimSystem system(1);
-  system.rank(0).dpu(7).mram().write(0, std::vector<std::uint8_t>{42, 43});
-  std::vector<std::uint64_t> sizes(64, 0);
-  sizes[7] = 2;
-  std::vector<std::vector<std::uint8_t>> out;
-  const TransferStats stats = system.copy_from_rank(0, sizes, 0, out);
-  EXPECT_EQ(stats.bytes, 2u);
-  EXPECT_EQ(out[7], (std::vector<std::uint8_t>{42, 43}));
-  EXPECT_TRUE(out[0].empty());
-}
-
-TEST(SystemTest, BroadcastReachesEveryDpuAndCountsWireBytes) {
-  PimSystem system(2);
-  std::vector<std::uint8_t> payload = {7, 7, 7, 7};
-  const TransferStats stats = system.broadcast_all(payload, 4096);
-  EXPECT_EQ(stats.bytes, 4u * 128);  // buffer x 128 DPUs on the wire
-  for (int r = 0; r < 2; ++r) {
-    std::vector<std::uint8_t> back(4);
-    system.rank(r).dpu(63).mram().read(4096, back);
-    EXPECT_EQ(back, payload);
-  }
+  EXPECT_NEAR(host_transfer_seconds(60ull * 1000 * 1000 * 1000), 1.0, 1e-9);
+  const TransferStats moved = transfer_stats(4096);
+  EXPECT_EQ(moved.bytes, 4096u);
+  EXPECT_EQ(moved.seconds, host_transfer_seconds(4096));
+  // A broadcast still writes each bank on the wire: buffer x 128 DPUs.
+  const TransferStats broadcast = broadcast_stats(4, 128);
+  EXPECT_EQ(broadcast.bytes, 4u * 128);
+  EXPECT_EQ(broadcast.seconds, host_transfer_seconds(4u * 128));
 }
 
 }  // namespace

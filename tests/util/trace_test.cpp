@@ -26,7 +26,6 @@ TEST(TraceTest, DisabledByDefaultAndRecordsNothing) {
   EXPECT_FALSE(enabled());
   complete_span("t1 ignored", 0.0, 1.0);
   counter("t1 ignored", 3.0);
-  instant("t1 ignored");
   modeled_span("t1 ignored", 5, 0.0, 1.0);
   { PIMNW_TRACE_SPAN(std::string("t1 ignored")); }
   EXPECT_TRUE(events_named("t1 ignored").empty());
@@ -78,19 +77,15 @@ TEST(TraceTest, RaiiSpanMeasuresEnclosedWork) {
   clear();
 }
 
-TEST(TraceTest, CounterAndInstantRecordPhases) {
+TEST(TraceTest, CounterRecordsPhaseAndValue) {
   clear();
   set_enabled(true);
   counter("t5 counter", 17.5);
-  instant("t5 instant");
   set_enabled(false);
   const auto counters = events_named("t5 counter");
   ASSERT_EQ(counters.size(), 1u);
   EXPECT_EQ(counters[0].phase, 'C');
   EXPECT_DOUBLE_EQ(counters[0].value, 17.5);
-  const auto instants = events_named("t5 instant");
-  ASSERT_EQ(instants.size(), 1u);
-  EXPECT_EQ(instants[0].phase, 'i');
   clear();
 }
 

@@ -52,6 +52,20 @@
 # load — including the byte counters perfbench reads through a
 # get-or-create lookup, which would silently read 0 after a rename.
 #
+# Each preset also checks the symbols of every compiled copy of the per-ISA
+# sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA): an object
+# may define no global or weak symbol but its entry points, vector_sweep<N>
+# and vector_band_run<N>. An inline helper the TU called out of line would
+# be a weak symbol (in the Debug asan build, say), and the linker could hand
+# its AVX-512 copy to a caller on a CPU without AVX-512. The one compiler-
+# emitted weak datum allowed is DW.ref.__gxx_personality_v0, the hidden
+# pointer to the C++ personality routine that the sanitizers' unwind
+# cleanups reference; it carries no ISA code.
+#
+# The default preset also smoke-runs a command-line error: quickstart
+# --bogus 1 must exit 2 and name the flag (util::Cli prints the error and
+# the usage instead of throwing out of main).
+#
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
 # clang-tidy is not installed, so the stage is safe to request everywhere.
@@ -113,13 +127,26 @@ if [ "$RUN_TIDY" -eq 1 ]; then
 fi
 
 for preset in "${PRESETS[@]}"; do
+  BUILD_DIR="build$([ "$preset" = default ] || echo "-$preset")"
   echo "=== [$preset] configure"
   cmake --preset "$preset" >/dev/null
   echo "=== [$preset] build"
   cmake --build --preset "$preset" -j "$JOBS"
+  echo "=== [$preset] sweep TU symbols"
+  SWEEP_OBJS=$(find "$BUILD_DIR" -name 'kernel_simd_sweep.cpp.o' | sort)
+  [ -n "$SWEEP_OBJS" ] || echo "no vector sweep objects (not an x86 build)"
+  for obj in $SWEEP_OBJS; do
+    EXTRA=$(nm -C --defined-only "$obj" | awk '$2 ~ /^[A-Zu]$/' |
+        grep -v -E ' pimnw::core::simd::(vector_sweep|vector_band_run)<[0-9]+>\(| DW\.ref\.__gxx_personality_v0$' ||
+        true)
+    if [ -n "$EXTRA" ]; then
+      echo "$obj defines global or weak symbols beyond its entry points:"
+      echo "$EXTRA"
+      exit 1
+    fi
+  done
   echo "=== [$preset] ctest"
   ctest --preset "$preset" -j "$JOBS" --output-on-failure
-  BUILD_DIR="build$([ "$preset" = default ] || echo "-$preset")"
   echo "=== [$preset] ctest -L trace"
   ctest --test-dir "$BUILD_DIR" -L trace -j "$JOBS" --output-on-failure
   echo "=== [$preset] ctest -L prof"
@@ -133,6 +160,16 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] ctest -L metrics"
   ctest --test-dir "$BUILD_DIR" -L metrics -j "$JOBS" --output-on-failure
   if [ "$preset" = default ]; then
+    echo "=== [$preset] command-line error smoke"
+    CLI_STATUS=0
+    "$BUILD_DIR/examples/quickstart" --bogus 1 >/dev/null \
+        2>"$BUILD_DIR/cli_smoke.err" || CLI_STATUS=$?
+    if [ "$CLI_STATUS" -ne 2 ] ||
+        ! grep -q -- 'unknown flag --bogus' "$BUILD_DIR/cli_smoke.err"; then
+      echo "quickstart --bogus 1 exited $CLI_STATUS (want 2, naming the flag):"
+      cat "$BUILD_DIR/cli_smoke.err"
+      exit 1
+    fi
     echo "=== [$preset] dpu_hello smoke"
     "$BUILD_DIR/examples/dpu_hello" >/dev/null
     echo "=== [$preset] pimnw_prof smoke"

@@ -1,6 +1,9 @@
 // Window steering of the adaptive band — shared, verbatim, by the CPU
-// reference (banded_adaptive.cpp) and the DPU kernel (core/dpu_kernel.cpp)
-// so that both produce bit-identical alignments.
+// reference (banded_adaptive.cpp) and the DPU kernel (core/dpu_kernel.cpp
+// and its band runs in core/kernel_simd_sweep.cpp) so that all produce
+// bit-identical alignments. Always inlined: the per-ISA sweep TU may call no
+// out-of-line inline function, whose one linked copy could carry another
+// ISA's instructions.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +22,9 @@ namespace pimnw::align {
 /// and at least one window row must keep j <= n. Otherwise the
 /// Suzuki–Kasahara heuristic applies: shift toward the window extremity
 /// carrying the higher score (ties move right).
-inline bool adaptive_move_down(std::int64_t lo, std::int64_t s,
-                               std::int64_t m, std::int64_t n, std::int64_t w,
-                               Score top_score, Score bottom_score) {
+__attribute__((always_inline)) inline bool adaptive_move_down(
+    std::int64_t lo, std::int64_t s, std::int64_t m, std::int64_t n,
+    std::int64_t w, Score top_score, Score bottom_score) {
   const std::int64_t remaining = (m + n) - s;
   if (lo >= m) return false;                       // cannot sink below row m
   if (m - (w - 1) - lo >= remaining) return true;  // must sink to reach row m

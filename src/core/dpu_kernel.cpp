@@ -166,6 +166,11 @@ class SeqWindow {
     return cache_ + (reversed_ ? win_loaded_ - 1 - rel : rel);
   }
 
+  /// The whole cache and the bases it holds, for a band run.
+  simd::Window decoded_range() const {
+    return {cache_, win_start_, win_start_ + win_loaded_};
+  }
+
  private:
   DpuContext* ctx_ = nullptr;
   upmem::PoolCost* pool_ = nullptr;
@@ -342,7 +347,56 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   std::int64_t lo1 = 0;
   std::int64_t lo2 = 0;
 
+  // Under a vector sweep, each stretch of steady anti-diagonals (the band
+  // wholly interior, no window refill or lo flush due, the row whole in one
+  // chunk: simd::BandRun) runs inside the sweep TU in one call, and the
+  // loop below takes the anti-diagonal where the run stopped. The dense
+  // path never runs them, so it stays a per-anti-diagonal oracle.
+  const bool band_runs = fast_path_ && isa_ != simd::Isa::kPortable;
+  simd::BandRun run{};
+  if (band_runs) {
+    const align::Scoring& sc = batch_.scoring;
+    run.m = m;
+    run.n = n;
+    run.w = w;
+    run.h[0] = buf_.h[0].data();
+    run.h[1] = buf_.h[1].data();
+    run.iv = buf_.iv.data();
+    run.dv = buf_.dv.data();
+    run.traceback = traceback_on_;
+    run.bt_bytes = static_cast<std::int64_t>(row_bytes);
+    run.lo_buf = buf_.lo_buf.data();
+    run.lo_capacity = kLoChunk;
+    run.match = sc.match;
+    run.mismatch = sc.mismatch;
+    run.gap_extend = sc.gap_extend;
+    run.open_ext = sc.open_extend();
+  }
+
   for (std::int64_t s = 0; s <= m + n; ++s) {
+    if (band_runs) {
+      run.a = buf_.win_a.decoded_range();
+      run.b = buf_.win_b.decoded_range();
+      if (traceback_on_) {
+        const std::span<std::uint8_t> rows =
+            bank_rows->rows_from(static_cast<std::uint64_t>(s));
+        run.bt_rows = rows.data();
+        run.rows_left = static_cast<std::int64_t>(rows.size() / row_bytes);
+        run.lo_staged = lo_staged_;
+      }
+      run.s = s;
+      run.lo = lo;
+      run.lo1 = lo1;
+      run.lo2 = lo2;
+      if (simd::band_run(run, isa_) > 0) {
+        s = run.s;
+        lo = run.lo;
+        lo1 = run.lo1;
+        lo2 = run.lo2;
+        lo_staged_ = run.lo_staged;
+      }
+    }
+
     // Stage this anti-diagonal's window origin for the traceback.
     if (traceback_on_) {
       buf_.lo_buf[lo_staged_++] = static_cast<std::uint32_t>(lo);

@@ -12,6 +12,8 @@ namespace pimnw::core::simd {
 // Instantiated by kernel_simd_sweep.cpp, for each ISA the compiler accepts.
 template <int N>
 void vector_sweep(const DiagSpan& d);
+template <int N>
+std::int64_t vector_band_run(BandRun& r);
 
 namespace {
 
@@ -100,6 +102,17 @@ void diag_update(const DiagSpan& d, Isa isa) {
   if (isa == Isa::kAvx2) return vector_sweep<8>(d);
 #endif
   diag_update_dense(d, 0, d.len);
+}
+
+std::int64_t band_run(BandRun& r, Isa isa) {
+  PIMNW_DCHECK(isa != Isa::kPortable && isa <= auto_isa() && r.w >= 2);
+#if defined(PIMNW_HAVE_AVX512)
+  if (isa == Isa::kAvx512) return vector_band_run<16>(r);
+#endif
+#if defined(PIMNW_HAVE_AVX2)
+  if (isa == Isa::kAvx2) return vector_band_run<8>(r);
+#endif
+  return 0;
 }
 
 void diag_update_dense(const DiagSpan& d, std::int64_t from, std::int64_t to) {

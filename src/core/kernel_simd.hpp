@@ -2,9 +2,11 @@
 // DPU inner loop (§5.5: cmpb4 4-byte SIMD compare + fused shift/jump). The
 // fast path hands one anti-diagonal's interior cells (independent by
 // construction) to one branchless sweep: the portable loop, or the vector
-// sweep compiled per ISA (kernel_simd_sweep.cpp). Both are pure arithmetic:
-// the caller charges modeled cycles/DMA per unit of modeled work, so the
-// execution path cannot perturb any Table 2–8 number (DESIGN.md §7).
+// sweep compiled per ISA (kernel_simd_sweep.cpp). A run of steady
+// anti-diagonals, whose band is wholly interior, goes to the vector TU in
+// one call (band_run). All are pure arithmetic: the caller charges modeled
+// cycles/DMA per unit of modeled work, so the execution path cannot perturb
+// any Table 2–8 number (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -70,5 +72,51 @@ void diag_update(const DiagSpan& d, Isa isa);
 /// The portable update (no ISA flags) of lanes [from, to) of `d`, in its
 /// walk direction, writing only their nibbles: the vector sweeps' edges.
 void diag_update_dense(const DiagSpan& d, std::int64_t from, std::int64_t to);
+
+/// Bases [first, end) of a sequence, decoded one code byte per base: a
+/// sequence window's cache. An ascending window holds base first at
+/// codes[0]; a reversed one holds base end - 1 there.
+struct Window {
+  const std::uint8_t* codes;
+  std::int64_t first;
+  std::int64_t end;
+};
+
+/// A pair's band between two anti-diagonals, as the fast path keeps it
+/// (core/dpu_kernel.cpp), for band_run. Anti-diagonal s is steady when
+///  * the band is wholly interior: lo >= 1, lo >= s - n, lo + w - 1 <= m
+///    and lo + w - 1 < s, so it has no i = 0 or j = 0 cell and no
+///    out-of-band slot (and, as w >= 2, s < m + n: s is not the last);
+///  * a holds a[lo - 1, lo + w - 2] and b holds b[s - lo - w, s - lo - 1];
+///  * with traceback, row s is one of the rows_left rows at bt_rows, and
+///    staging lo leaves lo_staged below lo_capacity.
+struct BandRun {
+  std::int64_t m, n, w;
+  align::Score* h[2];  // H of the even and the odd anti-diagonals
+  align::Score* iv;    // I and D, in place
+  align::Score* dv;
+  Window a;  // ascending
+  Window b;  // reversed
+  bool traceback;
+  std::uint8_t* bt_rows;   // row s, then row s + 1, ...
+  std::int64_t bt_bytes;   // bytes per row
+  std::int64_t rows_left;  // whole rows at bt_rows
+  std::uint32_t* lo_buf;   // staged window origins
+  std::uint32_t lo_capacity;
+  align::Score match, mismatch, gap_extend, open_ext;
+  // Advanced by the run.
+  std::uint32_t lo_staged;
+  std::int64_t s, lo;  // the next anti-diagonal and its window origin
+  std::int64_t lo1, lo2;  // the origins of s - 1 and s - 2
+};
+
+/// Sweep the steady anti-diagonals from r.s on with `isa`'s vector sweep,
+/// doing per anti-diagonal what compute_band's general path does: stage lo,
+/// sweep the whole band into the bank row (zeroing the bytes the lanes do
+/// not fill), steer the window with align::adaptive_move_down. Returns at
+/// the first anti-diagonal that is not steady, with the number swept; r's
+/// state then describes that anti-diagonal. `isa` must be a vector sweep no
+/// wider than auto_isa(), and w >= 2.
+std::int64_t band_run(BandRun& r, Isa isa);
 
 }  // namespace pimnw::core::simd

@@ -164,11 +164,18 @@ Mram::RowCursor Mram::row_cursor(std::uint64_t base, std::uint64_t row_bytes,
 }
 
 std::span<std::uint8_t> Mram::RowCursor::row(std::uint64_t r) {
+  const std::span<std::uint8_t> rows = rows_from(r);
+  return rows.empty() ? rows : rows.first(row_bytes_);
+}
+
+std::span<std::uint8_t> Mram::RowCursor::rows_from(std::uint64_t r) {
   PIMNW_CHECK_MSG(r < rows_, "row " << r << " outside a cursor of " << rows_);
   const std::uint64_t addr = base_ + r * row_bytes_;
   const std::uint64_t off = addr % kChunkBytes;
-  if (off + row_bytes_ > kChunkBytes) return {};
-  return {mram_->chunk_for_write(addr / kChunkBytes) + off, row_bytes_};
+  const std::uint64_t whole =
+      std::min((kChunkBytes - off) / row_bytes_, rows_ - r);
+  if (whole == 0) return {};
+  return {mram_->chunk_for_write(addr / kChunkBytes) + off, whole * row_bytes_};
 }
 
 }  // namespace pimnw::upmem

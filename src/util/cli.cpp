@@ -56,6 +56,11 @@ Cli& Cli::flag(const std::string& name, const std::string& def,
   return *this;
 }
 
+void Cli::fail(const std::string& error) const {
+  std::cerr << program_ << ": " << error << "\n\n" << usage();
+  std::exit(2);
+}
+
 void Cli::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -64,7 +69,7 @@ void Cli::parse(int argc, const char* const* argv) {
       std::exit(0);
     }
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("positional arguments not supported: " + arg);
+      fail("positional arguments not supported: " + arg);
     }
     arg = arg.substr(2);
     std::string key;
@@ -78,17 +83,13 @@ void Cli::parse(int argc, const char* const* argv) {
       key = arg;
     }
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      throw std::invalid_argument("unknown flag --" + key + "\n" + usage());
-    }
+    if (it == entries_.end()) fail("unknown flag --" + key);
     Entry& entry = it->second;
     if (!have_value) {
       if (entry.kind == Kind::kBool) {
         value = "1";
       } else {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument("missing value for --" + key);
-        }
+        if (i + 1 >= argc) fail("missing value for --" + key);
         value = argv[++i];
       }
     }
@@ -109,7 +110,7 @@ void Cli::parse(int argc, const char* const* argv) {
         value = (value == "1" || value == "true") ? "1" : "0";
       }
     } catch (const std::exception&) {
-      throw std::invalid_argument("bad value for --" + key + ": " + value);
+      fail("bad value for --" + key + ": " + value);
     }
     entry.value = value;
   }

@@ -2,8 +2,9 @@
 //
 // Supports `--key=value`, `--key value`, and boolean `--flag`. Every flag is
 // registered with a default and a help string; `--help` prints usage and
-// exits. Unknown flags are an error so typos don't silently fall back to
-// defaults in experiment scripts.
+// exits 0. Unknown flags are an error so typos don't silently fall back to
+// defaults in experiment scripts; a command-line error prints the error and
+// the usage to stderr and exits 2, so no program's main has to handle it.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,10 @@ class Cli {
   Cli& flag(const std::string& name, const std::string& def,
             const std::string& help);
 
-  /// Parse argv. On `--help`, prints usage and calls std::exit(0).
-  /// Throws std::invalid_argument on unknown flags or malformed values.
+  /// Parse argv. On `--help` (or `-h`), prints usage to stdout and calls
+  /// std::exit(0). On an unknown flag, a missing or malformed value or a
+  /// positional argument, prints the error (naming the flag) and the usage
+  /// to stderr and calls std::exit(2).
   void parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
@@ -45,6 +48,9 @@ class Cli {
   };
 
   const Entry& lookup(const std::string& name, Kind kind) const;
+  /// A command-line mistake is the caller's to fix, not a fault: print the
+  /// error and the usage to stderr and exit 2.
+  [[noreturn]] void fail(const std::string& error) const;
 
   std::string program_;
   std::string description_;

@@ -6,12 +6,16 @@
 // every modeled number (DESIGN.md "Simulator fast path").
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "align/adaptive_steering.hpp"
 #include "align/bt_code.hpp"
 #include "core/dpu_kernel.hpp"
 #include "core/host.hpp"
@@ -189,6 +193,293 @@ TEST_P(VectorSweepTest, MatchesDenseReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KernelFastPathTest, VectorSweepTest,
+                         ::testing::Values(simd::Isa::kAvx2,
+                                           simd::Isa::kAvx512),
+                         [](const ::testing::TestParamInfo<simd::Isa>& info) {
+                           return std::string(simd::isa_name(info.param));
+                         });
+
+// A band between anti-diagonals as compute_band keeps it for a band run:
+// the four band arrays between kNegInf sentinels, two decoded windows (b's
+// reversed), the bank rows left in a chunk followed by a canary, the lo
+// staging buffer and the steering state.
+struct RunCase {
+  std::int64_t m = 0, n = 0, w = 0;
+  std::vector<align::Score> h0, h1, iv, dv;  // w + 2 slots each
+  std::vector<std::uint8_t> a, b;            // window codes; b back to front
+  std::int64_t a_first = 0, b_first = 0;
+  bool traceback = false;
+  std::vector<std::uint8_t> rows;  // rows_left rows, then the canary
+  std::size_t canary_bytes = 0;
+  std::int64_t row_bytes = 0, rows_left = 0;
+  std::vector<std::uint32_t> lo_buf;  // its size is the capacity
+  std::uint32_t lo_staged = 0;
+  std::int64_t s = 0, lo = 0, lo1 = 0, lo2 = 0;
+  std::int64_t steps = 0;
+
+  std::int64_t a_end() const {
+    return a_first + static_cast<std::int64_t>(a.size());
+  }
+  std::int64_t b_end() const {
+    return b_first + static_cast<std::int64_t>(b.size());
+  }
+
+  simd::BandRun state() {
+    const align::Scoring sc = align::default_scoring();
+    simd::BandRun r{};
+    r.m = m;
+    r.n = n;
+    r.w = w;
+    r.h[0] = h0.data() + 1;
+    r.h[1] = h1.data() + 1;
+    r.iv = iv.data() + 1;
+    r.dv = dv.data() + 1;
+    r.a = {a.data(), a_first, a_end()};
+    r.b = {b.data(), b_first, b_end()};
+    r.traceback = traceback;
+    r.bt_rows = rows.data();
+    r.bt_bytes = row_bytes;
+    r.rows_left = rows_left;
+    r.lo_buf = lo_buf.data();
+    r.lo_capacity = static_cast<std::uint32_t>(lo_buf.size());
+    r.match = sc.match;
+    r.mismatch = sc.mismatch;
+    r.gap_extend = sc.gap_extend;
+    r.open_ext = sc.open_extend();
+    r.lo_staged = lo_staged;
+    r.s = s;
+    r.lo = lo;
+    r.lo1 = lo1;
+    r.lo2 = lo2;
+    return r;
+  }
+};
+
+// Why a run stops: each condition of simd::BandRun's steady list that an
+// anti-diagonal can fail. (s < m + n never fails alone: the interior
+// conditions imply it for w >= 2.)
+enum Exit {
+  kLoZero,    // lo < 1: the band holds row i = 0
+  kTop,       // lo < s - n: its top row has j > n
+  kBottom,    // lo + w - 1 > m: its bottom row is past row m
+  kJZero,     // lo + w - 1 >= s: it holds column j = 0
+  kAFirst,    // a's window starts after a[lo - 1]
+  kAEnd,      // a's window ends before a[lo + w - 2]
+  kBFirst,    // b's window starts after b[s - lo - w]
+  kBEnd,      // b's window ends before b[s - lo - 1]
+  kRows,      // row s is not among the rows left in the chunk
+  kLoBuf,     // staging lo would fill the lo buffer
+  kExits
+};
+
+const char* const kExitNames[kExits] = {"lo0", "top",   "bottom", "j0",
+                                        "a.first", "a.end", "b.first",
+                                        "b.end",   "rows",  "lo_buf"};
+
+/// The conditions anti-diagonal c.s fails, one bit per Exit.
+unsigned failed_conditions(const RunCase& c) {
+  const std::int64_t bottom = c.lo + c.w - 1;
+  const bool failed[kExits] = {
+      c.lo < 1,
+      c.lo < c.s - c.n,
+      bottom > c.m,
+      bottom >= c.s,
+      c.lo - 1 < c.a_first,
+      bottom - 1 >= c.a_end(),
+      c.s - bottom - 1 < c.b_first,
+      c.s - c.lo - 1 >= c.b_end(),
+      c.traceback && c.steps >= c.rows_left,
+      c.traceback &&
+          c.lo_staged + 1 >= static_cast<std::uint32_t>(c.lo_buf.size()),
+  };
+  unsigned bits = 0;
+  for (int e = 0; e < kExits; ++e) bits |= failed[e] ? 1u << e : 0u;
+  return bits;
+}
+
+/// Step c's anti-diagonals one at a time as compute_band's general path
+/// does on a steady one: stage lo, update the whole band with the portable
+/// diag_update into the next row, steer with adaptive_move_down. Returns
+/// the conditions the first unsteady anti-diagonal fails.
+unsigned step_reference(RunCase& c) {
+  const align::Scoring sc = align::default_scoring();
+  const std::size_t w = static_cast<std::size_t>(c.w);
+  for (;; ++c.s, ++c.steps) {
+    if (const unsigned failed = failed_conditions(c)) return failed;
+    EXPECT_LT(c.s, c.m + c.n);
+    if (c.traceback) c.lo_buf[c.lo_staged++] = static_cast<std::uint32_t>(c.lo);
+    // Lane t pairs a[lo - 1 + t] with b[s - lo - 1 - t]; b's window holds
+    // base b_end - 1 first.
+    std::vector<std::uint8_t> base_a(w), base_b(w);
+    for (std::size_t t = 0; t < w; ++t) {
+      const std::int64_t i = c.lo - 1 + static_cast<std::int64_t>(t);
+      const std::int64_t j = c.s - c.lo - 1 - static_cast<std::int64_t>(t);
+      base_a[t] = c.a[static_cast<std::size_t>(i - c.a_first)];
+      base_b[t] = c.b[static_cast<std::size_t>(c.b_end() - 1 - j)];
+    }
+    align::Score* const h_cur = ((c.s & 1) ? c.h1 : c.h0).data() + 1;
+    align::Score* const h_prev = ((c.s & 1) ? c.h0 : c.h1).data() + 1;
+    align::Score* const out_i = c.iv.data() + 1;
+    align::Score* const out_d = c.dv.data() + 1;
+    const std::int64_t shift1 = c.lo - c.lo1;
+    const std::int64_t shift2 = c.lo - c.lo2;
+    simd::DiagSpan d{};
+    d.up_h = h_prev + shift1 - 1;
+    d.up_i = out_i + shift1 - 1;
+    d.left_h = h_prev + shift1;
+    d.left_d = out_d + shift1;
+    d.diag_h = h_cur + shift2 - 1;
+    d.base_a = base_a.data();
+    d.base_b = base_b.data();
+    d.out_h = h_cur;
+    d.out_i = out_i;
+    d.out_d = out_d;
+    d.bt_row = c.traceback
+                   ? c.rows.data() + static_cast<std::size_t>(c.steps *
+                                                              c.row_bytes)
+                   : nullptr;
+    d.bt_bytes = c.row_bytes;
+    d.bt_first = 0;
+    d.len = c.w;
+    d.descending = shift1 == 0;
+    d.match = sc.match;
+    d.mismatch = sc.mismatch;
+    d.gap_extend = sc.gap_extend;
+    d.open_ext = sc.open_extend();
+    simd::diag_update(d, simd::Isa::kPortable);
+    const bool down = align::adaptive_move_down(c.lo, c.s, c.m, c.n, c.w,
+                                                h_cur[0], h_cur[w - 1]);
+    c.lo2 = c.lo1;
+    c.lo1 = c.lo;
+    c.lo += down ? 1 : 0;
+  }
+}
+
+/// A random steady-looking band state aimed at stopping on `target`: that
+/// condition fails at the start (kLoZero, kJZero and the window starts,
+/// which only a start state can fail) or within a few anti-diagonals, and
+/// every other one holds for hundreds.
+RunCase random_run(std::int64_t w, bool traceback, Exit target,
+                   Xoshiro256& rng) {
+  constexpr std::int64_t kFar = 400;
+  auto slack = [&] { return static_cast<std::int64_t>(rng.below(12)); };
+  RunCase c;
+  c.w = w;
+  c.traceback = traceback;
+  for (auto* band : {&c.h0, &c.h1, &c.iv, &c.dv}) {
+    band->assign(static_cast<std::size_t>(w) + 2, align::kNegInf);
+    for (std::int64_t k = 1; k <= w; ++k) {
+      (*band)[static_cast<std::size_t>(k)] =
+          rng.below(8) == 0 ? align::kNegInf
+                            : static_cast<align::Score>(rng.below(41)) - 20;
+    }
+  }
+  c.lo = target == kLoZero ? 0 : 2 + static_cast<std::int64_t>(rng.below(50));
+  c.lo1 = std::max<std::int64_t>(c.lo - static_cast<std::int64_t>(rng.below(2)),
+                                 0);
+  c.lo2 = std::max<std::int64_t>(
+      c.lo1 - static_cast<std::int64_t>(rng.below(2)), 0);
+  const std::int64_t bottom = c.lo + w - 1;
+  c.s = target == kJZero ? bottom : bottom + 1 + slack();
+  c.m = bottom + (target == kBottom ? slack() : kFar);
+  c.n = c.s - c.lo + (target == kTop ? slack() : kFar);
+  // Windows around the bases the start reads: a[lo - 1, lo + w - 2] and
+  // b[s - lo - w, s - lo - 1].
+  c.a_first = c.lo - 1 - slack() + (target == kAFirst ? slack() + 1 : 0);
+  const std::int64_t a_end = bottom + (target == kAEnd ? slack() : kFar);
+  c.b_first = c.s - bottom - 1 - slack() + (target == kBFirst ? slack() + 1 : 0);
+  const std::int64_t b_end = c.s - c.lo + (target == kBEnd ? slack() : kFar);
+  for (auto [codes, first, end] :
+       {std::tuple{&c.a, c.a_first, a_end}, std::tuple{&c.b, c.b_first, b_end}}) {
+    codes->resize(static_cast<std::size_t>(end - first));
+    for (auto& code : *codes) code = static_cast<std::uint8_t>(rng.below(4));
+  }
+  c.row_bytes = static_cast<std::int64_t>(
+      align8(align::bt_bytes(static_cast<std::uint64_t>(w))));
+  c.rows_left = target == kRows ? slack() : 2 * kFar;
+  // A run lasts at most 2 * kFar + 1 anti-diagonals: kFar moves down and
+  // kFar right reach the far limits. So a run that wrote past rows_left
+  // would hit the canary, not the heap.
+  c.canary_bytes = static_cast<std::size_t>(4 * kFar * c.row_bytes);
+  c.rows.assign(static_cast<std::size_t>(c.rows_left * c.row_bytes) +
+                    c.canary_bytes,
+                0xA5);
+  c.lo_buf.assign(target == kLoBuf ? 128 : 4 * kFar, 0xFFFFFFFFu);
+  c.lo_staged = static_cast<std::uint32_t>(
+      target == kLoBuf ? 127 - slack() : static_cast<std::int64_t>(rng.below(8)));
+  return c;
+}
+
+// Every vector band run the build carries against per-anti-diagonal steps
+// of the portable sweep, from random band states at widths with and without
+// remainder lanes and with an odd pad nibble, score-only and with
+// traceback. The step count, the steering state, the four band arrays
+// (sentinels included), the staged lo values and every row byte up to and
+// including the canary after the last row must match, and each exit of the
+// steady list must stop some run on its own.
+class BandRunTest : public ::testing::TestWithParam<simd::Isa> {};
+
+TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
+  const simd::Isa isa = GetParam();
+  if (isa > simd::auto_isa()) {
+    GTEST_SKIP() << simd::isa_name(isa) << " is not in this build or CPU";
+  }
+  Xoshiro256 rng(20261018);
+  for (const std::int64_t w : {9, 16, 17, 127, 128}) {
+    for (const bool traceback : {false, true}) {
+      int sole[kExits] = {};
+      for (int trial = 0; trial < 12 * kExits; ++trial) {
+        const Exit target = static_cast<Exit>(trial % kExits);
+        if (!traceback && (target == kRows || target == kLoBuf)) continue;
+        RunCase want = random_run(w, traceback, target, rng);
+        RunCase got = want;
+        const unsigned failed = step_reference(want);
+        simd::BandRun run = got.state();
+        got.steps = simd::band_run(run, isa);
+        got.s = run.s;
+        got.lo = run.lo;
+        got.lo1 = run.lo1;
+        got.lo2 = run.lo2;
+        got.lo_staged = run.lo_staged;
+
+        const std::string tag = std::string(traceback ? "bt" : "score-only") +
+                                " w=" + std::to_string(w) + " trial " +
+                                std::to_string(trial) + " aimed at " +
+                                kExitNames[target];
+        ASSERT_EQ(got.steps, want.steps) << tag;
+        ASSERT_EQ(got.s, want.s) << tag;
+        ASSERT_EQ(got.lo, want.lo) << tag;
+        ASSERT_EQ(got.lo1, want.lo1) << tag;
+        ASSERT_EQ(got.lo2, want.lo2) << tag;
+        ASSERT_EQ(got.h0, want.h0) << tag;
+        ASSERT_EQ(got.h1, want.h1) << tag;
+        ASSERT_EQ(got.iv, want.iv) << tag;
+        ASSERT_EQ(got.dv, want.dv) << tag;
+        for (const auto* band : {&got.h0, &got.h1, &got.iv, &got.dv}) {
+          ASSERT_EQ(band->front(), align::kNegInf) << tag;
+          ASSERT_EQ(band->back(), align::kNegInf) << tag;
+        }
+        ASSERT_EQ(got.lo_staged, want.lo_staged) << tag;
+        ASSERT_EQ(got.lo_buf, want.lo_buf) << tag;
+        ASSERT_EQ(got.rows, want.rows) << tag;
+        const auto canary =
+            got.rows.end() - static_cast<std::ptrdiff_t>(got.canary_bytes);
+        ASSERT_TRUE(std::all_of(canary, got.rows.end(),
+                                [](std::uint8_t v) { return v == 0xA5; }))
+            << tag << ": canary";
+        if ((failed & (failed - 1)) == 0) ++sole[std::countr_zero(failed)];
+      }
+      for (int e = 0; e < kExits; ++e) {
+        if (!traceback && (e == kRows || e == kLoBuf)) continue;
+        EXPECT_GT(sole[e], 0) << "no run stopped on " << kExitNames[e]
+                              << " alone, w=" << w
+                              << (traceback ? " bt" : " score-only");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(, BandRunTest,
                          ::testing::Values(simd::Isa::kAvx2,
                                            simd::Isa::kAvx512),
                          [](const ::testing::TestParamInfo<simd::Isa>& info) {

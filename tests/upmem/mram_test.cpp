@@ -209,5 +209,42 @@ TEST(MramTest, RowCursorWritesInPlaceAndSkipsStraddlingRows) {
   }
 }
 
+TEST(MramTest, RowsFromStopsAtChunkEnd) {
+  Mram mram;
+  const std::uint64_t chunk = 64 * 1024;  // kChunkBytes
+  // Rows of 48 bytes from 40 bytes below chunk 3: row 0 straddles its
+  // start, rows 1 .. 1365 lie whole in chunk 3 (8 + 1365 * 48 = 65528) and
+  // row 1366 straddles its end.
+  const std::uint64_t rows = 2000;
+  Mram::RowCursor cursor = mram.row_cursor(3 * chunk - 40, 48, rows);
+  EXPECT_TRUE(cursor.rows_from(0).empty());
+  EXPECT_TRUE(cursor.rows_from(1366).empty());
+  EXPECT_EQ(mram.footprint(), 0u);
+  EXPECT_THROW(cursor.rows_from(rows), CheckError);
+
+  // From row 1: every whole row left in chunk 3, in place in the chunk.
+  const std::span<std::uint8_t> from1 = cursor.rows_from(1);
+  ASSERT_EQ(from1.size(), 1365u * 48);
+  EXPECT_EQ(mram.footprint(), chunk);  // the rows' chunk, materialised
+  EXPECT_EQ(cursor.rows_from(1000).size(), 366u * 48);
+  EXPECT_EQ(cursor.rows_from(1365).size(), 48u);
+  EXPECT_EQ(cursor.rows_from(1).data(), from1.data());
+  EXPECT_EQ(cursor.row(1000).data(), from1.data() + 999 * 48);
+  for (std::size_t i = 0; i < from1.size(); ++i) {
+    from1[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  std::vector<std::uint8_t> back(from1.size());
+  mram.read(3 * chunk + 8, back);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i], static_cast<std::uint8_t>(i * 7 + 1)) << "byte " << i;
+  }
+
+  // In chunk 4, from its first whole row: the view stops at the cursor's
+  // last row when that comes before the chunk end.
+  Mram::RowCursor tail = mram.row_cursor(4 * chunk, 64, 10);
+  EXPECT_EQ(tail.rows_from(3).size(), 7u * 64);
+  EXPECT_EQ(mram.footprint(), 2 * chunk);
+}
+
 }  // namespace
 }  // namespace pimnw::upmem

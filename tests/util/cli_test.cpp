@@ -61,24 +61,29 @@ TEST(CliTest, BoolAcceptsExplicitValues) {
   EXPECT_FALSE(cli2.get_bool("verbose"));
 }
 
-TEST(CliTest, UnknownFlagThrows) {
+// A command-line error exits 2 with the error and the usage on stderr.
+TEST(CliTest, UnknownFlagExits2) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--nope=1"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--nope=1"}), ::testing::ExitedWithCode(2),
+              "prog: unknown flag --nope\n(.|\n)*Flags:");
 }
 
-TEST(CliTest, MalformedIntThrows) {
+TEST(CliTest, MalformedIntExits2) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--pairs=12x"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--pairs=12x"}), ::testing::ExitedWithCode(2),
+              "bad value for --pairs: 12x");
 }
 
-TEST(CliTest, MalformedBoolThrows) {
+TEST(CliTest, MalformedBoolExits2) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--verbose=maybe"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--verbose=maybe"}), ::testing::ExitedWithCode(2),
+              "bad value for --verbose: maybe");
 }
 
-TEST(CliTest, MissingValueThrows) {
+TEST(CliTest, MissingValueExits2) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"--pairs"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--pairs"}), ::testing::ExitedWithCode(2),
+              "missing value for --pairs");
 }
 
 TEST(CliTest, NegativeNumbers) {
@@ -117,7 +122,13 @@ TEST(CliTest, UsageListsFlags) {
 
 TEST(CliTest, PositionalArgumentRejected) {
   Cli cli = make_cli();
-  EXPECT_THROW(parse(cli, {"stray"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"stray"}), ::testing::ExitedWithCode(2),
+              "positional arguments not supported: stray");
+}
+
+TEST(CliTest, HelpExits0) {
+  Cli cli = make_cli();
+  EXPECT_EXIT(parse(cli, {"--help"}), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

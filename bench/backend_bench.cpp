@@ -1,5 +1,5 @@
 // backend_bench — heterogeneous dispatch on a mixed workload (ISSUE 4;
-// five backends since the PimKernel refactor, DESIGN.md §16).
+// four backends since the PimKernel refactor, DESIGN.md §16).
 //
 // The workload mixes the two length regimes the backends are asymmetrically
 // good at — many short pairs, where WFA's cost-proportional work s·(m+n)
@@ -14,11 +14,7 @@
 // is cheap. The headline assertion of BENCH_backend.json is
 // cost_beats_all_singles.
 //
-// The bench is score-only and every pair's sequences are members of one
-// fixed sequence set: that is what lets the score-only SessionBackend (the
-// MRAM-resident-database path) compete on the same workload as the four
-// stateless backends, and it mirrors the database-vs-database shape of the
-// paper's 16S study.
+// The bench is score-only, the capability every backend shares.
 //
 // All numbers are host wall-clock of Dispatcher::align (best of --reps);
 // the PiM backend's wall-clock is the simulator's, so this bench compares
@@ -50,9 +46,6 @@ struct Workload {
   data::PairDataset long_reads;
   std::vector<core::PairInput> pairs;
   std::vector<core::PairInput> probe;  // calibration sample, both classes
-  /// Every sequence of the workload, in order — the fixed set the
-  /// SessionBackend broadcasts to MRAM (pairs resolve by content).
-  std::vector<std::string> db;
   /// Workload-mean per-base divergence, the WFA backends' estimate prior.
   double mean_divergence = 0.05;
 };
@@ -82,15 +75,6 @@ Workload build_workload(std::size_t short_pairs, std::size_t short_len,
                    long_error * static_cast<double>(long_pairs)) /
                       static_cast<double>(total)
                 : 0.05;
-  for (const auto& [a, b] : w.short_reads.pairs) {
-    w.db.push_back(a);
-    w.db.push_back(b);
-  }
-  for (const auto& [a, b] : w.long_reads.pairs) {
-    w.db.push_back(a);
-    w.db.push_back(b);
-  }
-
   // Interleave so threshold/cost routing is exercised throughout the span,
   // not in two contiguous blocks.
   const std::size_t n =
@@ -136,8 +120,7 @@ RunRow run_policy(const std::string& name, const Workload& w,
   row.name = name;
   row.report.wall_seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
-    // Score-only across the board: the session path cannot produce CIGARs,
-    // so this is the shared capability surface of all five backends.
+    // Score-only across the board.
     core::PimAlignerConfig pim_config;
     pim_config.align.traceback = false;
     core::PimBackend pim({pim_config});
@@ -151,9 +134,6 @@ RunRow run_policy(const std::string& name, const Workload& w,
     wfa_config.expected_divergence = w.mean_divergence;
     core::WfaBackend wfa(wfa_config, &workers);
 
-    core::SessionBackend session(
-        {.db = w.db, .aligner = core::PimAlignerConfig{}});
-
     // The PiM-WFA kernel, uncapped: score-only wavefronts recycle a
     // depth-sized slot ring, so the MRAM footprint stays small even with
     // the cost bound lifted, and every pair aligns exactly.
@@ -164,8 +144,7 @@ RunRow run_policy(const std::string& name, const Workload& w,
     pimwfa_config.expected_divergence = w.mean_divergence;
     core::PimBackend pimwfa(pimwfa_config);
 
-    core::Dispatcher dispatcher(config,
-                                {&pim, &cpu, &wfa, &session, &pimwfa});
+    core::Dispatcher dispatcher(config, {&pim, &cpu, &wfa, &pimwfa});
     if (calibrate) {
       if (calibration_file.empty()) {
         dispatcher.calibrate(w.probe, w.probe.size());
@@ -180,17 +159,16 @@ RunRow run_policy(const std::string& name, const Workload& w,
       row.report = std::move(report);
     }
   }
-  std::printf(
-      "%-16s %8.3fs  routed pim %4llu / cpu %4llu / wfa %4llu / "
-      "session %4llu / pimwfa %4llu  aligned %llu/%llu\n",
-      row.name.c_str(), row.report.wall_seconds,
-      static_cast<unsigned long long>(row.report.routed[0]),
-      static_cast<unsigned long long>(row.report.routed[1]),
-      static_cast<unsigned long long>(row.report.routed[2]),
-      static_cast<unsigned long long>(row.report.routed[3]),
-      static_cast<unsigned long long>(row.report.routed[4]),
-      static_cast<unsigned long long>(row.report.aligned),
-      static_cast<unsigned long long>(row.report.total_pairs));
+  std::printf("%-16s %8.3fs  routed", row.name.c_str(),
+              row.report.wall_seconds);
+  for (int k = 0; k < core::kBackendKinds; ++k) {
+    std::printf("%s %s %4llu", k > 0 ? " /" : "",
+                core::backend_kind_name(static_cast<core::BackendKind>(k)),
+                static_cast<unsigned long long>(row.report.routed[k]));
+  }
+  std::printf("  aligned %llu/%llu\n",
+              static_cast<unsigned long long>(row.report.aligned),
+              static_cast<unsigned long long>(row.report.total_pairs));
   return row;
 }
 
@@ -199,8 +177,7 @@ RunRow run_policy(const std::string& name, const Workload& w,
 int main(int argc, char** argv) {
   Cli cli("backend_bench",
           "mixed-workload, score-only comparison of dispatch policies "
-          "across the PiM-NW, CPU-KSW2, host-WFA, session and PiM-WFA "
-          "backends");
+          "across the PiM-NW, CPU-KSW2, host-WFA and PiM-WFA backends");
   cli.flag("short-pairs", std::int64_t{1200}, "short pairs (WFA regime)");
   cli.flag("short-length", std::int64_t{150}, "short read length");
   cli.flag("short-error", 0.02,
@@ -254,8 +231,7 @@ int main(int argc, char** argv) {
   std::vector<RunRow> rows;
   for (const core::BackendKind kind :
        {core::BackendKind::kPim, core::BackendKind::kCpu,
-        core::BackendKind::kWfa, core::BackendKind::kSession,
-        core::BackendKind::kPimWfa}) {
+        core::BackendKind::kWfa, core::BackendKind::kPimWfa}) {
     core::DispatchConfig config;
     config.policy = core::RoutePolicy::kSingle;
     config.single = kind;

@@ -3,13 +3,13 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "baseline/batch.hpp"
 #include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
 #include "dna/packed_sequence.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pimnw::bench {
 
@@ -41,6 +41,14 @@ PimMeasured run_pim_measured(const PairList& pairs,
     out.measured.push_back(mp);
   }
   return out;
+}
+
+core::BackendReport run_cpu_measured(std::span<const core::PairInput> pairs,
+                                     const baseline::Ksw2Options& options) {
+  ThreadPool workers(1);
+  core::CpuBackend cpu({.options = options}, &workers);
+  (void)cpu.wait(cpu.submit(pairs));
+  return cpu.drain();
 }
 
 void print_runtime_table(const std::string& title,
@@ -75,9 +83,7 @@ RuntimeComparison compute_runtime_comparison(const RuntimeTableSpec& spec,
   // minimap2 "band size" is a half-width: rows span ~2*band cells.
   cpu_options.band_width = 2 * spec.cpu_band;
   cpu_options.traceback = spec.traceback;
-  const baseline::CpuBatchReport cpu = baseline::cpu_align_batch(
-      cpu_pairs, align::default_scoring(), cpu_options, nullptr,
-      /*threads=*/1);
+  const core::BackendReport cpu = run_cpu_measured(cpu_pairs, cpu_options);
   PIMNW_CHECK_MSG(cpu.cells_per_second > 0, "CPU measurement failed");
 
   const double replicate_f = static_cast<double>(spec.paper_pairs) /

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "baseline/xeon_model.hpp"
+#include "core/backend.hpp"
 #include "core/host.hpp"
 #include "core/projection.hpp"
 #include "util/cli.hpp"
@@ -35,6 +37,12 @@ struct PimMeasured {
 /// Run the PiM aligner on `pairs` and build projection inputs.
 PimMeasured run_pim_measured(const PairList& pairs,
                              const core::PimAlignerConfig& config);
+
+/// Run the KSW2-like CPU baseline on `pairs` through core::CpuBackend on a
+/// one-worker pool, which the waiting caller helps, and return its report:
+/// the exact cell count and this machine's measured cells/s.
+core::BackendReport run_cpu_measured(std::span<const core::PairInput> pairs,
+                                     const baseline::Ksw2Options& options);
 
 /// One row of a runtime table.
 struct TableRow {

@@ -400,8 +400,6 @@ int main(int argc, char** argv) {
            "run only the threads 2-vs-1 bit-identity gate (vs the serial "
            "1-thread, window-1 schedule) and exit with the verdict; writes "
            "no JSON");
-  cli.flag("list-backends", false,
-           "print the aligner backend kinds and exit");
   cli.flag("list-kernels", false,
            "print the registered PiM kernels and exit");
   cli.flag("log-level", std::string("info"),
@@ -414,14 +412,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (cli.get_bool("list-backends")) {
-    std::printf("aligner backend kinds:\n");
-    for (int k = 0; k < core::kBackendKinds; ++k) {
-      std::printf("  %s\n",
-                  core::backend_kind_name(static_cast<core::BackendKind>(k)));
-    }
-    return 0;
-  }
   if (cli.get_bool("list-kernels")) {
     std::printf("registered PiM kernels:\n");
     for (const core::PimKernel* k : core::registered_kernels()) {
@@ -430,10 +420,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto backend_kind = core::parse_backend_kind(cli.get_string("backend"));
-  const auto policy = core::parse_route_policy(cli.get_string("policy"));
-  if (!backend_kind || !policy) {
-    std::fprintf(stderr, "unknown --backend or --policy value\n");
+  // A kind time_dispatch does not register aborts at routing time.
+  constexpr core::BackendKind kRegistered[] = {core::BackendKind::kPim,
+                                               core::BackendKind::kCpu,
+                                               core::BackendKind::kWfa};
+  const std::string backend_name = cli.get_string("backend");
+  const auto backend_kind = core::parse_backend_kind(backend_name);
+  if (!backend_kind || std::ranges::find(kRegistered, *backend_kind) ==
+                           std::ranges::end(kRegistered)) {
+    std::fprintf(stderr, "unknown --backend %s (pim | cpu | wfa)\n",
+                 backend_name.c_str());
+    return 1;
+  }
+  const std::string policy_name = cli.get_string("policy");
+  const auto policy = core::parse_route_policy(policy_name);
+  if (!policy) {
+    std::fprintf(stderr, "unknown --policy %s\n", policy_name.c_str());
     return 1;
   }
 

@@ -3,7 +3,6 @@
 // move only index pairs and scores — §5.3, DESIGN.md §13).
 #include <iostream>
 
-#include "baseline/batch.hpp"
 #include "common/bench_common.hpp"
 #include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
@@ -47,9 +46,8 @@ int main(int argc, char** argv) {
     }
   }
   // minimap2 band 512 in the paper's half-width convention: ~1024 cells/row.
-  const baseline::CpuBatchReport cpu = baseline::cpu_align_batch(
-      cpu_pairs, align::default_scoring(),
-      {.band_width = 1024, .traceback = false}, nullptr, 1);
+  const core::BackendReport cpu = bench::run_cpu_measured(
+      cpu_pairs, {.band_width = 1024, .traceback = false});
   const std::uint64_t cpu_cells_at_scale = static_cast<std::uint64_t>(
       static_cast<double>(cpu.total_cells) * replicate_f);
 

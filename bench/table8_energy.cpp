@@ -4,7 +4,6 @@
 // power x modeled runtime at paper scale.
 #include <iostream>
 
-#include "baseline/batch.hpp"
 #include "common/bench_common.hpp"
 #include "core/energy.hpp"
 #include "core/mram_layout.hpp"

@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/host.hpp"
 #include "core/pim_kernel.hpp"
 #include "core/stats.hpp"
@@ -61,8 +60,6 @@ int main(int argc, char** argv) {
            "PiM kernel to profile (see --list-kernels)");
   cli.flag("list-kernels", false,
            "print the registered PiM kernels and exit");
-  cli.flag("list-backends", false,
-           "print the aligner backend kinds and exit");
   cli.flag("log-level", std::string("info"),
            "stderr log level: debug | info | warn | error");
   cli.flag("json-out", std::string(""),
@@ -81,14 +78,6 @@ int main(int argc, char** argv) {
     std::printf("registered PiM kernels:\n");
     for (const core::PimKernel* k : core::registered_kernels()) {
       std::printf("  %-8s %s\n", k->name(), k->description());
-    }
-    return 0;
-  }
-  if (cli.get_bool("list-backends")) {
-    std::printf("aligner backend kinds:\n");
-    for (int k = 0; k < core::kBackendKinds; ++k) {
-      std::printf("  %s\n",
-                  core::backend_kind_name(static_cast<core::BackendKind>(k)));
     }
     return 0;
   }

@@ -60,10 +60,22 @@ int main(int argc, char** argv) {
   }
   ThreadPool workers(threads);
 
-  const auto backend_kind = core::parse_backend_kind(cli.get_string("backend"));
-  const auto policy = core::parse_route_policy(cli.get_string("policy"));
-  if (!backend_kind || !policy) {
-    std::fprintf(stderr, "unknown --backend or --policy value\n");
+  // A kind the dispatcher below does not register aborts at routing time.
+  constexpr core::BackendKind kRegistered[] = {core::BackendKind::kPim,
+                                               core::BackendKind::kCpu,
+                                               core::BackendKind::kWfa};
+  const std::string backend_name = cli.get_string("backend");
+  const auto backend_kind = core::parse_backend_kind(backend_name);
+  if (!backend_kind || std::ranges::find(kRegistered, *backend_kind) ==
+                           std::ranges::end(kRegistered)) {
+    std::fprintf(stderr, "unknown --backend %s (pim | cpu | wfa)\n",
+                 backend_name.c_str());
+    return 1;
+  }
+  const std::string policy_name = cli.get_string("policy");
+  const auto policy = core::parse_route_policy(policy_name);
+  if (!policy) {
+    std::fprintf(stderr, "unknown --policy %s\n", policy_name.c_str());
     return 1;
   }
 

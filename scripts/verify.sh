@@ -64,7 +64,9 @@
 #
 # The default preset also smoke-runs a command-line error: quickstart
 # --bogus 1 must exit 2 and name the flag (util::Cli prints the error and
-# the usage instead of throwing out of main).
+# the usage instead of throwing out of main). It also smoke-runs a backend
+# kind the program does not register: pimnw_trace --backend pimwfa must
+# exit 1 and name the value, not abort in the dispatcher.
 #
 # A --tidy flag adds a clang-tidy pass (the .clang-tidy profile) over the
 # core orchestration and simulator sources; it is skipped with a notice when
@@ -167,6 +169,17 @@ for preset in "${PRESETS[@]}"; do
     if [ "$CLI_STATUS" -ne 2 ] ||
         ! grep -q -- 'unknown flag --bogus' "$BUILD_DIR/cli_smoke.err"; then
       echo "quickstart --bogus 1 exited $CLI_STATUS (want 2, naming the flag):"
+      cat "$BUILD_DIR/cli_smoke.err"
+      exit 1
+    fi
+    echo "=== [$preset] unregistered backend smoke"
+    CLI_STATUS=0
+    "$BUILD_DIR/examples/pimnw_trace" --backend pimwfa --pairs 8 \
+        --length 200 >/dev/null 2>"$BUILD_DIR/cli_smoke.err" || CLI_STATUS=$?
+    if [ "$CLI_STATUS" -ne 1 ] ||
+        ! grep -q -- 'unknown --backend pimwfa' "$BUILD_DIR/cli_smoke.err"; then
+      echo "pimnw_trace --backend pimwfa exited $CLI_STATUS (want 1, naming" \
+          "the value):"
       cat "$BUILD_DIR/cli_smoke.err"
       exit 1
     fi
@@ -279,7 +292,7 @@ if [ "$RUN_BENCH" -eq 1 ]; then
       >/dev/null
   echo "=== [bench] diff vs committed baseline"
   python3 scripts/bench_diff.py BENCH_host.json "$BENCH_TMP/BENCH_host.json"
-  echo "=== [bench] regenerate BENCH_backend.json (5-backend dispatch)"
+  echo "=== [bench] regenerate BENCH_backend.json (4-backend dispatch)"
   cmake --build --preset default -j "$JOBS" --target backend_bench
   "$ROOT/build/bench/backend_bench" --out "$BENCH_TMP/BENCH_backend.json" \
       >/dev/null

@@ -1,12 +1,15 @@
 #include "baseline/ksw2_like.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "align/bt_code.hpp"
 #include "align/traceback.hpp"
 #include "dna/alphabet.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace pimnw::baseline {
 
@@ -165,6 +168,31 @@ AlignResult ksw2_align(std::string_view a, std::string_view b,
         });
   }
   return result;
+}
+
+double measure_local_cells_per_second(std::uint64_t target_cells) {
+  Xoshiro256 rng(0xCA11B8A7E);
+  const std::size_t len = 4000;
+  std::string a(len, 'A');
+  std::string b(len, 'A');
+  for (std::size_t i = 0; i < len; ++i) {
+    a[i] = dna::decode_base(static_cast<dna::Code>(rng.below(4)));
+    b[i] = rng.chance(0.95) ? a[i]
+                            : dna::decode_base(
+                                  static_cast<dna::Code>(rng.below(4)));
+  }
+  Ksw2Options options;
+  options.band_width = 256;
+  options.traceback = true;
+  std::uint64_t cells = 0;
+  Stopwatch watch;
+  while (cells < target_cells) {
+    const align::AlignResult r =
+        ksw2_align(a, b, align::default_scoring(), options);
+    cells += r.cells;
+  }
+  const double seconds = watch.seconds();
+  return seconds > 0 ? static_cast<double>(cells) / seconds : 0.0;
 }
 
 }  // namespace pimnw::baseline

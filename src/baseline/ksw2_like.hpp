@@ -11,6 +11,7 @@
 // implementation style and speed differ.
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 
 #include "align/result.hpp"
@@ -25,5 +26,10 @@ struct Ksw2Options {
 align::AlignResult ksw2_align(std::string_view a, std::string_view b,
                               const align::Scoring& scoring,
                               const Ksw2Options& options = {});
+
+/// Measure this machine's single-thread ksw2_align throughput in
+/// cells/second on a synthetic workload — the per-core rate the Xeon timing
+/// model (baseline/xeon_model.hpp) builds on.
+double measure_local_cells_per_second(std::uint64_t target_cells = 50'000'000);
 
 }  // namespace pimnw::baseline

@@ -62,8 +62,6 @@ const char* backend_kind_name(BackendKind kind) {
       return "cpu";
     case BackendKind::kWfa:
       return "wfa";
-    case BackendKind::kSession:
-      return "session";
     case BackendKind::kPimWfa:
       return "pimwfa";
   }
@@ -74,7 +72,6 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name) {
   if (name == "pim") return BackendKind::kPim;
   if (name == "cpu") return BackendKind::kCpu;
   if (name == "wfa") return BackendKind::kWfa;
-  if (name == "session") return BackendKind::kSession;
   if (name == "pimwfa") return BackendKind::kPimWfa;
   return std::nullopt;
 }
@@ -249,7 +246,6 @@ PimBackend::~PimBackend() {
 BackendCapabilities PimBackend::capabilities() const {
   BackendCapabilities caps;
   caps.traceback = config_.aligner.align.traceback;
-  caps.affine_gaps = true;
   caps.max_pair_length = kernel_for(config_.aligner).max_sequence_bases();
   caps.modeled_time = true;
   return caps;
@@ -316,112 +312,6 @@ BackendReport PimBackend::drain() {
   return report;
 }
 
-// ------------------------------------------------------------- SessionBackend
-
-SessionBackend::SessionBackend(Config config) : config_(std::move(config)) {
-  for (std::size_t i = 0; i < config_.db.size(); ++i) {
-    // First occurrence wins for duplicate sequences — identical content
-    // aligns identically, so any index with that content is correct.
-    index_.emplace(std::string_view(config_.db[i]),
-                   static_cast<std::uint32_t>(i));
-  }
-  session_ = std::make_unique<DbSession>(config_.db, config_.aligner);
-}
-
-SessionBackend::~SessionBackend() {
-  PIMNW_CHECK_MSG(queued_.empty(),
-                  "SessionBackend destroyed with submitted batches not yet "
-                  "waited/drained");
-}
-
-BackendCapabilities SessionBackend::capabilities() const {
-  BackendCapabilities caps;
-  caps.traceback = false;  // sessions are score-only
-  caps.affine_gaps = true;
-  caps.max_pair_length = 0;
-  caps.modeled_time = true;
-  return caps;
-}
-
-double SessionBackend::estimate_seconds(std::size_t len_a,
-                                        std::size_t len_b) const {
-  const std::uint64_t cells = pair_workload(
-      len_a, len_b,
-      static_cast<std::uint64_t>(config_.aligner.align.band_width));
-  return static_cast<double>(cells) / kSimCellsPerSecond * cost_scale();
-}
-
-AlignerBackend::Ticket SessionBackend::submit(
-    std::span<const PairInput> pairs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Ticket ticket = next_ticket_++;
-  queued_.emplace(ticket, pairs);
-  return ticket;
-}
-
-std::vector<PairOutput> SessionBackend::wait(Ticket ticket) {
-  std::span<const PairInput> pairs;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = queued_.find(ticket);
-    PIMNW_CHECK_MSG(it != queued_.end(),
-                    "SessionBackend::wait: unknown or already-waited ticket");
-    pairs = it->second;
-    queued_.erase(it);
-  }
-  // Resolve the views against the resident database: only index pairs cross
-  // the modeled bus.
-  std::vector<IndexPair> indices;
-  indices.reserve(pairs.size());
-  for (const PairInput& pair : pairs) {
-    const auto a = index_.find(pair.a);
-    const auto b = index_.find(pair.b);
-    PIMNW_CHECK_MSG(a != index_.end() && b != index_.end(),
-                    "SessionBackend: submitted pair is not part of the "
-                    "session database");
-    indices.push_back({a->second, b->second});
-  }
-  PIMNW_TRACE_SPAN("session backend batch");
-  Stopwatch watch;
-  std::vector<PairOutput> outputs;
-  const RunReport cumulative = session_->align_pairs(indices, &outputs);
-  const double wall = watch.seconds();
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++accum_.submissions;
-  accum_.kind = BackendKind::kSession;
-  accum_.total_pairs += pairs.size();
-  for (const PairOutput& output : outputs) {
-    if (output.ok) ++accum_.aligned;
-  }
-  accum_.measured_seconds += wall;
-  // The session report is cumulative (that is the point — the broadcast
-  // amortizes), so fold only this wait's makespan delta and keep the
-  // lifetime totals as the pim report.
-  accum_.modeled_seconds += cumulative.makespan_seconds - reported_makespan_;
-  reported_makespan_ = cumulative.makespan_seconds;
-  accum_.pim = cumulative;
-  return outputs;
-}
-
-BackendReport SessionBackend::drain() {
-  for (;;) {
-    Ticket ticket;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queued_.empty()) break;
-      ticket = queued_.begin()->first;
-    }
-    (void)wait(ticket);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  BackendReport report = accum_;
-  report.kind = BackendKind::kSession;
-  report.pim = session_->finish();  // always the current cumulative totals
-  accum_ = BackendReport{};
-  return report;
-}
-
 // ----------------------------------------------------------------- CpuBackend
 
 CpuBackend::CpuBackend(Config config, ThreadPool* pool)
@@ -430,7 +320,6 @@ CpuBackend::CpuBackend(Config config, ThreadPool* pool)
 BackendCapabilities CpuBackend::capabilities() const {
   BackendCapabilities caps;
   caps.traceback = config_.options.traceback;
-  caps.affine_gaps = true;
   caps.max_pair_length = 0;
   caps.modeled_time = false;
   return caps;
@@ -463,7 +352,6 @@ WfaBackend::WfaBackend(Config config, ThreadPool* pool)
 BackendCapabilities WfaBackend::capabilities() const {
   BackendCapabilities caps;
   caps.traceback = config_.traceback;
-  caps.affine_gaps = true;
   caps.max_pair_length = 0;
   caps.modeled_time = false;
   return caps;

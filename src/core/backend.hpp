@@ -6,9 +6,9 @@
 // several aligner implementations behind one dispatch surface. This header
 // defines that surface: AlignerBackend hides *how* a batch of PairInputs is
 // aligned (modeled PiM system, measured CPU KSW2-like DP, measured WFA)
-// behind submit/wait/drain, and BackendReport subsumes the old
-// RunReport/CpuBatchReport split while keeping modeled and measured time in
-// strictly separate fields — they are never summed or compared implicitly.
+// behind submit/wait/drain, and BackendReport keeps modeled and measured
+// time in strictly separate fields — they are never summed or compared
+// implicitly.
 //
 // Concurrency model: submit() may start executing immediately on the shared
 // work-stealing pool (the host backends post chunk jobs), so several
@@ -32,7 +32,6 @@
 #include "align/wfa.hpp"
 #include "baseline/ksw2_like.hpp"
 #include "core/host.hpp"
-#include "core/session.hpp"
 #include "core/types.hpp"
 
 namespace pimnw {
@@ -41,8 +40,8 @@ class ThreadPool;
 
 namespace pimnw::core {
 
-enum class BackendKind { kPim, kCpu, kWfa, kSession, kPimWfa };
-inline constexpr int kBackendKinds = 5;
+enum class BackendKind { kPim, kCpu, kWfa, kPimWfa };
+inline constexpr int kBackendKinds = 4;
 
 const char* backend_kind_name(BackendKind kind);
 std::optional<BackendKind> parse_backend_kind(std::string_view name);
@@ -50,8 +49,7 @@ std::optional<BackendKind> parse_backend_kind(std::string_view name);
 /// What a backend can and cannot do — the dispatcher refuses routes that
 /// violate these instead of silently truncating results.
 struct BackendCapabilities {
-  bool traceback = true;    // can produce CIGARs
-  bool affine_gaps = true;  // full gap-affine model (all three today)
+  bool traceback = true;  // can produce CIGARs
   /// Longest single sequence the backend accepts (0 = unbounded). Cost
   /// routing and calibration pass a backend over for longer pairs.
   std::uint64_t max_pair_length = 0;
@@ -60,8 +58,7 @@ struct BackendCapabilities {
   bool modeled_time = false;
 };
 
-/// Per-backend run accounting — the union of the old core::RunReport and
-/// baseline::CpuBatchReport roles. `measured_seconds` is host wall-clock
+/// Per-backend run accounting. `measured_seconds` is host wall-clock
 /// actually spent computing; `modeled_seconds` is simulator-derived PiM time.
 /// Exactly one of them is the backend's primary axis (capabilities().
 /// modeled_time says which); the other is still reported, never mixed.
@@ -79,11 +76,8 @@ struct BackendReport {
   /// DP / wavefront cells computed on the host (measured backends).
   std::uint64_t total_cells = 0;
   double cells_per_second = 0.0;  // total_cells / measured_seconds
-  /// Full PiM orchestration report (PimBackend and SessionBackend). For
-  /// PimBackend it is merged over submissions (additive fields summed,
-  /// ratio fields batch-weighted); for SessionBackend it is the session's
-  /// *cumulative* report — the one-time database broadcast amortizes across
-  /// submissions, so per-submission deltas would misattribute it.
+  /// Full PiM orchestration report (PimBackend), merged over submissions
+  /// (additive fields summed, ratio fields batch-weighted).
   RunReport pim;
 };
 
@@ -198,52 +192,6 @@ class PimBackend : public AlignerBackend {
   Ticket next_ticket_ = 1;
   std::map<Ticket, std::span<const PairInput>> queued_;
   BackendReport accum_;
-};
-
-/// A persistent-database session behind the backend interface (DESIGN.md
-/// §13): the 2-bit-packed database is broadcast to every bank's MRAM once at
-/// construction; each submitted batch then moves only 8-byte index pairs out
-/// and 16-byte score records back. Submitted PairInputs must view sequences
-/// of the session database (resolved by content); an unknown sequence fails
-/// a check — this backend serves workloads whose pairs are drawn from a
-/// fixed set, not arbitrary inputs. Score-only by definition
-/// (capabilities().traceback == false). Like PimBackend, submit() only
-/// enqueues and the simulation runs inside wait() on the calling thread.
-class SessionBackend : public AlignerBackend {
- public:
-  struct Config {
-    /// The resident database (copied into the session at construction).
-    std::vector<std::string> db;
-    PimAlignerConfig aligner;
-  };
-
-  explicit SessionBackend(Config config);
-  ~SessionBackend() override;
-
-  BackendKind kind() const override { return BackendKind::kSession; }
-  BackendCapabilities capabilities() const override;
-  double estimate_seconds(std::size_t len_a, std::size_t len_b) const override;
-  Ticket submit(std::span<const PairInput> pairs) override;
-  std::vector<PairOutput> wait(Ticket ticket) override;
-  BackendReport drain() override;
-
-  /// The underlying session (e.g. for align_all_vs_all sweeps that bypass
-  /// the pair-batch interface).
-  DbSession& session() { return *session_; }
-
- private:
-  Config config_;
-  /// Content → database index over config_.db (keys view the owned
-  /// strings, which never move after construction).
-  std::map<std::string_view, std::uint32_t> index_;
-  std::unique_ptr<DbSession> session_;
-  std::mutex mutex_;
-  Ticket next_ticket_ = 1;
-  std::map<Ticket, std::span<const PairInput>> queued_;
-  BackendReport accum_;
-  /// Session makespan already folded into accum_.modeled_seconds — the
-  /// session report is cumulative, so each wait() adds only its delta.
-  double reported_makespan_ = 0.0;
 };
 
 /// The KSW2-like banded CPU baseline behind the backend interface

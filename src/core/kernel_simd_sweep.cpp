@@ -128,7 +128,12 @@ __attribute__((always_inline)) inline void sweep(const DiagSpan& span,
   }
 }
 
-/// Rows ahead of the sweep whose cache lines a band run prefetches.
+/// Rows ahead of the sweep whose cache lines a band run prefetches. The
+/// rows lie in a 64 KiB chunk that was zero-filled when the pair first
+/// asked for it, yet the prefetch still pays: on a 4-vCPU AVX-512 Xeon VM,
+/// two series of 5 alternating 30 s long_cigar pairs at seed 1 read median
+/// aln/s 1406 and 1469 with it, 1312 and 1406 without (-6.7% and -4.3%);
+/// it won 9 of the 10 pairs.
 constexpr std::int64_t kPrefetchRows = 4;
 
 /// BandRun's loop: per steady anti-diagonal, compute_band's general path

@@ -1,14 +1,8 @@
 // Pair and result types shared by every aligner front door (ISSUE 4).
 //
-// Before the backend layer, core::PairInput and baseline::CpuPair were
-// copy-pasted twins, and each front door had its own result struct. These
-// are the single definitions now: the PiM host (core/host.hpp), the CPU
-// baseline (baseline/batch.hpp), the backend layer (core/backend.hpp) and
-// the dispatcher (core/dispatch.hpp) all consume and produce them.
-//
-// Header-only on purpose: baseline/ includes it without linking pimnw_core,
-// so the library dependency graph stays acyclic (core links baseline, not
-// the other way around).
+// These are the single definitions: the PiM host (core/host.hpp), the
+// backend layer (core/backend.hpp) and the dispatcher (core/dispatch.hpp)
+// all consume and produce them.
 #pragma once
 
 #include <cstdint>

@@ -203,8 +203,8 @@ bool ThreadPool::run_one(int index) {
     (*task)();
   } catch (const std::exception& e) {
     // Only post()ed tasks can get here (submit wraps everything in a
-    // packaged_task, parallel_for catches per iteration). post() promises
-    // not to throw; surface the broken promise without killing the worker.
+    // packaged_task). post() promises not to throw; surface the broken
+    // promise without killing the worker.
     PIMNW_WARN("task posted to ThreadPool threw: " << e.what());
   } catch (...) {
     PIMNW_WARN("task posted to ThreadPool threw a non-std exception");
@@ -230,74 +230,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     });
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
     if (stop_ && pending_.load(std::memory_order_seq_cst) == 0) return;
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-
-  struct Sweep {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-  };
-  auto sweep = std::make_shared<Sweep>();
-
-  // One claiming loop, shared by the caller and the helper tasks. `fn` is
-  // only captured by reference in the caller's own loop; helpers capture a
-  // copy-free pointer since parallel_for blocks until done == n. The final
-  // iteration's completion unparks any waiter sleeping below (and any
-  // parked orchestrator — spurious wakes are part of park's contract).
-  const auto* fn_ptr = &fn;
-  auto drain = [this, sweep, fn_ptr, n] {
-    for (;;) {
-      const std::size_t i =
-          sweep->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      try {
-        (*fn_ptr)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(sweep->error_mutex);
-        if (!sweep->error) sweep->error = std::current_exception();
-      }
-      if (sweep->done.fetch_add(1, std::memory_order_seq_cst) + 1 == n) {
-        unpark_all();
-      }
-    }
-  };
-
-  const std::size_t helpers = std::min(size(), n);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    post(drain);
-  }
-  drain();  // the caller participates
-
-  // Iterations may still be running on (or queued for) workers. Help
-  // execute arbitrary pool tasks while waiting: if this parallel_for was
-  // itself issued from inside a pool task, refusing to help could leave a
-  // fully-blocked pool (every worker waiting on someone else's helpers).
-  // When the queues run dry, park on the pool's sleep/notify hook instead
-  // of burning a core on yield-spins — drain's completion (or any enqueue)
-  // wakes the thread the moment there is something to do. This is what lets
-  // a worker that owns a rank-pipeline job block on a nested DPU sweep
-  // without starving the pool (DESIGN.md §15).
-  const int index = worker_index();
-  while (sweep->done.load(std::memory_order_seq_cst) < n) {
-    if (!run_one(index)) {
-      park([&sweep, n] {
-        return sweep->done.load(std::memory_order_seq_cst) >= n;
-      });
-    }
-  }
-  // Take the error out of the sweep before rethrowing: a helper task that
-  // wakes after the last iteration may still own the sweep, and the
-  // exception must not be released from that thread while this one is
-  // handling it (its refcount lives in the uninstrumented C++ runtime, so
-  // ThreadSanitizer cannot see that ordering).
-  if (std::exception_ptr error = std::move(sweep->error)) {
-    std::rethrow_exception(error);
   }
 }
 

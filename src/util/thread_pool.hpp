@@ -1,6 +1,6 @@
-// Work-stealing thread pool with futures and parallel_for helpers. Used by
-// (a) the host execution engine to run simulated DPU jobs from multiple
-// in-flight rank-batches and (b) the CPU baseline batch aligner.
+// Work-stealing thread pool with futures. Used by (a) the host execution
+// engine to run simulated DPU jobs from multiple in-flight rank-batches and
+// (b) the host backends (core/backend.hpp), one job per pair.
 //
 // Scheduling: each worker owns a Chase–Lev deque. Tasks submitted from a
 // worker go to its own deque (LIFO for the owner, cheap and cache-warm);
@@ -203,19 +203,6 @@ class ThreadPool {
   /// Fire-and-forget enqueue (no future allocation). The callable must not
   /// throw; escaped exceptions are logged and swallowed by the worker.
   void post(std::function<void()> fn);
-
-  /// Run fn(i) for i in [0, n), blocking until all iterations complete.
-  /// Iterations are claimed one at a time from a shared atomic counter
-  /// (dynamic scheduling), so a descending-cost sequence — e.g. LPT bins —
-  /// spreads across workers instead of piling onto the first chunk. The
-  /// caller participates and, once the counter is drained, helps execute
-  /// other pool tasks while waiting, which makes nested parallel_for calls
-  /// from inside pool tasks deadlock-free; when there is nothing left to
-  /// help with, the caller parks on the pool's sleep/notify hook (no
-  /// busy-spin) and the final iteration's completion unparks it. The first
-  /// exception thrown by an iteration is rethrown here after all iterations
-  /// finish.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Run one queued task on the calling thread (own deque, then stealing,
   /// then the injector). Returns false when nothing was immediately

@@ -1,7 +1,5 @@
 #include "baseline/ksw2_like.hpp"
 
-#include "baseline/batch.hpp"
-
 #include <gtest/gtest.h>
 
 #include "align/banded_static.hpp"
@@ -73,37 +71,6 @@ TEST(Ksw2Test, ScoreOnlyModeMatches) {
 TEST(Ksw2Test, RejectsNonAcgt) {
   EXPECT_THROW(ksw2_align("ACGN", "ACGT", kScoring, {}), CheckError);
   EXPECT_THROW(ksw2_align("ACGT", "NNNN", kScoring, {}), CheckError);
-}
-
-TEST(CpuBatchTest, AlignsAllPairsOnMultipleThreads) {
-  Xoshiro256 rng(4);
-  std::vector<std::pair<std::string, std::string>> storage;
-  std::vector<core::PairInput> pairs;
-  for (int p = 0; p < 50; ++p) {
-    std::string a = testing::random_dna(rng, 150);
-    std::string b = testing::mutate(rng, a, 0.1);
-    storage.emplace_back(std::move(a), std::move(b));
-  }
-  for (const auto& [a, b] : storage) pairs.push_back({a, b});
-
-  std::vector<align::AlignResult> results;
-  const CpuBatchReport report = cpu_align_batch(
-      pairs, kScoring, {.band_width = 64, .traceback = true}, &results, 2);
-  EXPECT_EQ(results.size(), 50u);
-  EXPECT_EQ(report.aligned, 50u);
-  EXPECT_GT(report.total_cells, 0u);
-  EXPECT_GT(report.cells_per_second, 0.0);
-  for (std::size_t p = 0; p < results.size(); ++p) {
-    EXPECT_EQ(align::check_alignment(results[p], storage[p].first,
-                                     storage[p].second, kScoring),
-              "");
-  }
-}
-
-TEST(CpuBatchTest, EmptyBatch) {
-  const CpuBatchReport report =
-      cpu_align_batch({}, kScoring, {}, nullptr, 1);
-  EXPECT_EQ(report.total_cells, 0u);
 }
 
 TEST(CpuBatchTest, ThroughputMeasurementIsPositive) {

@@ -1,8 +1,10 @@
 // Backend layer + dispatcher (ISSUE 4): PimBackend bit-identity with the
 // direct host path, cross-backend score agreement against full DP, routing
-// policies, in-order merge, and accounting resets. Suite names carry
-// "Backend"/"Dispatch" so the tsan preset's test filter includes them (the
-// dispatcher is the one place all backends run concurrently).
+// policies, in-order merge, accounting resets and a pair's error surfacing
+// at its own ticket. Suite names carry "Backend"/"Dispatch" so the tsan
+// preset's test filter includes them (the dispatcher is the one place all
+// backends run concurrently); CpuBatchTest falls outside the filter, and
+// BackendTicketsTest runs CpuBackend under it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,7 @@
 
 #include "align/nw_full.hpp"
 #include "align/verify.hpp"
+#include "baseline/ksw2_like.hpp"
 #include "core/backend.hpp"
 #include "core/dispatch.hpp"
 #include "core/wfa_kernel.hpp"
@@ -313,6 +316,94 @@ TEST(BackendTicketsTest, OverlappingSubmitsResolveIndependently) {
   EXPECT_EQ(empty.submissions, 0u);
   EXPECT_EQ(empty.total_pairs, 0u);
   EXPECT_EQ(empty.measured_seconds, 0.0);
+}
+
+// A pair that throws fails its own ticket only, on the shape the table
+// benches run the CPU baseline in: CpuBackend on a one-worker pool whose
+// waiting caller helps it, so the caller may run the throwing pair itself
+// while it waits for the other ticket. ksw2_align rejects a non-ACGT base
+// with CheckError (Ksw2Test.RejectsNonAcgt).
+TEST(BackendTicketsTest, PairErrorSurfacesAtItsOwnTicket) {
+  const TestPairs t = make_pairs(8, 120, 0.05, 12);
+  std::vector<PairInput> poisoned(t.pairs.begin(), t.pairs.begin() + 4);
+  poisoned.insert(poisoned.begin() + 2, PairInput{"ACGN", "ACGT"});
+  const std::span<const PairInput> clean(t.pairs.data() + 4, 4);
+
+  ThreadPool workers(1);
+  const CpuBackend::Config config;
+  {
+    CpuBackend cpu(config, &workers);
+    const AlignerBackend::Ticket a = cpu.submit(poisoned);
+    const AlignerBackend::Ticket b = cpu.submit(clean);
+    const std::vector<PairOutput> out = cpu.wait(b);
+    EXPECT_THROW((void)cpu.wait(a), CheckError);
+    // Both tickets are settled, so an assertion below cannot leave one
+    // pending for the destructor's check.
+    ASSERT_EQ(out.size(), clean.size());
+    for (std::size_t p = 0; p < clean.size(); ++p) {
+      const align::AlignResult ref = baseline::ksw2_align(
+          clean[p].a, clean[p].b, config.scoring, config.options);
+      ASSERT_TRUE(ref.reached_end) << "pair " << p;
+      EXPECT_TRUE(out[p].ok) << "pair " << p;
+      EXPECT_EQ(out[p].score, ref.score) << "pair " << p;
+      EXPECT_EQ(out[p].cells, ref.cells) << "pair " << p;
+      EXPECT_EQ(out[p].cigar.to_string(), ref.cigar.to_string())
+          << "pair " << p;
+    }
+
+    // drain() has nothing left to rethrow: it reports both tickets, then a
+    // clean slate.
+    std::uint64_t valid_cells = 0;
+    for (const PairInput& pair : t.pairs) {
+      valid_cells +=
+          baseline::ksw2_align(pair.a, pair.b, config.scoring, config.options)
+              .cells;
+    }
+    const BackendReport report = cpu.drain();
+    EXPECT_EQ(report.submissions, 2u);
+    EXPECT_EQ(report.total_pairs, poisoned.size() + clean.size());
+    EXPECT_EQ(report.aligned, t.pairs.size());
+    EXPECT_EQ(report.total_cells, valid_cells);
+    const BackendReport empty = cpu.drain();
+    EXPECT_EQ(empty.submissions, 0u);
+    EXPECT_EQ(empty.total_pairs, 0u);
+  }  // ~PoolBackend checks that no ticket is left pending
+}
+
+// The CPU baseline's report is what the table benches read: every pair
+// aligned on a multi-worker pool, its cells counted and its throughput
+// measured.
+TEST(CpuBatchTest, AlignsAllPairsOnMultipleThreads) {
+  const TestPairs t = make_pairs(50, 150, 0.1, 4);
+  const align::Scoring scoring;
+  ThreadPool workers(2);
+  CpuBackend cpu({.options = {.band_width = 64, .traceback = true}},
+                 &workers);
+  const std::vector<PairOutput> outputs = cpu.wait(cpu.submit(t.pairs));
+  const BackendReport report = cpu.drain();
+  ASSERT_EQ(outputs.size(), t.pairs.size());
+  EXPECT_EQ(report.aligned, t.pairs.size());
+  EXPECT_GT(report.total_cells, 0u);
+  EXPECT_GT(report.cells_per_second, 0.0);
+  for (std::size_t p = 0; p < outputs.size(); ++p) {
+    align::AlignResult as_result;
+    as_result.score = outputs[p].score;
+    as_result.cigar = outputs[p].cigar;
+    as_result.reached_end = outputs[p].ok;
+    EXPECT_EQ(align::check_alignment(as_result, t.pairs[p].a, t.pairs[p].b,
+                                     scoring),
+              "")
+        << "pair " << p;
+  }
+}
+
+TEST(CpuBatchTest, EmptyBatch) {
+  ThreadPool workers(1);
+  CpuBackend cpu({}, &workers);
+  EXPECT_TRUE(cpu.wait(cpu.submit({})).empty());
+  const BackendReport report = cpu.drain();
+  EXPECT_EQ(report.total_cells, 0u);
+  EXPECT_EQ(report.cells_per_second, 0.0);
 }
 
 TEST(DispatchCalibrate, ScalesEstimatesByMeasuredThroughput) {

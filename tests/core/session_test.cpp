@@ -1,8 +1,8 @@
 // Persistent-database sessions (DESIGN.md §13): bit-identity of the
 // session path against the per-batch pairwise path and full DP, the
 // exactly-once triangular tiling property, streaming top-K/threshold
-// reduction vs the full matrix, bounded MRAM footprints across rounds,
-// broadcast-bytes attribution, and SessionBackend behind the Dispatcher.
+// reduction vs the full matrix, bounded MRAM footprints across rounds and
+// broadcast-bytes attribution.
 // Suite names carry "Session" so the tsan preset's test filter includes
 // them (sinks run concurrently from decode workers).
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "align/nw_full.hpp"
-#include "core/backend.hpp"
-#include "core/dispatch.hpp"
 #include "core/host.hpp"
 #include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
@@ -286,51 +284,6 @@ TEST(SessionStats, BroadcastAttributedSeparately) {
   // plus its share of the 96-byte round header — far below re-sending the
   // packed sequences (~2 x 48 bp / 4 + entries ≈ hundreds of bytes).
   EXPECT_LT(first_marginal / pairs.size(), 200u);
-}
-
-// SessionBackend behind the Dispatcher: content-resolved routing produces
-// the same scores as the direct session, and the dispatch report
-// attributes the pairs to the session kind.
-TEST(SessionBackendDispatch, RoutesViaDispatcher) {
-  const std::vector<std::string> db = tiny_db(8, 3);
-  const std::vector<IndexPair> pairs = all_pairs(db.size());
-
-  std::vector<PairOutput> direct_out;
-  {
-    DbSession direct(db, session_config(1));
-    (void)direct.align_pairs(pairs, &direct_out);
-  }
-
-  SessionBackend::Config backend_config;
-  backend_config.db = db;
-  backend_config.aligner = session_config(1);
-  SessionBackend backend(std::move(backend_config));
-  EXPECT_FALSE(backend.capabilities().traceback);
-  EXPECT_TRUE(backend.capabilities().modeled_time);
-
-  std::vector<PairInput> view_pairs;
-  for (const IndexPair& pair : pairs) {
-    view_pairs.push_back({db[pair.a], db[pair.b]});
-  }
-  DispatchConfig dispatch_config;
-  dispatch_config.policy = RoutePolicy::kSingle;
-  dispatch_config.single = BackendKind::kSession;
-  Dispatcher dispatcher(dispatch_config, {&backend});
-  std::vector<PairOutput> routed_out;
-  const DispatchReport report = dispatcher.align(view_pairs, &routed_out);
-
-  ASSERT_EQ(routed_out.size(), direct_out.size());
-  for (std::size_t p = 0; p < direct_out.size(); ++p) {
-    EXPECT_EQ(routed_out[p].ok, direct_out[p].ok) << "pair " << p;
-    EXPECT_EQ(routed_out[p].score, direct_out[p].score) << "pair " << p;
-  }
-  EXPECT_EQ(report.routed[static_cast<std::size_t>(BackendKind::kSession)],
-            pairs.size());
-  ASSERT_EQ(report.backends.size(), 1u);
-  EXPECT_EQ(report.backends[0].kind, BackendKind::kSession);
-  EXPECT_GT(report.backends[0].pim.bytes_broadcast, 0u);
-  EXPECT_EQ(*parse_backend_kind("session"), BackendKind::kSession);
-  EXPECT_STREQ(backend_kind_name(BackendKind::kSession), "session");
 }
 
 // Session wire format: the round image must refuse traceback configs and

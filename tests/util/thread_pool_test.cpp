@@ -34,29 +34,6 @@ TEST(ThreadPoolTest, ManyTasksAllRun) {
   EXPECT_EQ(count.load(), 500);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIterations) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPoolTest, ParallelForSingleIteration) {
-  ThreadPool pool(2);
-  int value = 0;
-  pool.parallel_for(1, [&](std::size_t i) { value = static_cast<int>(i) + 7; });
-  EXPECT_EQ(value, 7);
-}
-
 TEST(ThreadPoolTest, SizeReflectsConstruction) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
@@ -106,144 +83,6 @@ TEST(ThreadPoolTest, WorkerIndexDistinguishesWorkersFromOutside) {
   ThreadPool other(1);
   auto cross = other.submit([&pool] { return pool.worker_index(); }).get();
   EXPECT_EQ(cross, -1);
-}
-
-TEST(ThreadPoolTest, ParallelForDynamicSpreadsDescendingCosts) {
-  // LPT-style descending costs: with dynamic claiming, no single worker can
-  // be handed the whole expensive prefix as one contiguous chunk. We can't
-  // observe the schedule directly, but we can verify every index runs once
-  // under heavy skew and from many concurrent iterations.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) {
-    // index 0 is ~1000x the work of the tail
-    volatile std::uint64_t sink = 0;
-    const std::size_t spins = i == 0 ? 100000 : 100;
-    for (std::size_t s = 0; s < spins; ++s) sink = sink + s;
-    hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForRethrowsFirstError) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [](std::size_t i) {
-                          if (i % 7 == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForErrorStillCoversOrThrows) {
-  // Under an error, every index either ran or was abandoned *after* the
-  // throw was latched — parallel_for may cut the loop short, but it must
-  // never return normally with indices silently dropped.
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(256);
-  bool threw = false;
-  try {
-    pool.parallel_for(hits.size(), [&](std::size_t i) {
-      if (i == 100) throw std::runtime_error("boom");
-      hits[i].fetch_add(1);
-    });
-  } catch (const std::runtime_error&) {
-    threw = true;
-  }
-  EXPECT_TRUE(threw);
-  for (const auto& h : hits) EXPECT_LE(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, NestedParallelForPropagatesExactlyOneError) {
-  // The caller-helps path: an exception thrown by an *inner* parallel_for
-  // running on a worker that is simultaneously part of the outer loop must
-  // surface exactly once at the outer call site (first error wins; no
-  // std::terminate from a second in-flight exception, no swallowed error).
-  ThreadPool pool(2);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::atomic<int> caught{0};
-    std::atomic<int> outer_done{0};
-    try {
-      pool.parallel_for(8, [&](std::size_t outer) {
-        try {
-          pool.parallel_for(8, [&](std::size_t inner) {
-            if (outer == 3 && inner == 5) {
-              throw std::runtime_error("inner boom");
-            }
-          });
-        } catch (const std::runtime_error&) {
-          caught.fetch_add(1);
-          throw;  // escalate to the outer loop
-        }
-        outer_done.fetch_add(1);
-      });
-      FAIL() << "outer parallel_for swallowed the error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "inner boom");
-    }
-    // The inner error was observed exactly once and escalated exactly once.
-    EXPECT_EQ(caught.load(), 1) << "trial " << trial;
-    EXPECT_LE(outer_done.load(), 7) << "trial " << trial;
-  }
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // A parallel_for issued from inside a pool task must complete even when
-  // every worker is busy with the outer loop — the caller-helps design.
-  ThreadPool pool(2);
-  std::atomic<int> inner_total{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    pool.parallel_for(8, [&](std::size_t) { inner_total.fetch_add(1); });
-  });
-  EXPECT_EQ(inner_total.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelForInsidePostedJobPropagatesInnerError) {
-  // The engine's shape (DESIGN.md §15): a worker owns a rank-launch job —
-  // a submit()ted task, not a parallel_for iteration — and issues a nested
-  // DPU sweep from inside it. The sweep's error must surface at the job's
-  // future, the owning worker must not self-deadlock while it waits for
-  // sweep iterations running on other workers (it parks, it does not spin
-  // on a queue it may have emptied), and unrelated queued work must still
-  // run to completion.
-  ThreadPool pool(2);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::atomic<int> bystander{0};
-    std::atomic<int> swept{0};
-    auto fut = pool.submit([&] {
-      for (int i = 0; i < 4; ++i) {
-        pool.post([&bystander] { bystander.fetch_add(1); });
-      }
-      pool.parallel_for(16, [&](std::size_t i) {
-        swept.fetch_add(1);
-        if (i == 7) throw std::runtime_error("sweep boom");
-      });
-    });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-    // parallel_for covers every index even when one throws, so the sweep
-    // ran to completion before rethrowing.
-    EXPECT_EQ(swept.load(), 16) << "trial " << trial;
-    while (bystander.load() < 4) {
-      pool.help_one();
-    }
-    EXPECT_EQ(bystander.load(), 4) << "trial " << trial;
-  }
-}
-
-TEST(ThreadPoolTest, NestedParallelForFromPostedJobsDoesNotDeadlock) {
-  // Every worker simultaneously owns a job that blocks on its own nested
-  // sweep — the rank-pipelining composition. With park-based waiting a
-  // fully-subscribed pool must still drain all sweeps.
-  ThreadPool pool(2);
-  std::vector<std::future<void>> futs;
-  std::atomic<int> inner_total{0};
-  for (int j = 0; j < 4; ++j) {
-    futs.push_back(pool.submit([&] {
-      pool.parallel_for(8, [&](std::size_t) { inner_total.fetch_add(1); });
-    }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(inner_total.load(), 32);
 }
 
 TEST(ThreadPoolTest, HelpOneRunsAQueuedTask) {

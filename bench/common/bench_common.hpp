@@ -38,9 +38,9 @@ struct PimMeasured {
 PimMeasured run_pim_measured(const PairList& pairs,
                              const core::PimAlignerConfig& config);
 
-/// Run the KSW2-like CPU baseline on `pairs` through core::CpuBackend on a
-/// one-worker pool, which the waiting caller helps, and return its report:
-/// the exact cell count and this machine's measured cells/s.
+/// Run the KSW2-like CPU baseline on `pairs` through core::CpuBackend, one
+/// pair at a time, and return its report: the exact cell count and the
+/// cells/s one core of this machine aligns.
 core::BackendReport run_cpu_measured(std::span<const core::PairInput> pairs,
                                      const baseline::Ksw2Options& options);
 

@@ -5,8 +5,10 @@
 //
 // The custom main() additionally times the simulator's SimPath variants
 // (scalar reference vs dense vs auto, the widest vector sweep the CPU runs)
-// on a 10 kb pair at the paper's band width and writes the cells/s
-// comparison, with the ISA auto ran, to BENCH_kernel.json.
+// at the paper's band width on a 10 kb pair and on one DPU launch of 1 kb
+// S1000 pairs, whose band crosses the matrix's edges on 13% of its
+// anti-diagonals, and writes the cells/s comparison, with the ISA auto ran,
+// to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,8 +25,11 @@
 #include "align/wfa.hpp"
 #include "align/nw_full.hpp"
 #include "baseline/ksw2_like.hpp"
+#include "core/dpu_kernel.hpp"
 #include "core/host.hpp"
+#include "core/mram_layout.hpp"
 #include "data/mutate.hpp"
+#include "data/synthetic.hpp"
 #include "dna/packed_sequence.hpp"
 #include "util/provenance.hpp"
 #include "util/rng.hpp"
@@ -193,35 +198,82 @@ struct PathTiming {
   double cells_per_second = 0.0;
 };
 
-/// Best-of-`reps` wall-clock of the full aligner run under scalar, dense and
-/// auto. The repetitions go round-robin over the three paths, so a change of
-/// host speed state in the middle of a run hits every path alike and the
-/// same-run ratios between paths hold.
-std::array<PathTiming, 3> time_paths(const std::vector<core::PairInput>& pairs,
-                                     core::PimAlignerConfig config,
-                                     double cells, int reps) {
+/// Best-of-`reps` seconds that `run(path)` reports under scalar, dense and
+/// auto, and the cells/s they give for `cells`. The repetitions go
+/// round-robin over the three paths, so a change of host speed state in the
+/// middle of a run hits every path alike and the same-run ratios between
+/// paths hold.
+template <typename Run>
+std::array<PathTiming, 3> time_round_robin(double cells, int reps, Run run) {
   constexpr core::SimPath kPaths[] = {
       core::SimPath::kScalar, core::SimPath::kDense, core::SimPath::kAuto};
   std::array<PathTiming, 3> timings;
   for (PathTiming& timing : timings) timing.seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t p = 0; p < timings.size(); ++p) {
-      config.sim_path = kPaths[p];
-      core::PimAligner aligner(config);
-      std::vector<core::PairOutput> out;
-      const auto start = std::chrono::steady_clock::now();
-      (void)aligner.align_pairs(pairs, &out);
-      const auto stop = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(out[0].score);
-      timings[p].seconds =
-          std::min(timings[p].seconds,
-                   std::chrono::duration<double>(stop - start).count());
+      timings[p].seconds = std::min(timings[p].seconds, run(kPaths[p]));
     }
   }
   for (PathTiming& timing : timings) {
     timing.cells_per_second = cells / timing.seconds;
   }
   return timings;
+}
+
+/// Seconds since `start`.
+double since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The full aligner run of `pairs` under each path.
+std::array<PathTiming, 3> time_paths(const std::vector<core::PairInput>& pairs,
+                                     core::PimAlignerConfig config,
+                                     double cells, int reps) {
+  return time_round_robin(cells, reps, [&](core::SimPath path) {
+    config.sim_path = path;
+    core::PimAligner aligner(config);
+    std::vector<core::PairOutput> out;
+    const auto start = std::chrono::steady_clock::now();
+    (void)aligner.align_pairs(pairs, &out);
+    const double seconds = since(start);
+    benchmark::DoNotOptimize(out[0].score);
+    return seconds;
+  });
+}
+
+/// One simulated DPU launch of `pairs` under each path (an MRAM image built
+/// once, the program launched per repetition). A DPU aligns its pairs on
+/// one thread, so 1 kb pairs time the kernel without the engine's per-call
+/// setup or its fan-out over workers.
+std::array<PathTiming, 3> time_launch_paths(
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    std::int64_t band, bool traceback, double cells, int reps) {
+  std::vector<std::string_view> seqs;
+  core::DpuBatchInput batch;
+  for (std::uint32_t p = 0; p < pairs.size(); ++p) {
+    seqs.push_back(pairs[p].first);
+    seqs.push_back(pairs[p].second);
+    batch.pairs.push_back({2 * p, 2 * p + 1, p});
+  }
+  core::AlignConfig align;
+  align.band_width = band;
+  align.traceback = traceback;
+  const core::PoolConfig pool;
+  const core::MramImage image = core::build_mram_image(
+      batch, core::SeqPool::build(seqs), core::nw_kernel(), align, pool);
+  upmem::Dpu dpu;
+  dpu.mram().write(0, image.bytes);
+  return time_round_robin(cells, reps, [&](core::SimPath path) {
+    core::NwDpuProgram program(pool, core::KernelVariant::kAsm, path);
+    const auto start = std::chrono::steady_clock::now();
+    const auto summary =
+        dpu.launch(program, pool.pools, pool.tasklets_per_pool);
+    const double seconds = since(start);
+    benchmark::DoNotOptimize(summary.cycles);
+    return seconds;
+  });
 }
 
 void write_json_block(std::ofstream& os, const char* name,
@@ -249,6 +301,15 @@ void emit_kernel_json(const char* path) {
   const std::vector<core::PairInput> pairs = {{a, b}};
   const double cells =
       static_cast<double>(a.size() + b.size() + 1) * static_cast<double>(band);
+  // One DPU's share of an S1000 batch: 24 pairs, as 6 pools see 4 each.
+  const std::size_t s1000_pairs = 24;
+  const data::PairDataset s1000 =
+      data::generate_synthetic(data::s1000_config(s1000_pairs, 1));
+  double s1000_cells = 0.0;
+  for (const auto& [sa, sb] : s1000.pairs) {
+    s1000_cells += static_cast<double>(sa.size() + sb.size() + 1) *
+                   static_cast<double>(band);
+  }
 
   core::PimAlignerConfig config;
   config.nr_ranks = 1;
@@ -261,6 +322,7 @@ void emit_kernel_json(const char* path) {
   os << "{\n";
   os << "  \"workload\": { \"pair_length\": " << length
      << ", \"band_width\": " << band << ", \"error_rate\": 0.05"
+     << ", \"s1000_pairs\": " << s1000_pairs
      << ", \"isa\": \"" << core::simd::isa_name(core::simd::auto_isa())
      << "\" },\n";
   os << "  \"provenance\": " << provenance_json(core::params_json(config))
@@ -272,6 +334,15 @@ void emit_kernel_json(const char* path) {
 
   config.align.traceback = true;
   write_json_block(os, "traceback", time_paths(pairs, config, cells, reps));
+  os << ",\n";
+
+  write_json_block(os, "s1000_score_only",
+                   time_launch_paths(s1000.pairs, band, false, s1000_cells,
+                                     reps));
+  os << ",\n";
+  write_json_block(os, "s1000_traceback",
+                   time_launch_paths(s1000.pairs, band, true, s1000_cells,
+                                     reps));
   os << "\n}\n";
   std::printf("wrote %s\n", path);
 }

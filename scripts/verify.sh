@@ -54,10 +54,10 @@
 #
 # Each preset also checks the symbols of every compiled copy of the per-ISA
 # sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA): an object
-# may define no global or weak symbol but its entry points, vector_sweep<N>
-# and vector_band_run<N>. An inline helper the TU called out of line would
-# be a weak symbol (in the Debug asan build, say), and the linker could hand
-# its AVX-512 copy to a caller on a CPU without AVX-512. The one compiler-
+# must define its entry point, vector_band_run<N>, and no other global or
+# weak symbol. An inline helper the TU called out of line would be a weak
+# symbol (in the Debug asan build, say), and the linker could hand its
+# AVX-512 copy to a caller on a CPU without AVX-512. The one compiler-
 # emitted weak datum allowed is DW.ref.__gxx_personality_v0, the hidden
 # pointer to the C++ personality routine that the sanitizers' unwind
 # cleanups reference; it carries no ISA code.
@@ -138,11 +138,16 @@ for preset in "${PRESETS[@]}"; do
   SWEEP_OBJS=$(find "$BUILD_DIR" -name 'kernel_simd_sweep.cpp.o' | sort)
   [ -n "$SWEEP_OBJS" ] || echo "no vector sweep objects (not an x86 build)"
   for obj in $SWEEP_OBJS; do
-    EXTRA=$(nm -C --defined-only "$obj" | awk '$2 ~ /^[A-Zu]$/' |
-        grep -v -E ' pimnw::core::simd::(vector_sweep|vector_band_run)<[0-9]+>\(| DW\.ref\.__gxx_personality_v0$' ||
-        true)
+    GLOBALS=$(nm -C --defined-only "$obj" | awk '$2 ~ /^[A-Zu]$/')
+    ENTRY=' pimnw::core::simd::vector_band_run<[0-9]+>\('
+    if ! grep -q -E "$ENTRY" <<<"$GLOBALS"; then
+      echo "$obj does not define its entry point vector_band_run<N>"
+      exit 1
+    fi
+    EXTRA=$(grep -v -E "$ENTRY| DW\.ref\.__gxx_personality_v0\$" \
+        <<<"$GLOBALS" || true)
     if [ -n "$EXTRA" ]; then
-      echo "$obj defines global or weak symbols beyond its entry points:"
+      echo "$obj defines global or weak symbols beyond its entry point:"
       echo "$EXTRA"
       exit 1
     fi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "align/adaptive_steering.hpp"
@@ -96,7 +97,8 @@ class SeqWindow {
   }
 
   /// Most bases one refill loads (the capacity w + kWinSlackBases rounded
-  /// up to whole DMA words), and so the size of the decoded cache.
+  /// up to whole DMA words), and so the size of the decoded cache; it sits
+  /// between two simd::kWindowPad pads (KernelScratch::prepare).
   static std::size_t cache_bases(std::int64_t band) {
     return 4 * align8(static_cast<std::uint64_t>(band + kWinSlackBases) / 4);
   }
@@ -184,6 +186,17 @@ class SeqWindow {
   bool reversed_ = false;
 };
 
+/// The band's rows inside the matrix on anti-diagonal s: [i_min, i_max]
+/// (empty when i_min > i_max).
+std::pair<std::int64_t, std::int64_t> band_rows(std::int64_t s,
+                                                std::int64_t lo,
+                                                std::int64_t m,
+                                                std::int64_t n,
+                                                std::int64_t w) {
+  return {std::max<std::int64_t>(lo, std::max<std::int64_t>(0, s - n)),
+          std::min<std::int64_t>(lo + w - 1, std::min<std::int64_t>(m, s))};
+}
+
 /// Per-pool WRAM working set, allocated once per launch (the DPU program's
 /// static buffers) and reused across the pairs the pool aligns.
 struct PoolBuffers {
@@ -195,8 +208,9 @@ struct PoolBuffers {
   SeqWindow win_a;
   SeqWindow win_b;
   // One nibble-packed BT row, staged for its DMA: every row of the scalar
-  // reference and the fast path's chunk-straddling rows. Zeroed at launch;
-  // only the fast path writes its pad nibble and 8-byte rounding, as zeros.
+  // reference and the fast path's chunk-straddling rows (a one-row band run
+  // under a vector sweep). Zeroed at launch; only the fast path writes its
+  // pad nibble and 8-byte rounding, as zeros.
   std::uint64_t bt_row_addr = 0;
   std::uint64_t lo_buf_addr = 0;    // staged window origins
   std::span<std::uint32_t> lo_buf;
@@ -213,9 +227,9 @@ struct PoolBuffers {
     dv = alloc_band(ctx, w);
     const std::uint64_t win_bytes = SeqWindow::wram_bytes(w);
     win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
-               scratch.cache_a.data(), /*reversed=*/false);
+               scratch.cache_a.data() + simd::kWindowPad, /*reversed=*/false);
     win_b.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
-               scratch.cache_b.data(), /*reversed=*/true);
+               scratch.cache_b.data() + simd::kWindowPad, /*reversed=*/true);
     bt_row_addr = ctx.wram.alloc(bt_row_bytes(w));
     lo_buf_addr = ctx.wram.alloc(kLoChunk * 4);
     lo_buf = ctx.wram.view<std::uint32_t>(lo_buf_addr, kLoChunk);
@@ -241,7 +255,7 @@ class PairAligner {
  public:
   PairAligner(DpuContext& ctx, upmem::PoolCost& pool, PoolBuffers& buffers,
               const Batch& batch, const KernelCost& cost, int tasklets,
-              int pool_index, SimPath sim_path)
+              int pool_index, SimPath sim_path, simd::Isa vector_isa)
       : ctx_(ctx),
         pool_(pool),
         buf_(buffers),
@@ -250,13 +264,22 @@ class PairAligner {
         tasklets_(tasklets),
         pool_index_(pool_index),
         fast_path_(sim_path != SimPath::kScalar),
-        isa_(sim_path == SimPath::kAuto ? simd::auto_isa()
-                                        : simd::Isa::kPortable) {}
+        band_runs_(sim_path == SimPath::kAuto &&
+                   vector_isa != simd::Isa::kPortable),
+        isa_(vector_isa) {}
 
   void align(const PairEntry& pair, PairWriter& out);
 
  private:
   void compute_band(std::int64_t m, std::int64_t n);
+  std::int64_t sweep_runs(std::int64_t m, std::int64_t n,
+                          upmem::Mram::RowCursor* bank_rows,
+                          std::uint64_t rows_off);
+  std::int64_t sweep_diagonals(std::int64_t m, std::int64_t n,
+                               upmem::Mram::RowCursor* bank_rows,
+                               std::uint64_t rows_off);
+  void ensure_windows(std::int64_t s, std::int64_t i_min, std::int64_t i_max);
+  void flush_lo(std::uint64_t bytes);
   void compute_diag_scalar(std::int64_t s, std::int64_t lo,
                            std::int64_t shift1, std::int64_t shift2,
                            std::int64_t i_min, std::int64_t i_max,
@@ -286,7 +309,8 @@ class PairAligner {
   int tasklets_;
   int pool_index_;
   bool fast_path_;
-  simd::Isa isa_;  // the fast path's sweep
+  bool band_runs_;  // every anti-diagonal in simd::band_run
+  simd::Isa isa_;   // the band runs' vector sweep
 
   // Band state after compute_band().
   bool traceback_on_ = false;
@@ -330,7 +354,6 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   const std::uint64_t diags = static_cast<std::uint64_t>(m + n + 1);
   const std::uint64_t row_bytes = bt_row_bytes(w);
   const std::uint64_t rows_off = rows_area(m + n + 1);
-  std::uint8_t* const wram_row = ctx_.wram.raw(buf_.bt_row_addr, row_bytes);
   // The fast path writes each BT row in place in the bank, through a cursor
   // that checks the DMA shape of all the pair's row writes once.
   std::optional<upmem::Mram::RowCursor> bank_rows;
@@ -343,81 +366,144 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   std::fill(buf_.iv.begin(), buf_.iv.end(), kNegInf);
   std::fill(buf_.dv.begin(), buf_.dv.end(), kNegInf);
 
+  upmem::Mram::RowCursor* const rows = bank_rows ? &*bank_rows : nullptr;
+  const std::int64_t lo = band_runs_ ? sweep_runs(m, n, rows, rows_off)
+                                     : sweep_diagonals(m, n, rows, rows_off);
+  PIMNW_DCHECK(buf_.sentinels_intact());
+
+  // Charge the fixed work of all m+n+1 anti-diagonals at once: w cells split
+  // across the pool's tasklets, the pool barrier, the master's bookkeeping
+  // and the BT row DMA. The repeat counts leave every counter as charging
+  // each anti-diagonal would; window refills and lo flushes, which do not
+  // happen on every anti-diagonal, were charged where they happened.
+  const std::uint64_t cell_instr =
+      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
+  pool_.set_phase(upmem::Phase::kCompute);
+  pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_,
+                      diags);
+  pool_.balanced_step(static_cast<std::uint64_t>(cost_.barrier_instr) *
+                          static_cast<std::uint64_t>(tasklets_),
+                      tasklets_, diags);
+  pool_.set_phase(upmem::Phase::kBandShift);
+  pool_.serial(cost_.antidiag_master_instr, diags);
+  if (traceback_on_) {
+    pool_.set_phase(upmem::Phase::kBtDma);
+    charge_row_writes(pool_, row_bytes, diags);
+  }
+
+  // Flush the tail of the lo staging buffer (padded to 8 bytes).
+  if (traceback_on_ && lo_staged_ > 0) flush_lo(align8(lo_staged_ * 4));
+
+  final_lo_ = lo;
+  const std::int64_t k_final = m - lo;
+  if (k_final < 0 || k_final >= w) {
+    reached_ = false;
+    return;
+  }
+  final_score_ =
+      buf_.h[static_cast<std::size_t>((m + n) & 1)]
+            [static_cast<std::size_t>(k_final)];
+  reached_ = final_score_ > kNegInf / 2;
+}
+
+// Slide the sequence windows over the bases anti-diagonal s's cells touch.
+void PairAligner::ensure_windows(std::int64_t s, std::int64_t i_min,
+                                 std::int64_t i_max) {
+  buf_.win_a.ensure(i_min - 1, i_max - 1);
+  buf_.win_b.ensure(s - i_max - 1, s - i_min - 1);
+}
+
+// Write the staged window origins to MRAM: `bytes` of them, a whole chunk
+// or the pair's tail padded to 8 bytes.
+void PairAligner::flush_lo(std::uint64_t bytes) {
+  pool_.set_phase(upmem::Phase::kBtDma);
+  ctx_.mram_write(buf_.lo_buf_addr, lo_area() + lo_flushed_ * 4, bytes);
+  pool_.dma(bytes);
+  lo_flushed_ += lo_staged_;
+  lo_staged_ = 0;
+}
+
+// Under a vector sweep every anti-diagonal runs inside the sweep TU
+// (simd::band_run), a run per call. Between runs this loop does what a run
+// leaves out: it flushes a full lo buffer and refills the windows, charging
+// both as the per-anti-diagonal loop does, and it points the next run at
+// the bank rows left in the row's chunk, or at the WRAM staging row, for a
+// run of one row, when the row straddles two chunks. Returns the final
+// window origin.
+std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n,
+                                     upmem::Mram::RowCursor* bank_rows,
+                                     std::uint64_t rows_off) {
+  const std::int64_t w = batch_.header.band_width;
+  const std::uint64_t row_bytes = bt_row_bytes(w);
+  const align::Scoring& sc = batch_.scoring;
+  simd::BandRun run{};
+  run.m = m;
+  run.n = n;
+  run.w = w;
+  run.h[0] = buf_.h[0].data();
+  run.h[1] = buf_.h[1].data();
+  run.iv = buf_.iv.data();
+  run.dv = buf_.dv.data();
+  run.traceback = traceback_on_;
+  run.bt_bytes = static_cast<std::int64_t>(row_bytes);
+  run.lo_buf = buf_.lo_buf.data();
+  run.lo_capacity = kLoChunk;
+  run.match = sc.match;
+  run.mismatch = sc.mismatch;
+  run.gap_extend = sc.gap_extend;
+  run.open_ext = sc.open_extend();
+
+  while (run.s <= m + n) {
+    if (traceback_on_ && lo_staged_ == kLoChunk) flush_lo(kLoChunk * 4);
+    const auto [i_min, i_max] = band_rows(run.s, run.lo, m, n, w);
+    ensure_windows(run.s, i_min, i_max);
+    run.a = buf_.win_a.decoded_range();
+    run.b = buf_.win_b.decoded_range();
+    bool staged_row = false;
+    if (traceback_on_) {
+      const std::span<std::uint8_t> rows =
+          bank_rows->rows_from(static_cast<std::uint64_t>(run.s));
+      staged_row = rows.empty();
+      run.bt_rows =
+          staged_row ? ctx_.wram.raw(buf_.bt_row_addr, row_bytes) : rows.data();
+      run.rows_left =
+          staged_row ? 1 : static_cast<std::int64_t>(rows.size() / row_bytes);
+      run.lo_staged = lo_staged_;
+    }
+    const std::int64_t s = run.s;
+    // The refill and flush above leave s's work to the run.
+    PIMNW_CHECK_MSG(simd::band_run(run, isa_) > 0,
+                    "band run swept nothing at anti-diagonal " << s);
+    lo_staged_ = run.lo_staged;
+    if (staged_row) {
+      write_row_chunked(ctx_, buf_.bt_row_addr,
+                        rows_off + static_cast<std::uint64_t>(s) * row_bytes,
+                        row_bytes);
+    }
+  }
+  return run.lo;
+}
+
+// The scalar reference and the dense path, one anti-diagonal at a time.
+// Returns the final window origin.
+std::int64_t PairAligner::sweep_diagonals(std::int64_t m, std::int64_t n,
+                                          upmem::Mram::RowCursor* bank_rows,
+                                          std::uint64_t rows_off) {
+  const std::int64_t w = batch_.header.band_width;
+  const std::uint64_t row_bytes = bt_row_bytes(w);
+  std::uint8_t* const wram_row = ctx_.wram.raw(buf_.bt_row_addr, row_bytes);
   std::int64_t lo = 0;
   std::int64_t lo1 = 0;
   std::int64_t lo2 = 0;
-
-  // Under a vector sweep, each stretch of steady anti-diagonals (the band
-  // wholly interior, no window refill or lo flush due, the row whole in one
-  // chunk: simd::BandRun) runs inside the sweep TU in one call, and the
-  // loop below takes the anti-diagonal where the run stopped. The dense
-  // path never runs them, so it stays a per-anti-diagonal oracle.
-  const bool band_runs = fast_path_ && isa_ != simd::Isa::kPortable;
-  simd::BandRun run{};
-  if (band_runs) {
-    const align::Scoring& sc = batch_.scoring;
-    run.m = m;
-    run.n = n;
-    run.w = w;
-    run.h[0] = buf_.h[0].data();
-    run.h[1] = buf_.h[1].data();
-    run.iv = buf_.iv.data();
-    run.dv = buf_.dv.data();
-    run.traceback = traceback_on_;
-    run.bt_bytes = static_cast<std::int64_t>(row_bytes);
-    run.lo_buf = buf_.lo_buf.data();
-    run.lo_capacity = kLoChunk;
-    run.match = sc.match;
-    run.mismatch = sc.mismatch;
-    run.gap_extend = sc.gap_extend;
-    run.open_ext = sc.open_extend();
-  }
-
   for (std::int64_t s = 0; s <= m + n; ++s) {
-    if (band_runs) {
-      run.a = buf_.win_a.decoded_range();
-      run.b = buf_.win_b.decoded_range();
-      if (traceback_on_) {
-        const std::span<std::uint8_t> rows =
-            bank_rows->rows_from(static_cast<std::uint64_t>(s));
-        run.bt_rows = rows.data();
-        run.rows_left = static_cast<std::int64_t>(rows.size() / row_bytes);
-        run.lo_staged = lo_staged_;
-      }
-      run.s = s;
-      run.lo = lo;
-      run.lo1 = lo1;
-      run.lo2 = lo2;
-      if (simd::band_run(run, isa_) > 0) {
-        s = run.s;
-        lo = run.lo;
-        lo1 = run.lo1;
-        lo2 = run.lo2;
-        lo_staged_ = run.lo_staged;
-      }
-    }
-
     // Stage this anti-diagonal's window origin for the traceback.
     if (traceback_on_) {
       buf_.lo_buf[lo_staged_++] = static_cast<std::uint32_t>(lo);
-      if (lo_staged_ == kLoChunk) {
-        pool_.set_phase(upmem::Phase::kBtDma);
-        ctx_.mram_write(buf_.lo_buf_addr, lo_area() + lo_flushed_ * 4,
-                        lo_staged_ * 4);
-        pool_.dma(lo_staged_ * 4);
-        lo_flushed_ += lo_staged_;
-        lo_staged_ = 0;
-      }
+      if (lo_staged_ == kLoChunk) flush_lo(kLoChunk * 4);
     }
 
-    const std::int64_t i_min =
-        std::max<std::int64_t>(lo, std::max<std::int64_t>(0, s - n));
-    const std::int64_t i_max = std::min<std::int64_t>(
-        lo + w - 1, std::min<std::int64_t>(m, s));
-
-    // Slide sequence windows over the bases this anti-diagonal touches.
-    buf_.win_a.ensure(i_min - 1, i_max - 1);
-    buf_.win_b.ensure(s - i_max - 1, s - i_min - 1);
+    const auto [i_min, i_max] = band_rows(s, lo, m, n, w);
+    ensure_windows(s, i_min, i_max);
 
     const std::int64_t shift1 = lo - lo1;  // 0 or 1
     const std::int64_t shift2 = lo - lo2;  // 0, 1 or 2
@@ -430,7 +516,9 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     std::span<std::uint8_t> in_bank;
     std::uint8_t* bt_row = nullptr;
     if (traceback_on_) {
-      if (bank_rows) in_bank = bank_rows->row(static_cast<std::uint64_t>(s));
+      if (bank_rows != nullptr) {
+        in_bank = bank_rows->row(static_cast<std::uint64_t>(s));
+      }
       bt_row = in_bank.empty() ? wram_row : in_bank.data();
     }
 
@@ -467,48 +555,7 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     lo1 = lo;
     lo += down ? 1 : 0;
   }
-  PIMNW_DCHECK(buf_.sentinels_intact());
-
-  // Charge the fixed work of all m+n+1 anti-diagonals at once: w cells split
-  // across the pool's tasklets, the pool barrier, the master's bookkeeping
-  // and the BT row DMA. The repeat counts leave every counter as charging
-  // each anti-diagonal would; window refills and lo flushes, which do not
-  // happen on every anti-diagonal, were charged where they happened.
-  const std::uint64_t cell_instr =
-      cost_.cell_score_instr + (traceback_on_ ? cost_.cell_bt_instr : 0);
-  pool_.set_phase(upmem::Phase::kCompute);
-  pool_.balanced_step(static_cast<std::uint64_t>(w) * cell_instr, tasklets_,
-                      diags);
-  pool_.balanced_step(static_cast<std::uint64_t>(cost_.barrier_instr) *
-                          static_cast<std::uint64_t>(tasklets_),
-                      tasklets_, diags);
-  pool_.set_phase(upmem::Phase::kBandShift);
-  pool_.serial(cost_.antidiag_master_instr, diags);
-  if (traceback_on_) {
-    pool_.set_phase(upmem::Phase::kBtDma);
-    charge_row_writes(pool_, row_bytes, diags);
-  }
-
-  // Flush the tail of the lo staging buffer (padded to 8 bytes).
-  if (traceback_on_ && lo_staged_ > 0) {
-    const std::uint64_t bytes = align8(lo_staged_ * 4);
-    pool_.set_phase(upmem::Phase::kBtDma);
-    ctx_.mram_write(buf_.lo_buf_addr, lo_area() + lo_flushed_ * 4, bytes);
-    pool_.dma(bytes);
-    lo_flushed_ += lo_staged_;
-    lo_staged_ = 0;
-  }
-
-  final_lo_ = lo;
-  const std::int64_t k_final = m - lo;
-  if (k_final < 0 || k_final >= w) {
-    reached_ = false;
-    return;
-  }
-  final_score_ =
-      buf_.h[static_cast<std::size_t>((m + n) & 1)]
-            [static_cast<std::size_t>(k_final)];
-  reached_ = final_score_ > kNegInf / 2;
+  return lo;
 }
 
 // Reference per-cell loop: walks all w band slots, tests membership per cell,
@@ -623,14 +670,14 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
   }
 }
 
-// Cycle-exact fast path. Same update as compute_diag_scalar, restructured:
-// the in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited),
-// the i==0 / j==0 boundary cells are peeled, the bases come from the
-// windows' decoded caches (refreshed once per refill, not per
-// anti-diagonal), and the interior run is handed to a branchless sweep (the
-// widest vector sweep the CPU runs, under kAuto) that updates the WRAM band
-// arrays in place and stores its BT codes as packed nibbles straight into
-// the row. The equivalence argument, per input:
+// Cycle-exact fast path of the dense loop (a band run does the same inside
+// the vector TU). Same update as compute_diag_scalar, restructured: the
+// in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited), the
+// i==0 / j==0 boundary cells are peeled, the bases come from the windows'
+// decoded caches (refreshed once per refill, not per anti-diagonal), and
+// the interior run is handed to the branchless portable sweep, which
+// updates the WRAM band arrays in place and stores its BT codes as packed
+// nibbles straight into the row. The equivalence argument, per input:
 //   h_up     = H_prev[k+shift1-1]   (h_prev is not written here)
 //   i_up     = I_prev[k+shift1-1]   (iv in place)
 //   h_left   = H_prev[k+shift1]
@@ -695,13 +742,13 @@ void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
     span.mismatch = sc.mismatch;
     span.gap_extend = sc.gap_extend;
     span.open_ext = sc.open_extend();
-    simd::diag_update(span, isa_);
+    simd::diag_update(span);
   } else if (bt_row != nullptr) {
     // No interior cells: the sweep only zeroes the row.
     simd::DiagSpan span{};
     span.bt_row = bt_row;
     span.bt_bytes = bt_bytes;
-    simd::diag_update(span, isa_);
+    simd::diag_update(span);
   }
 
   if (peel_i0) {
@@ -788,8 +835,10 @@ void KernelScratch::prepare(std::int64_t band_width) {
   // Sized only: the window caches are re-decoded by the refill attach()
   // forces at the start of every pair, so stale content of a reused arena is
   // never read.
-  cache_a.resize(SeqWindow::cache_bases(band_width));
-  cache_b.resize(SeqWindow::cache_bases(band_width));
+  const std::size_t bytes =
+      SeqWindow::cache_bases(band_width) + 2 * simd::kWindowPad;
+  cache_a.resize(bytes);
+  cache_b.resize(bytes);
 }
 
 void NwDpuProgram::run(DpuContext& ctx) {
@@ -813,7 +862,7 @@ void NwDpuProgram::run(DpuContext& ctx) {
                   PoolBuffers& buf = buffers[static_cast<std::size_t>(p)];
                   PairWriter out(ctx, pool, batch, pair, pair_index, buf.runs);
                   PairAligner(ctx, pool, buf, batch, cost_, tasklets, p,
-                              sim_path_)
+                              sim_path_, vector_isa_)
                       .align(pair, out);
                 });
 }

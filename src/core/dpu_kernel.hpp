@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/dpu_cost.hpp"
+#include "core/kernel_simd.hpp"
 #include "core/params.hpp"
 #include "core/pim_kernel.hpp"
 #include "upmem/dpu.hpp"
@@ -34,8 +35,9 @@
 namespace pimnw::core {
 
 /// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): one
-/// decoded byte cache per sequence window. It models no DPU state, so one
-/// instance can be shared by every pool of a launch (pairs align strictly
+/// decoded byte cache per sequence window, between two simd::kWindowPad
+/// pads that a band run's masked lanes may read. It models no DPU state, so
+/// one instance can be shared by every pool of a launch (pairs align strictly
 /// one at a time) and reused across launches — the execution engine keeps
 /// one per worker thread instead of reallocating the two window caches per
 /// DPU launch. Safe to reuse because attach() forces a window refill, and
@@ -56,14 +58,17 @@ class NwDpuProgram : public upmem::DpuProgram {
  public:
   /// `scratch` may be nullptr (the program then keeps a private arena) or a
   /// caller-owned KernelScratch that must outlive the launch and must not be
-  /// shared with a concurrently running program.
+  /// shared with a concurrently running program. `vector_isa` is the sweep
+  /// SimPath::kAuto runs: simd::auto_isa(), or a narrower one a test names.
   NwDpuProgram(PoolConfig pool_config, KernelVariant variant,
                SimPath sim_path = SimPath::kAuto,
-               KernelScratch* scratch = nullptr)
+               KernelScratch* scratch = nullptr,
+               simd::Isa vector_isa = simd::auto_isa())
       : pool_config_(pool_config),
         cost_(kernel_cost(variant)),
         sim_path_(sim_path),
-        scratch_(scratch) {}
+        scratch_(scratch),
+        vector_isa_(vector_isa) {}
 
   void run(upmem::DpuContext& ctx) override;
 
@@ -72,6 +77,7 @@ class NwDpuProgram : public upmem::DpuProgram {
   KernelCost cost_;
   SimPath sim_path_;  // host execution strategy; never affects modeled cost
   KernelScratch* scratch_;  // optional shared arena (not owned)
+  simd::Isa vector_isa_;
 };
 
 /// PimKernel registrant for the banded-NW kernel: the image geometry, flag

@@ -32,6 +32,28 @@ void verify_against_reference(const PairOutput& output, std::string_view a,
   }
 }
 
+/// Admission check: a pair whose lone-pair MRAM image already exceeds the
+/// bank can never be aligned by any batch composition, so its output is
+/// PairStatus::kOversized instead of build_mram_image aborting the whole
+/// run: a service front door cannot crash on one bad request. Genuinely
+/// oversized *batches* (too many pairs per DPU) still fail the batch-level
+/// check.
+bool admit_pair(const PimKernel& kernel, const PimAlignerConfig& config,
+                std::size_t index, std::size_t len_a, std::size_t len_b) {
+  if (kernel.pair_admissible(len_a, len_b, config.align, config.pool) &&
+      single_pair_image_bytes(len_a, len_b, kernel, config.align,
+                              config.pool) <= upmem::kMramBytes) {
+    return true;
+  }
+  // Rate-limited: a service run fed a bad workload can reject thousands of
+  // pairs per second, and one WARN each would drown the log.
+  PIMNW_WARN_RATELIMITED(
+      /*rate_per_second=*/5.0, /*burst=*/10.0,
+      "rejecting oversized pair: pair=" << index << " len_a=" << len_a
+                                        << " len_b=" << len_b);
+  return false;
+}
+
 }  // namespace
 
 PimAligner::PimAligner(PimAlignerConfig config) : config_(std::move(config)) {
@@ -102,30 +124,14 @@ RunReport PimAligner::align_pairs(std::span<const PairInput> pairs,
     out->assign(pairs.size(), PairOutput{});
   }
 
-  // Admission check: a pair whose lone-pair MRAM image already exceeds the
-  // bank can never be aligned by any batch composition, so mark its output
-  // PairStatus::kOversized instead of letting build_mram_image abort the
-  // whole run — a service front door cannot crash on one bad request.
-  // Genuinely oversized *batches* (too many pairs per DPU) still fail the
-  // batch-level check, as before.
   const PimKernel& kernel = kernel_for(config_);
   std::vector<std::uint32_t> accepted;
   accepted.reserve(pairs.size());
   std::uint64_t rejected = 0;
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    if (!kernel.pair_admissible(pairs[p].a.size(), pairs[p].b.size(),
-                                config_.align, config_.pool) ||
-        single_pair_image_bytes(pairs[p].a.size(), pairs[p].b.size(), kernel,
-                                config_.align, config_.pool) >
-            upmem::kMramBytes) {
+    if (!admit_pair(kernel, config_, p, pairs[p].a.size(),
+                    pairs[p].b.size())) {
       ++rejected;
-      // Rate-limited: a service run fed a bad workload can reject thousands
-      // of pairs per second, and one WARN each would drown the log.
-      PIMNW_WARN_RATELIMITED(
-          /*rate_per_second=*/5.0, /*burst=*/10.0,
-          "rejecting oversized pair: pair=" << p << " len_a="
-                                            << pairs[p].a.size() << " len_b="
-                                            << pairs[p].b.size());
       if (out != nullptr) {
         (*out)[p].status = PairStatus::kOversized;
       }
@@ -171,21 +177,33 @@ RunReport PimAligner::align_pairs(std::span<const PairInput> pairs,
 RunReport PimAligner::align_sets(
     std::span<const std::vector<std::string>> sets,
     std::vector<std::vector<PairOutput>>* out) {
-  // Flatten: global id per pair, remembering where it came from.
+  // Flatten: global id per pair, remembering where it came from. Each pair
+  // is admitted on its own, as align_pairs does; a rejected one stays out of
+  // its set's workload and DPU plan.
   struct FlatPair {
     std::uint32_t set;
     std::string_view a;
     std::string_view b;
+    bool admitted;
   };
+  const PimKernel& kernel = kernel_for(config_);
   std::vector<FlatPair> flat;
   std::vector<std::uint64_t> set_workload(sets.size(), 0);
   std::vector<std::size_t> set_first_pair(sets.size(), 0);
+  std::uint64_t rejected = 0;
   for (std::size_t s = 0; s < sets.size(); ++s) {
     set_first_pair[s] = flat.size();
     const auto& set = sets[s];
     for (std::size_t i = 0; i < set.size(); ++i) {
       for (std::size_t j = i + 1; j < set.size(); ++j) {
-        flat.push_back({static_cast<std::uint32_t>(s), set[i], set[j]});
+        const bool admitted = admit_pair(kernel, config_, flat.size(),
+                                         set[i].size(), set[j].size());
+        flat.push_back({static_cast<std::uint32_t>(s), set[i], set[j],
+                        admitted});
+        if (!admitted) {
+          ++rejected;
+          continue;
+        }
         set_workload[s] += pair_workload(
             set[i].size(), set[j].size(),
             static_cast<std::uint64_t>(config_.align.band_width));
@@ -201,6 +219,9 @@ RunReport PimAligner::align_sets(
     }
   }
   std::vector<PairOutput> flat_out(flat.size());
+  for (std::size_t p = 0; p < flat.size(); ++p) {
+    if (!flat[p].admitted) flat_out[p].status = PairStatus::kOversized;
+  }
 
   // Batch granularity: whole sets, several per DPU of a rank, LPT over the
   // sets' summed workloads (§5.4: "the distribution of sets to the DPUs
@@ -212,7 +233,7 @@ RunReport PimAligner::align_sets(
           : static_cast<std::size_t>(upmem::kDpusPerRank) * 2);
 
   RunSpec spec;
-  spec.total_pairs = flat.size();
+  spec.total_pairs = flat.size() - rejected;
   spec.n_batches = (sets.size() + batch_sets - 1) / batch_sets;
   spec.assign = [&set_workload, &sets, batch_sets](std::size_t batch_index) {
     const std::size_t batch_start = batch_index * batch_sets;
@@ -224,16 +245,18 @@ RunReport PimAligner::align_sets(
     }
     return lpt_assign(std::move(items), upmem::kDpusPerRank);
   };
-  spec.emit = [sets, &set_first_pair](const WorkItem& item, DpuPlan& plan,
-                                      SeqInterner& interner) {
+  spec.emit = [sets, &set_first_pair, &flat](const WorkItem& item,
+                                             DpuPlan& plan,
+                                             SeqInterner& interner) {
     const std::size_t s = item.id;
     const auto& set = sets[s];
-    std::size_t local = 0;
+    std::size_t id = set_first_pair[s];
     for (std::size_t i = 0; i < set.size(); ++i) {
-      for (std::size_t j = i + 1; j < set.size(); ++j, ++local) {
-        plan.batch.pairs.push_back(
-            {interner.intern(set[i]), interner.intern(set[j]),
-             static_cast<std::uint32_t>(set_first_pair[s] + local)});
+      for (std::size_t j = i + 1; j < set.size(); ++j, ++id) {
+        if (!flat[id].admitted) continue;
+        plan.batch.pairs.push_back({interner.intern(set[i]),
+                                    interner.intern(set[j]),
+                                    static_cast<std::uint32_t>(id)});
       }
     }
   };
@@ -241,6 +264,7 @@ RunReport PimAligner::align_sets(
     return PairInput{flat[id].a, flat[id].b};
   };
   RunReport report = run_batches(spec, &flat_out);
+  report.rejected_pairs = rejected;
 
   if (out != nullptr) {
     for (std::size_t p = 0; p < flat.size(); ++p) {

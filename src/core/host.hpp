@@ -77,7 +77,9 @@ class PimAligner {
   /// §5.4): whole sets are LPT-dispatched to DPUs so each read's packed
   /// bases cross the bus once per set instead of once per pair.
   /// `out[s]` receives the set's pair results, enumerated row-major
-  /// ((0,1),(0,2),...,(1,2),...).
+  /// ((0,1),(0,2),...,(1,2),...). Each pair is admitted as align_pairs
+  /// admits it: one whose lone-pair image exceeds the bank resolves
+  /// PairStatus::kOversized, and the rest of its set still aligns.
   RunReport align_sets(std::span<const std::vector<std::string>> sets,
                        std::vector<std::vector<PairOutput>>* out);
 

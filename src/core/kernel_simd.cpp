@@ -1,5 +1,6 @@
 // The portable half of the fast-path kernels: the dense reference sweep,
-// CPU detection and dispatch, compiled without ISA flags so it runs anywhere.
+// CPU detection and the band runs' dispatch, compiled without ISA flags so
+// it runs anywhere.
 #include "core/kernel_simd.hpp"
 
 #include <cstring>
@@ -11,8 +12,6 @@ namespace pimnw::core::simd {
 
 // Instantiated by kernel_simd_sweep.cpp, for each ISA the compiler accepts.
 template <int N>
-void vector_sweep(const DiagSpan& d);
-template <int N>
 std::int64_t vector_band_run(BandRun& r);
 
 namespace {
@@ -20,8 +19,11 @@ namespace {
 using align::Score;
 
 template <bool kTraceback>
-void dense_sweep(const DiagSpan& span, std::int64_t from, std::int64_t to) {
-  const DiagSpan d = span;  // private, as in sweep(): no BT store aliases it
+void dense_sweep(const DiagSpan& span) {
+  // A BT byte store may alias any memory but a local whose address never
+  // escapes, so the lanes read a private copy: its pointers stay in
+  // registers.
+  const DiagSpan d = span;
   // Every input of lane t is read before its outputs are stored.
   auto lane = [&](std::int64_t t) __attribute__((always_inline)) {
     const Score i_opn = d.up_h[t] - d.open_ext;
@@ -55,9 +57,9 @@ void dense_sweep(const DiagSpan& span, std::int64_t from, std::int64_t to) {
   };
 
   if (d.descending) {
-    for (std::int64_t t = to - 1; t >= from; --t) lane(t);
+    for (std::int64_t t = d.len - 1; t >= 0; --t) lane(t);
   } else {
-    for (std::int64_t t = from; t < to; ++t) lane(t);
+    for (std::int64_t t = 0; t < d.len; ++t) lane(t);
   }
 }
 
@@ -85,27 +87,19 @@ Isa auto_isa() {
   return isa;
 }
 
-void diag_update(const DiagSpan& d, Isa isa) {
-  PIMNW_DCHECK(isa <= auto_isa());
-  if (d.bt_row != nullptr) {
-    // Zero the bytes the lanes do not fill whole; a full band zeroes none.
-    auto zero = [&](std::size_t from, std::size_t to) {
-      if (from < to) std::memset(d.bt_row + from, 0, to - from);
-    };
-    zero(0, d.len > 0 ? (d.bt_first + 1) / 2 : d.bt_bytes);
-    zero(d.len > 0 ? (d.bt_first + d.len) / 2 : d.bt_bytes, d.bt_bytes);
-  }
-#if defined(PIMNW_HAVE_AVX512)
-  if (isa == Isa::kAvx512) return vector_sweep<16>(d);
-#endif
-#if defined(PIMNW_HAVE_AVX2)
-  if (isa == Isa::kAvx2) return vector_sweep<8>(d);
-#endif
-  diag_update_dense(d, 0, d.len);
+void diag_update(const DiagSpan& d) {
+  if (d.bt_row == nullptr) return dense_sweep<false>(d);
+  // Zero the bytes the lanes do not fill whole; a full band zeroes none.
+  auto zero = [&](std::size_t from, std::size_t to) {
+    if (from < to) std::memset(d.bt_row + from, 0, to - from);
+  };
+  zero(0, d.len > 0 ? (d.bt_first + 1) / 2 : d.bt_bytes);
+  zero(d.len > 0 ? (d.bt_first + d.len) / 2 : d.bt_bytes, d.bt_bytes);
+  dense_sweep<true>(d);
 }
 
 std::int64_t band_run(BandRun& r, Isa isa) {
-  PIMNW_DCHECK(isa != Isa::kPortable && isa <= auto_isa() && r.w >= 2);
+  PIMNW_DCHECK(isa != Isa::kPortable && isa <= auto_isa());
 #if defined(PIMNW_HAVE_AVX512)
   if (isa == Isa::kAvx512) return vector_band_run<16>(r);
 #endif
@@ -113,11 +107,6 @@ std::int64_t band_run(BandRun& r, Isa isa) {
   if (isa == Isa::kAvx2) return vector_band_run<8>(r);
 #endif
   return 0;
-}
-
-void diag_update_dense(const DiagSpan& d, std::int64_t from, std::int64_t to) {
-  d.bt_row != nullptr ? dense_sweep<true>(d, from, to)
-                      : dense_sweep<false>(d, from, to);
 }
 
 }  // namespace pimnw::core::simd

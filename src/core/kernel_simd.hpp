@@ -1,12 +1,11 @@
 // Anti-diagonal update kernels — the host analog of the paper's hand-written
-// DPU inner loop (§5.5: cmpb4 4-byte SIMD compare + fused shift/jump). The
-// fast path hands one anti-diagonal's interior cells (independent by
-// construction) to one branchless sweep: the portable loop, or the vector
-// sweep compiled per ISA (kernel_simd_sweep.cpp). A run of steady
-// anti-diagonals, whose band is wholly interior, goes to the vector TU in
-// one call (band_run). All are pure arithmetic: the caller charges modeled
-// cycles/DMA per unit of modeled work, so the execution path cannot perturb
-// any Table 2–8 number (DESIGN.md §7).
+// DPU inner loop (§5.5: cmpb4 4-byte SIMD compare + fused shift/jump). Under
+// a vector ISA every anti-diagonal of a pair runs inside the vector TU
+// (kernel_simd_sweep.cpp), a run of them per call (band_run); the portable
+// loop (diag_update) takes one anti-diagonal's interior cells per call. All
+// are pure arithmetic: the caller charges modeled cycles/DMA per unit of
+// modeled work, so the execution path cannot perturb any Table 2–8 number
+// (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -66,16 +65,18 @@ const char* isa_name(Isa isa);
 /// (so every narrower one runs too), chosen once per process.
 Isa auto_isa();
 
-/// Update `d` with `isa`'s sweep; `isa` must not be wider than auto_isa().
-void diag_update(const DiagSpan& d, Isa isa);
+/// Update `d` with the portable loop (no ISA flags), in its walk direction.
+void diag_update(const DiagSpan& d);
 
-/// The portable update (no ISA flags) of lanes [from, to) of `d`, in its
-/// walk direction, writing only their nibbles: the vector sweeps' edges.
-void diag_update_dense(const DiagSpan& d, std::int64_t from, std::int64_t to);
+/// Readable bytes a band run needs on either side of a window's codes: the
+/// lanes a masked block turns off still load their bases, up to one code
+/// before the window and 15 past it.
+inline constexpr std::int64_t kWindowPad = 64;
 
 /// Bases [first, end) of a sequence, decoded one code byte per base: a
 /// sequence window's cache. An ascending window holds base first at
-/// codes[0]; a reversed one holds base end - 1 there.
+/// codes[0]; a reversed one holds base end - 1 there. kWindowPad bytes on
+/// either side of the codes must be readable; what they hold is never used.
 struct Window {
   const std::uint8_t* codes;
   std::int64_t first;
@@ -83,13 +84,10 @@ struct Window {
 };
 
 /// A pair's band between two anti-diagonals, as the fast path keeps it
-/// (core/dpu_kernel.cpp), for band_run. Anti-diagonal s is steady when
-///  * the band is wholly interior: lo >= 1, lo >= s - n, lo + w - 1 <= m
-///    and lo + w - 1 < s, so it has no i = 0 or j = 0 cell and no
-///    out-of-band slot (and, as w >= 2, s < m + n: s is not the last);
-///  * a holds a[lo - 1, lo + w - 2] and b holds b[s - lo - w, s - lo - 1];
-///  * with traceback, row s is one of the rows_left rows at bt_rows, and
-///    staging lo leaves lo_staged below lo_capacity.
+/// (core/dpu_kernel.cpp), for band_run: the four band arrays of w slots
+/// (each with a kNegInf sentinel slot at both ends), the two windows, the
+/// bank rows left in the row's chunk and the lo staging buffer (both with
+/// traceback only), and the steering state.
 struct BandRun {
   std::int64_t m, n, w;
   align::Score* h[2];  // H of the even and the odd anti-diagonals
@@ -110,13 +108,21 @@ struct BandRun {
   std::int64_t lo1, lo2;  // the origins of s - 1 and s - 2
 };
 
-/// Sweep the steady anti-diagonals from r.s on with `isa`'s vector sweep,
-/// doing per anti-diagonal what compute_band's general path does: stage lo,
-/// sweep the whole band into the bank row (zeroing the bytes the lanes do
-/// not fill), steer the window with align::adaptive_move_down. Returns at
-/// the first anti-diagonal that is not steady, with the number swept; r's
-/// state then describes that anti-diagonal. `isa` must be a vector sweep no
-/// wider than auto_isa(), and w >= 2.
+/// Sweep anti-diagonals from r.s on with `isa`'s vector sweep, doing for
+/// each what compute_band's per-anti-diagonal loop does with the portable
+/// sweep: stage lo; sweep the interior cells (the band's rows inside the
+/// matrix but its i = 0 and j = 0 cells) into the row, every other nibble
+/// 0; peel the i = 0 and j = 0 cells; set the out-of-band slots to kNegInf;
+/// steer the window with align::adaptive_move_down. A run stops before an
+/// anti-diagonal that needs work between runs:
+///  * a window refill: a base that SeqWindow::ensure would load for the
+///    anti-diagonal's cells lies outside a or b;
+///  * with traceback, a lo flush (lo_staged == lo_capacity) or a row past
+///    the rows_left rows at bt_rows;
+/// or after the pair's last anti-diagonal m + n, which it does not steer
+/// from (s becomes m + n + 1). Returns the number of anti-diagonals swept;
+/// r's state then describes the next one. `isa` must be a vector sweep no
+/// wider than auto_isa().
 std::int64_t band_run(BandRun& r, Isa isa);
 
 }  // namespace pimnw::core::simd

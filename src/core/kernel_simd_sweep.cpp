@@ -1,12 +1,12 @@
 // The vector band sweep, written once over GCC vector types and templated on
 // its lane count N. Like minimap2's KSW2 the build compiles this one source
 // once per ISA, with the ISA's flags and PIMNW_SWEEP_LANES, and each copy
-// exports two functions: vector_sweep<N>, one anti-diagonal, and
-// vector_band_run<N>, a run of steady ones (N = 8: AVX2; N = 16: AVX-512
-// F/BW/VL). All else has internal linkage and calls no out-of-line inline
-// function (align::adaptive_move_down is always inlined), so the linker
-// cannot hand one ISA's copy of a function to another ISA's caller.
-// scripts/verify.sh checks each object's symbols for that.
+// exports one function, vector_band_run<N>: a run of anti-diagonals (N = 8:
+// AVX2; N = 16: AVX-512 F/BW/VL). All else has internal linkage and calls no
+// out-of-line inline function (align::adaptive_move_down is always inlined,
+// and no std:: helper is called), so the linker cannot hand one ISA's copy of
+// a function to another ISA's caller. scripts/verify.sh checks each object's
+// symbols for that.
 #include <immintrin.h>
 
 #include "align/adaptive_steering.hpp"
@@ -15,16 +15,22 @@
 namespace pimnw::core::simd {
 namespace {
 
-/// The ISA's N epi32 lanes (comparisons yield -1/0 masks of the same type)
-/// and the two steps GCC 12 would scalarize, one intrinsic each: bases(p)
-/// widens p[0, N); top_bits(v) has bit b = bit 7 of byte b.
+using align::Score;
+
+/// The ISA's N epi32 lanes (comparisons yield -1/0 masks of the same type),
+/// its lane mask M, and the steps GCC 12 would scalarize, one intrinsic
+/// each: bases(p) widens p[0, N); top_bits(v) has bit b = bit 7 of byte b;
+/// lanes(from, to) keeps lanes [from, to) (either bound may lie outside
+/// [0, N]); load and store touch only the kept lanes (a load reads 0 in the
+/// others and faults on none of them); keep zeroes the other lanes.
 template <int N>
 struct Ops;
 
 #if PIMNW_SWEEP_LANES == 16
 template <>
 struct Ops<16> {
-  typedef align::Score V __attribute__((vector_size(64)));
+  typedef Score V __attribute__((vector_size(64)));
+  typedef __mmask16 M;
   // The all-lanes mask form: GCC 12's unmasked _mm512_cvtepu8_epi32 trips
   // -Wuninitialized on its undefined pass-through operand.
   static V bases(const std::uint8_t* p) {
@@ -34,11 +40,25 @@ struct Ops<16> {
   static std::uint64_t top_bits(V v) {
     return _mm512_movepi8_mask(__m512i(v));
   }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    auto below = [](std::int64_t c) -> unsigned {
+      return c <= 0 ? 0u : c >= 16 ? 0xFFFFu : (1u << c) - 1;
+    };
+    return static_cast<M>(below(to) & ~below(from));
+  }
+  static V load(const Score* p, M m) {
+    return V(_mm512_maskz_loadu_epi32(m, p));
+  }
+  static void store(Score* p, M m, V v) {
+    _mm512_mask_storeu_epi32(p, m, __m512i(v));
+  }
+  static V keep(V v, M m) { return V(_mm512_maskz_mov_epi32(m, __m512i(v))); }
 };
 #else
 template <>
 struct Ops<8> {
-  typedef align::Score V __attribute__((vector_size(32)));
+  typedef Score V __attribute__((vector_size(32)));
+  typedef V M;  // -1 in the kept lanes
   static V bases(const std::uint8_t* p) {
     return V(_mm256_cvtepu8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
@@ -46,87 +66,25 @@ struct Ops<8> {
   static std::uint64_t top_bits(V v) {
     return static_cast<std::uint32_t>(_mm256_movemask_epi8(__m256i(v)));
   }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    const V lane = {0, 1, 2, 3, 4, 5, 6, 7};
+    auto clamp = [](std::int64_t c) -> Score {
+      return static_cast<Score>(c < -1 ? -1 : c > 8 ? 8 : c);
+    };
+    return (lane >= clamp(from)) & (lane < clamp(to));
+  }
+  static V load(const Score* p, M m) {
+    return V(_mm256_maskload_epi32(p, __m256i(m)));
+  }
+  static void store(Score* p, M m, V v) {
+    _mm256_maskstore_epi32(p, __m256i(m), __m256i(v));
+  }
+  static V keep(V v, M m) { return v & m; }
 };
 #endif
 
-/// The scores the blocks add, broadcast to all N lanes from a DiagSpan's or
-/// a BandRun's: once per sweep, or once per band run.
-template <int N>
-struct Scores {
-  using V = typename Ops<N>::V;
-  template <typename Source>
-  explicit Scores(const Source& s)
-      : match(V{} + s.match),
-        neg_mismatch(V{} - s.mismatch),
-        gap_extend(V{} + s.gap_extend),
-        open_ext(V{} + s.open_ext) {}
-  V match, neg_mismatch, gap_extend, open_ext;
-};
-
-/// Whole blocks of N lanes in the walk order (DiagSpan). A block stores N/2
-/// BT bytes, so it starts on an even nibble; the lanes outside the blocks
-/// (lane 0 on an odd nibble, the remainder) run the dense loop in walk order.
-/// Always inlined, so a band run keeps its broadcast scores in registers.
-template <int N, bool kTraceback>
-__attribute__((always_inline)) inline void sweep(const DiagSpan& span,
-                                                 const Scores<N>& k) {
-  // A BT byte store may alias any memory but a local whose address never
-  // escapes, so the blocks read a private copy: its pointers stay in
-  // registers.
-  const DiagSpan d = span;
-  using V = typename Ops<N>::V;
-  auto load = [](const align::Score* p) {
-    V v;
-    __builtin_memcpy(&v, p, sizeof v);
-    return v;
-  };
-
-  auto max = [](V a, V b) { return a > b ? a : b; };
-
-  // Lanes [t, t + N): every input is loaded before any output is stored.
-  auto block = [&](std::int64_t t) __attribute__((always_inline)) {
-    // I: vertical gap, extend vs open from the cell above; D: horizontal.
-    const V i_opn = load(d.up_h + t) - k.open_ext;
-    const V i_ext = load(d.up_i + t) - k.gap_extend;
-    const V d_opn = load(d.left_h + t) - k.open_ext;
-    const V d_ext = load(d.left_d + t) - k.gap_extend;
-    const V new_i = max(i_opn, i_ext);
-    const V new_d = max(d_opn, d_ext);
-    const V equal = Ops<N>::bases(d.base_a + t) == Ops<N>::bases(d.base_b + t);
-    const V h_diag = load(d.diag_h + t) + (equal ? k.match : k.neg_mismatch);
-    const V gap_best = max(new_i, new_d);
-    const V h = max(h_diag, gap_best);
-    __builtin_memcpy(d.out_h + t, &h, sizeof h);
-    __builtin_memcpy(d.out_i + t, &new_i, sizeof new_i);
-    __builtin_memcpy(d.out_d + t, &new_d, sizeof new_d);
-    if constexpr (kTraceback) {
-      // The scalar reference's tie-breaks: the diagonal, then I, wins a tie,
-      // and opening wins over extending. Code bit c of a lane goes to bit 7
-      // of the lane's byte c, so the top bits hold lane u's code in bits
-      // 4u..4u+3: the packed row. Bits 0-1 are the origin (a diagonal
-      // mismatch or D; a gap), 2-3 the opens.
-      const V diag_best = h_diag >= gap_best;
-      const V origin_lo = ~(diag_best ? equal : new_i >= new_d);
-      const V bits = (origin_lo & 0x80) | (~diag_best & 0x8000) |
-                     ((i_opn >= i_ext) & 0x800000) |
-                     ((d_opn >= d_ext) & INT32_MIN);
-      const std::uint64_t packed = Ops<N>::top_bits(bits);
-      __builtin_memcpy(d.bt_row + ((d.bt_first + t) >> 1), &packed, N / 2);
-    }
-  };
-
-  const std::int64_t head = kTraceback && d.len > 0 ? (d.bt_first & 1) : 0;
-  const std::int64_t tail = head + (d.len - head) / N * N;
-  if (d.descending) {
-    if (tail < d.len) diag_update_dense(span, tail, d.len);
-    for (std::int64_t t = tail - N; t >= head; t -= N) block(t);
-    if (head > 0) diag_update_dense(span, 0, head);
-  } else {
-    if (head > 0) diag_update_dense(span, 0, head);
-    for (std::int64_t t = head; t < tail; t += N) block(t);
-    if (tail < d.len) diag_update_dense(span, tail, d.len);
-  }
-}
+std::int64_t min(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
+std::int64_t max(std::int64_t a, std::int64_t b) { return a > b ? a : b; }
 
 /// Rows ahead of the sweep whose cache lines a band run prefetches. The
 /// rows lie in a 64 KiB chunk that was zero-filled when the pair first
@@ -136,59 +94,94 @@ __attribute__((always_inline)) inline void sweep(const DiagSpan& span,
 /// it won 9 of the 10 pairs.
 constexpr std::int64_t kPrefetchRows = 4;
 
-/// BandRun's loop: per steady anti-diagonal, compute_band's general path
-/// (core/dpu_kernel.cpp) with its steady case folded in: i_min = lo,
-/// i_max = lo + w - 1, no refill, no peel, ka = 0 and len = w.
+/// BandRun's loop: per anti-diagonal, compute_band's per-anti-diagonal loop
+/// (core/dpu_kernel.cpp) with compute_diag_fast folded in. The interior
+/// slots [ka, kb) are swept in blocks of N lanes, in the walk order of
+/// simd::DiagSpan. Blocks start on an even slot, so each stores N/2 whole
+/// BT bytes; a block that is not wholly interior (the first when ka is odd,
+/// the last when kb - ka is not a multiple of N) loads, stores and packs
+/// only its interior lanes.
 template <int N, bool kTraceback>
 std::int64_t run(BandRun& state) {
-  const BandRun r = state;  // private, as in sweep(): no BT store aliases it
-  const Scores<N> k(r);
+  using O = Ops<N>;
+  using V = typename O::V;
+  using M = typename O::M;
+  // A BT byte store may alias any memory but a local whose address never
+  // escapes, so the loop reads a private copy: its pointers stay in
+  // registers.
+  const BandRun r = state;
+  const V open_ext = V{} + r.open_ext;
+  const V gap_extend = V{} + r.gap_extend;
+  const V match = V{} + r.match;
+  const V neg_mismatch = V{} - r.mismatch;
+  const V neg_inf = V{} + align::kNegInf;
   const std::int64_t m = r.m;
   const std::int64_t n = r.n;
   const std::int64_t w = r.w;
+  Score* const iv = r.iv;
+  Score* const dv = r.dv;
   std::int64_t s = r.s;
   std::int64_t lo = r.lo;
   std::int64_t lo1 = r.lo1;
   std::int64_t lo2 = r.lo2;
   std::uint32_t staged = r.lo_staged;
   std::uint8_t* row = r.bt_rows;
-  // What every anti-diagonal of the run shares: the whole band from slot 0
-  // (bt_first 0), and the scores the dense edge lanes read.
-  DiagSpan band{};
-  band.out_i = r.iv;
-  band.out_d = r.dv;
-  band.bt_bytes = r.bt_bytes;
-  band.len = w;
-  band.match = r.match;
-  band.mismatch = r.mismatch;
-  band.gap_extend = r.gap_extend;
-  band.open_ext = r.open_ext;
-  const auto tail_bytes = static_cast<std::size_t>(r.bt_bytes - w / 2);
   std::int64_t steps = 0;
-  for (;; ++s, ++steps) {
-    const std::int64_t bottom = lo + w - 1;  // the band's last row
-    const bool steady =
-        lo >= 1 && lo >= s - n && bottom <= m && bottom < s &&
-        lo - 1 >= r.a.first && bottom - 1 < r.a.end &&
-        s - bottom - 1 >= r.b.first && s - lo - 1 < r.b.end &&
-        (!kTraceback || (steps < r.rows_left && staged + 1 < r.lo_capacity));
-    if (!steady) break;
 
-    align::Score* const h_cur = r.h[s & 1];
-    const align::Score* const h_prev = r.h[(s & 1) ^ 1];
+  // Sweep anti-diagonal s, steer from it and go on to s + 1. Returns false
+  // without touching anything when s needs work between runs, and after
+  // sweeping the pair's last anti-diagonal, which it does not steer from.
+  // `interior` says the whole band is inside the matrix with no i = 0 or
+  // j = 0 cell: lo >= 1, lo >= s - n, lo + w - 1 <= m and lo + w - 1 < s.
+  // Each call site passes a constant, so the steady case compiles without
+  // the edges' work.
+  auto step = [&](bool interior) __attribute__((always_inline)) {
+    // The band's rows inside the matrix; their bases are SeqWindow::ensure's
+    // ranges, clamped to the sequences. A refill is due when one lies
+    // outside its window.
+    const std::int64_t i_min = interior ? lo : max(lo, max(s - n, 0));
+    const std::int64_t i_max =
+        interior ? lo + w - 1 : min(lo + w - 1, min(m, s));
+    const std::int64_t a_first = interior ? lo - 1 : max(i_min - 1, 0);
+    const std::int64_t a_last = i_max - 1;
+    const std::int64_t b_first =
+        interior ? s - i_max - 1 : max(s - i_max - 1, 0);
+    const std::int64_t b_last = s - i_min - 1;
+    const bool windows_hold =
+        ((!interior && a_last < a_first) ||
+         (a_first >= r.a.first && a_last < r.a.end)) &&
+        ((!interior && b_last < b_first) ||
+         (b_first >= r.b.first && b_last < r.b.end));
+    if (!windows_hold) return false;
+    if (kTraceback && (staged == r.lo_capacity || steps == r.rows_left)) {
+      return false;
+    }
+
+    // The interior rows [ilo, ihi]: the band's rows minus the peeled
+    // boundary cells, at slots [ka, kb).
+    const bool peel_i0 = !interior && i_min == 0;  // lo == 0, at slot 0
+    const std::int64_t ilo = peel_i0 ? 1 : i_min;
+    // s > 0 keeps the j == 0 cell (i == s) distinct from the origin cell.
+    const bool peel_j0 = !interior && i_max == s && s > 0 && i_max >= ilo;
+    const std::int64_t ihi = peel_j0 ? s - 1 : i_max;
+    const std::int64_t ka = interior ? 0 : ilo - lo;
+    const std::int64_t kb = interior ? w : ihi - lo + 1;
+
+    Score* const h_cur = r.h[s & 1];
+    const Score* const h_prev = r.h[(s & 1) ^ 1];
     const std::int64_t shift1 = lo - lo1;
     const std::int64_t shift2 = lo - lo2;
-    DiagSpan d = band;
-    d.up_h = h_prev + shift1 - 1;
-    d.up_i = r.iv + shift1 - 1;
-    d.left_h = h_prev + shift1;
-    d.left_d = r.dv + shift1;
-    d.diag_h = h_cur + shift2 - 1;
-    // Lane t pairs a[lo-1+t] with b[s-lo-1-t]; b's window is reversed.
-    d.base_a = r.a.codes + (lo - 1 - r.a.first);
-    d.base_b = r.b.codes + (r.b.end - s + lo);
-    d.out_h = h_cur;
-    d.descending = shift1 == 0;
+    // Slot k's inputs (DiagSpan, at lane k of the whole band) and bases:
+    // slot k pairs a[lo - 1 + k] with b[s - lo - 1 - k]; b's window is
+    // reversed, so both walk their codes ascending.
+    const Score* const up_h = h_prev + shift1 - 1;
+    const Score* const up_i = iv + shift1 - 1;
+    const Score* const left_h = h_prev + shift1;
+    const Score* const left_d = dv + shift1;
+    const Score* const diag_h = h_cur + shift2 - 1;
+    const std::uint8_t* const base_a = r.a.codes + (lo - 1 - r.a.first);
+    const std::uint8_t* const base_b = r.b.codes + (r.b.end - s + lo);
+
     if constexpr (kTraceback) {
       r.lo_buf[staged++] = static_cast<std::uint32_t>(lo);
       if (steps + kPrefetchRows < r.rows_left) {
@@ -196,19 +189,158 @@ std::int64_t run(BandRun& state) {
           __builtin_prefetch(row + kPrefetchRows * r.bt_bytes + off, 1);
         }
       }
-      // The lanes fill bytes [0, w/2) whole; zero the rest, the pad nibble
-      // of an odd w included, as diag_update does.
-      if (tail_bytes > 0) __builtin_memset(row + w / 2, 0, tail_bytes);
-      d.bt_row = row;
-      row += r.bt_bytes;
+      // The blocks fill bytes [ka / 2, (kb + 1) / 2); zero the rest, the
+      // pad nibble of an odd w and the 8-byte rounding included.
+      if (ka < kb) {
+        if (ka > 1) __builtin_memset(row, 0, static_cast<std::size_t>(ka / 2));
+        const std::int64_t filled = (kb + 1) / 2;
+        if (filled < r.bt_bytes) {
+          __builtin_memset(row + filled, 0,
+                           static_cast<std::size_t>(r.bt_bytes - filled));
+        }
+      } else {
+        __builtin_memset(row, 0, static_cast<std::size_t>(r.bt_bytes));
+      }
     }
-    sweep<N, kTraceback>(d, k);
 
-    const bool down = align::adaptive_move_down(lo, s, m, n, w, h_cur[0],
-                                                h_cur[w - 1]);
+    // Slots [k, k + N), only the lanes in `mask` when `masked`: every input
+    // is loaded before any output is stored.
+    auto block = [&](std::int64_t k, bool masked, M mask)
+                     __attribute__((always_inline)) {
+      auto in = [&](const Score* p) __attribute__((always_inline)) {
+        if (masked) return O::load(p + k, mask);
+        V v;
+        __builtin_memcpy(&v, p + k, sizeof v);
+        return v;
+      };
+      auto out = [&](Score* p, V v) __attribute__((always_inline)) {
+        if (masked) return O::store(p + k, mask, v);
+        __builtin_memcpy(p + k, &v, sizeof v);
+      };
+      auto max_v = [](V a, V b) { return a > b ? a : b; };
+      // I: vertical gap, extend vs open from the cell above; D: horizontal.
+      const V i_opn = in(up_h) - open_ext;
+      const V i_ext = in(up_i) - gap_extend;
+      const V d_opn = in(left_h) - open_ext;
+      const V d_ext = in(left_d) - gap_extend;
+      const V new_i = max_v(i_opn, i_ext);
+      const V new_d = max_v(d_opn, d_ext);
+      const V equal = O::bases(base_a + k) == O::bases(base_b + k);
+      const V h_diag = in(diag_h) + (equal ? match : neg_mismatch);
+      const V gap_best = max_v(new_i, new_d);
+      out(h_cur, max_v(h_diag, gap_best));
+      out(iv, new_i);
+      out(dv, new_d);
+      if constexpr (kTraceback) {
+        // The scalar reference's tie-breaks: the diagonal, then I, wins a
+        // tie, and opening wins over extending. Code bit c of a lane goes to
+        // bit 7 of the lane's byte c, so the top bits hold lane u's code in
+        // bits 4u..4u+3: the packed row. Bits 0-1 are the origin (a diagonal
+        // mismatch or D; a gap), 2-3 the opens. A lane outside the interior
+        // packs 0.
+        const V diag_best = h_diag >= gap_best;
+        const V origin_lo = ~(diag_best ? equal : new_i >= new_d);
+        V bits = (origin_lo & 0x80) | (~diag_best & 0x8000) |
+                 ((i_opn >= i_ext) & 0x800000) | ((d_opn >= d_ext) & INT32_MIN);
+        if (masked) bits = O::keep(bits, mask);
+        const std::uint64_t packed = O::top_bits(bits);
+        std::uint8_t* const dst = row + k / 2;
+        // A last block may reach past the row; its bytes there pack 0.
+        const std::int64_t room = r.bt_bytes - k / 2;
+        if (!masked || room >= N / 2) {
+          __builtin_memcpy(dst, &packed, N / 2);
+        } else {
+          for (std::int64_t byte = 0; byte < room; ++byte) {
+            dst[byte] = static_cast<std::uint8_t>(packed >> (8 * byte));
+          }
+        }
+      }
+    };
+    auto full = [&](std::int64_t k) __attribute__((always_inline)) {
+      block(k, false, M{});
+    };
+    auto masked = [&](std::int64_t k) __attribute__((always_inline)) {
+      block(k, true, O::lanes(ka - k, kb - k));
+    };
+    if (ka < kb) {
+      // Blocks from the even slot k0: a masked head at k0 when ka is odd,
+      // whole blocks on [k_full, k_tail), a masked tail block at k_tail
+      // when the lanes end inside it.
+      const std::int64_t k0 = ka & ~std::int64_t{1};
+      const std::int64_t k_full = ka == k0 ? k0 : k0 + N;
+      const std::int64_t k_tail = k_full + max(kb - k_full, 0) / N * N;
+      if (shift1 == 0) {
+        if (k_tail < kb) masked(k_tail);
+        for (std::int64_t k = k_tail - N; k >= k_full; k -= N) full(k);
+        if (k0 < k_full) masked(k0);
+      } else {
+        if (k0 < k_full) masked(k0);
+        for (std::int64_t k = k_full; k < k_tail; k += N) full(k);
+        if (k_tail < kb) masked(k_tail);
+      }
+    }
+
+    if (!interior) {
+      // The peeled cells and the out-of-band slots overwrite slots the
+      // sweep may read as neighbours, so they come after it. A peeled cell
+      // ends a gap of s bases: Scoring::gap_cost(s), negated.
+      auto gap = [&](std::int64_t len) {
+        return static_cast<Score>(-(r.open_ext + (len - 1) * r.gap_extend));
+      };
+      if (peel_i0) {
+        const Score h = s == 0 ? 0 : gap(s);
+        h_cur[0] = h;
+        iv[0] = align::kNegInf;
+        dv[0] = s == 0 ? align::kNegInf : h;
+      }
+      if (peel_j0) {
+        const Score h = gap(s);
+        h_cur[s - lo] = h;
+        iv[s - lo] = h;
+        dv[s - lo] = align::kNegInf;
+      }
+      // Out-of-band slots [0, below) and [above, w); an empty anti-diagonal
+      // (i_min > i_max) makes the two cover the whole band.
+      auto fill = [&](Score* band, std::int64_t from, std::int64_t to)
+                      __attribute__((always_inline)) {
+        std::int64_t k = from;
+        for (; k + N <= to; k += N) {
+          __builtin_memcpy(band + k, &neg_inf, sizeof neg_inf);
+        }
+        if (k < to) O::store(band + k, O::lanes(0, to - k), neg_inf);
+      };
+      const std::int64_t below = min(i_min - lo, w);
+      const std::int64_t above = max(i_max - lo + 1, 0);
+      if (below > 0) {
+        fill(h_cur, 0, below);
+        fill(iv, 0, below);
+        fill(dv, 0, below);
+      }
+      if (above < w) {
+        fill(h_cur, above, w);
+        fill(iv, above, w);
+        fill(dv, above, w);
+      }
+    }
+    if constexpr (kTraceback) row += r.bt_bytes;
+    ++steps;
+    ++s;
+
+    if (s > m + n) return false;  // the pair's last anti-diagonal: no steering
+    const bool empty = i_min > i_max;
+    const bool down = align::adaptive_move_down(
+        lo, s - 1, m, n, w, empty ? align::kNegInf : h_cur[i_min - lo],
+        empty ? align::kNegInf : h_cur[i_max - lo]);
     lo2 = lo1;
     lo1 = lo;
     lo += down ? 1 : 0;
+    return true;
+  };
+
+  for (;;) {
+    const std::int64_t bottom = lo + w - 1;
+    const bool interior = lo >= 1 && lo >= s - n && bottom <= m && bottom < s;
+    if (!(interior ? step(true) : step(false))) break;
   }
   state.s = s;
   state.lo = lo;
@@ -219,13 +351,6 @@ std::int64_t run(BandRun& state) {
 }
 
 }  // namespace
-
-template <int N>
-void vector_sweep(const DiagSpan& d) {
-  const Scores<N> k(d);
-  d.bt_row != nullptr ? sweep<N, true>(d, k) : sweep<N, false>(d, k);
-}
-template void vector_sweep<PIMNW_SWEEP_LANES>(const DiagSpan& d);
 
 template <int N>
 std::int64_t vector_band_run(BandRun& r) {

@@ -9,6 +9,7 @@
 #include "data/pacbio.hpp"
 #include "data/synthetic.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace pimnw::core {
 namespace {
@@ -103,6 +104,55 @@ TEST(AlignSetsTest, EmptyAndTrivialSets) {
   EXPECT_EQ(report.total_pairs, 0u);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_TRUE(outputs[0].empty());
+}
+
+TEST(AlignSetsTest, OversizedPairResolvesAlone) {
+  // A set whose two 100 kb reads make a pair over the 64 MB bank (its lone-
+  // pair BT scratch alone is ~82 MB at the default band): that pair resolves
+  // kOversized, as align_pairs resolves it, and the call goes on. The
+  // set's other pairs, each long read against a short one, fit the bank
+  // together and still align, as does the other set.
+  Xoshiro256 rng(45);
+  const std::string long_a = data::random_dna(100'000, rng);
+  const std::string long_b = data::random_dna(100'000, rng);
+  const std::vector<std::vector<std::string>> sets = {
+      {"ACGTACGTAC", "ACGTACGAAC", "ACGAACGTAC"},
+      {long_a, long_b, "ACGTACGTAC"},
+  };
+  PimAlignerConfig config;
+  config.nr_ranks = 1;
+  std::vector<std::vector<PairOutput>> outputs;
+  RunReport report;
+  ASSERT_NO_THROW(report = PimAligner(config).align_sets(sets, &outputs));
+
+  std::vector<PairInput> flat;
+  for (const auto& set : sets) {
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      for (std::size_t j = i + 1; j < set.size(); ++j) {
+        flat.push_back({set[i], set[j]});
+      }
+    }
+  }
+  std::vector<PairOutput> pair_out;
+  const RunReport by_pairs = PimAligner(config).align_pairs(flat, &pair_out);
+  EXPECT_EQ(report.rejected_pairs, 1u);
+  EXPECT_EQ(report.rejected_pairs, by_pairs.rejected_pairs);
+  EXPECT_EQ(report.total_pairs, by_pairs.total_pairs);
+  ASSERT_EQ(outputs.size(), sets.size());
+  ASSERT_EQ(outputs[1].size(), 3u);
+  EXPECT_EQ(outputs[1][0].status, PairStatus::kOversized);  // long x long
+  std::size_t p = 0;
+  for (std::size_t s = 0; s < outputs.size(); ++s) {
+    for (const PairOutput& output : outputs[s]) {
+      const PairOutput& want = pair_out[p++];
+      EXPECT_EQ(output.status, want.status) << "set " << s << " pair " << p;
+      EXPECT_EQ(output.ok, want.ok) << "set " << s << " pair " << p;
+      EXPECT_EQ(output.score, want.score) << "set " << s << " pair " << p;
+      EXPECT_EQ(output.cigar.to_string(), want.cigar.to_string())
+          << "set " << s << " pair " << p;
+    }
+  }
+  for (const PairOutput& output : outputs[0]) EXPECT_TRUE(output.ok);
 }
 
 TEST(VerifyModeTest, PassesOnCorrectResults) {

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,145 +68,25 @@ void expect_paths_agree(
   }
 }
 
-// One anti-diagonal laid out as compute_diag_fast lays it out: four band
-// arrays of w slots between kNegInf sentinels, updated in place through a
-// simd::DiagSpan whose lanes start at slot ka, and a packed BT row of
-// row_bytes bytes (one pad byte, as the 8-byte rounding adds) followed by
-// kCanaryBytes the sweep must not touch.
-constexpr std::size_t kCanaryBytes = 8;
-
-struct SweepCase {
-  std::vector<align::Score> h_prev, h_cur, iv, dv;  // w + 2 slots each
-  std::vector<std::uint8_t> base_a, base_b, row;
-  std::int64_t row_bytes = 0;
-
-  simd::DiagSpan span(std::int64_t ka, std::int64_t len, std::int64_t shift1,
-                      std::int64_t shift2, bool traceback) {
-    align::Score* const out_h = h_cur.data() + 1;
-    align::Score* const out_i = iv.data() + 1;
-    align::Score* const out_d = dv.data() + 1;
-    simd::DiagSpan d{};
-    d.up_h = h_prev.data() + 1 + ka + shift1 - 1;
-    d.up_i = out_i + ka + shift1 - 1;
-    d.left_h = h_prev.data() + 1 + ka + shift1;
-    d.left_d = out_d + ka + shift1;
-    d.diag_h = out_h + ka + shift2 - 1;
-    d.base_a = base_a.data();
-    d.base_b = base_b.data();
-    d.out_h = out_h + ka;
-    d.out_i = out_i + ka;
-    d.out_d = out_d + ka;
-    d.bt_row = traceback ? row.data() : nullptr;
-    d.bt_bytes = row_bytes;
-    d.bt_first = ka;
-    d.len = len;
-    d.descending = shift1 == 0;
-    const align::Scoring sc = align::default_scoring();
-    d.match = sc.match;
-    d.mismatch = sc.mismatch;
-    d.gap_extend = sc.gap_extend;
-    d.open_ext = sc.open_extend();
-    return d;
+// Every vector ISA the build carries and this CPU runs, narrowest first.
+std::vector<simd::Isa> vector_isas() {
+  std::vector<simd::Isa> isas;
+  for (const simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (isa <= simd::auto_isa()) isas.push_back(isa);
   }
-};
-
-SweepCase random_case(std::int64_t w, std::int64_t len, Xoshiro256& rng) {
-  SweepCase c;
-  for (auto* band : {&c.h_prev, &c.h_cur, &c.iv, &c.dv}) {
-    band->assign(static_cast<std::size_t>(w) + 2, align::kNegInf);
-    for (std::int64_t k = 1; k <= w; ++k) {
-      // Small scores make ties common; one slot in eight is out of band.
-      (*band)[static_cast<std::size_t>(k)] =
-          rng.below(8) == 0 ? align::kNegInf
-                            : static_cast<align::Score>(rng.below(41)) - 20;
-    }
-  }
-  for (auto* bases : {&c.base_a, &c.base_b}) {
-    bases->resize(static_cast<std::size_t>(len));
-    for (auto& base : *bases) base = static_cast<std::uint8_t>(rng.below(4));
-  }
-  c.row_bytes = static_cast<std::int64_t>(
-                    align::bt_bytes(static_cast<std::uint64_t>(w))) +
-                1;
-  c.row.assign(static_cast<std::size_t>(c.row_bytes) + kCanaryBytes, 0xA5);
-  return c;
+  return isas;
 }
 
-// Every vector sweep the build carries against the portable reference, on
-// the in-place aliasing compute_diag_fast uses: both shift1 values (and so
-// both walk directions) with shift2 - shift1 in {0, 1}, every length from 0
-// (an empty anti-diagonal) to 3N+1 (whole blocks, remainder lanes, the dense
-// head of an odd first nibble), score-only and packed BT, on a row filled
-// with 0xA5. The band arrays, sentinels included, and every byte of the row
-// and its canary must match what the portable sweep leaves; in packed-BT
-// mode every nibble of the row outside the span reads 0 and the canary
-// keeps its 0xA5.
-class VectorSweepTest : public ::testing::TestWithParam<simd::Isa> {};
-
-TEST_P(VectorSweepTest, MatchesDenseReference) {
-  const simd::Isa isa = GetParam();
-  if (isa > simd::auto_isa()) {
-    GTEST_SKIP() << simd::isa_name(isa) << " is not in this build or CPU";
-  }
-  const std::int64_t lanes = isa == simd::Isa::kAvx512 ? 16 : 8;
-  Xoshiro256 rng(20261017);
-  for (std::int64_t len = 0; len <= 3 * lanes + 1; ++len) {
-    for (const std::int64_t ka : {0, 1}) {
-      // ka == 0 reads the low sentinels, and w == ka + len the high ones.
-      const std::int64_t w = ka + len + ka;
-      for (const std::int64_t shift1 : {0, 1}) {
-        for (const std::int64_t shift2 : {shift1, shift1 + 1}) {
-          for (const bool traceback : {false, true}) {
-            SweepCase want = random_case(w, len, rng);
-            SweepCase got = want;
-            simd::diag_update(want.span(ka, len, shift1, shift2, traceback),
-                              simd::Isa::kPortable);
-            simd::diag_update(got.span(ka, len, shift1, shift2, traceback),
-                              isa);
-            const std::string tag =
-                "len=" + std::to_string(len) + " ka=" + std::to_string(ka) +
-                " shift1=" + std::to_string(shift1) +
-                " shift2=" + std::to_string(shift2) +
-                (traceback ? " bt" : " score-only");
-            ASSERT_EQ(got.h_prev, want.h_prev) << tag;
-            ASSERT_EQ(got.h_cur, want.h_cur) << tag;
-            ASSERT_EQ(got.iv, want.iv) << tag;
-            ASSERT_EQ(got.dv, want.dv) << tag;
-            ASSERT_EQ(got.row, want.row) << tag;
-            const std::uint64_t row_nibbles =
-                2 * static_cast<std::uint64_t>(want.row_bytes);
-            for (std::uint64_t k = 0; k < 2 * want.row.size(); ++k) {
-              const bool in_span = k >= static_cast<std::uint64_t>(ka) &&
-                                   k < static_cast<std::uint64_t>(ka + len);
-              if (traceback && in_span) continue;
-              const std::uint8_t stale = (k & 1) ? 0xA : 0x5;
-              ASSERT_EQ(align::bt_load(want.row.data(), k),
-                        traceback && k < row_nibbles ? 0 : stale)
-                  << tag << " nibble " << k;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(KernelFastPathTest, VectorSweepTest,
-                         ::testing::Values(simd::Isa::kAvx2,
-                                           simd::Isa::kAvx512),
-                         [](const ::testing::TestParamInfo<simd::Isa>& info) {
-                           return std::string(simd::isa_name(info.param));
-                         });
-
-// A band between anti-diagonals as compute_band keeps it for a band run:
-// the four band arrays between kNegInf sentinels, two decoded windows (b's
-// reversed), the bank rows left in a chunk followed by a canary, the lo
-// staging buffer and the steering state.
+// A pair's band between anti-diagonals as compute_band keeps it for a band
+// run: the four band arrays between kNegInf sentinels, two decoded windows
+// (b's reversed) between simd::kWindowPad junk bytes, the rows a run may
+// write followed by a canary, the lo staging buffer and the steering state.
 struct RunCase {
+  static constexpr std::int64_t kPad = simd::kWindowPad;
   std::int64_t m = 0, n = 0, w = 0;
   std::vector<align::Score> h0, h1, iv, dv;  // w + 2 slots each
-  std::vector<std::uint8_t> a, b;            // window codes; b back to front
-  std::int64_t a_first = 0, b_first = 0;
+  std::vector<std::uint8_t> a, b;  // kPad, the window's codes, kPad
+  std::int64_t a_first = 0, a_end = 0, b_first = 0, b_end = 0;
   bool traceback = false;
   std::vector<std::uint8_t> rows;  // rows_left rows, then the canary
   std::size_t canary_bytes = 0;
@@ -217,12 +96,17 @@ struct RunCase {
   std::int64_t s = 0, lo = 0, lo1 = 0, lo2 = 0;
   std::int64_t steps = 0;
 
-  std::int64_t a_end() const {
-    return a_first + static_cast<std::int64_t>(a.size());
+  // a[i]'s code; b's window holds base b_end - 1 first.
+  std::uint8_t a_code(std::int64_t i) const {
+    return a[static_cast<std::size_t>(kPad + i - a_first)];
   }
-  std::int64_t b_end() const {
-    return b_first + static_cast<std::int64_t>(b.size());
+  std::uint8_t b_code(std::int64_t j) const {
+    return b[static_cast<std::size_t>(kPad + b_end - 1 - j)];
   }
+
+  // The band's rows inside the matrix on anti-diagonal s.
+  std::int64_t i_min() const { return std::max({lo, s - n, std::int64_t{0}}); }
+  std::int64_t i_max() const { return std::min({lo + w - 1, m, s}); }
 
   simd::BandRun state() {
     const align::Scoring sc = align::default_scoring();
@@ -234,8 +118,8 @@ struct RunCase {
     r.h[1] = h1.data() + 1;
     r.iv = iv.data() + 1;
     r.dv = dv.data() + 1;
-    r.a = {a.data(), a_first, a_end()};
-    r.b = {b.data(), b_first, b_end()};
+    r.a = {a.data() + kPad, a_first, a_end};
+    r.b = {b.data() + kPad, b_first, b_end};
     r.traceback = traceback;
     r.bt_rows = rows.data();
     r.bt_bytes = row_bytes;
@@ -255,67 +139,69 @@ struct RunCase {
   }
 };
 
-// Why a run stops: each condition of simd::BandRun's steady list that an
-// anti-diagonal can fail. (s < m + n never fails alone: the interior
-// conditions imply it for w >= 2.)
+// Why a run stops: before an anti-diagonal that needs work between runs,
+// or after the pair's last.
 enum Exit {
-  kLoZero,    // lo < 1: the band holds row i = 0
-  kTop,       // lo < s - n: its top row has j > n
-  kBottom,    // lo + w - 1 > m: its bottom row is past row m
-  kJZero,     // lo + w - 1 >= s: it holds column j = 0
-  kAFirst,    // a's window starts after a[lo - 1]
-  kAEnd,      // a's window ends before a[lo + w - 2]
-  kBFirst,    // b's window starts after b[s - lo - w]
-  kBEnd,      // b's window ends before b[s - lo - 1]
-  kRows,      // row s is not among the rows left in the chunk
-  kLoBuf,     // staging lo would fill the lo buffer
+  kWindowA,  // a refill: a base of a the cells read is not in a's window
+  kWindowB,  // likewise for b
+  kRows,     // row s is not among the rows left in the chunk
+  kLoBuf,    // the lo buffer is full: a flush is due
+  kPairEnd,  // anti-diagonal m + n was swept
   kExits
 };
 
-const char* const kExitNames[kExits] = {"lo0", "top",   "bottom", "j0",
-                                        "a.first", "a.end", "b.first",
-                                        "b.end",   "rows",  "lo_buf"};
+const char* const kExitNames[kExits] = {"window a", "window b", "rows",
+                                        "lo_buf", "pair end"};
 
-/// The conditions anti-diagonal c.s fails, one bit per Exit.
+/// The conditions anti-diagonal c.s fails before it is swept, one bit per
+/// Exit. A window fails as SeqWindow::ensure refills: when the anti-
+/// diagonal's range of bases, clamped to the sequence, is not empty and not
+/// inside the window.
 unsigned failed_conditions(const RunCase& c) {
-  const std::int64_t bottom = c.lo + c.w - 1;
+  auto misses = [](std::int64_t first, std::int64_t last,
+                   std::int64_t win_first, std::int64_t win_end) {
+    return first <= last && (first < win_first || last >= win_end);
+  };
+  const std::int64_t i_min = c.i_min();
+  const std::int64_t i_max = c.i_max();
   const bool failed[kExits] = {
-      c.lo < 1,
-      c.lo < c.s - c.n,
-      bottom > c.m,
-      bottom >= c.s,
-      c.lo - 1 < c.a_first,
-      bottom - 1 >= c.a_end(),
-      c.s - bottom - 1 < c.b_first,
-      c.s - c.lo - 1 >= c.b_end(),
+      misses(std::max<std::int64_t>(i_min - 1, 0), i_max - 1, c.a_first,
+             c.a_end),
+      misses(std::max<std::int64_t>(c.s - i_max - 1, 0), c.s - i_min - 1,
+             c.b_first, c.b_end),
       c.traceback && c.steps >= c.rows_left,
-      c.traceback &&
-          c.lo_staged + 1 >= static_cast<std::uint32_t>(c.lo_buf.size()),
+      c.traceback && c.lo_staged == c.lo_buf.size(),
+      false,
   };
   unsigned bits = 0;
   for (int e = 0; e < kExits; ++e) bits |= failed[e] ? 1u << e : 0u;
   return bits;
 }
 
-/// Step c's anti-diagonals one at a time as compute_band's general path
-/// does on a steady one: stage lo, update the whole band with the portable
-/// diag_update into the next row, steer with adaptive_move_down. Returns
-/// the conditions the first unsteady anti-diagonal fails.
+/// Step c's anti-diagonals one at a time as compute_band's per-anti-
+/// diagonal loop does on the dense path: stage lo, run compute_diag_fast's
+/// steps with the portable diag_update into the next row (peels, out-of-band
+/// slots, every row byte), steer with adaptive_move_down, and stop after
+/// the pair's last anti-diagonal. Returns the conditions it stopped on.
 unsigned step_reference(RunCase& c) {
   const align::Scoring sc = align::default_scoring();
-  const std::size_t w = static_cast<std::size_t>(c.w);
   for (;; ++c.s, ++c.steps) {
     if (const unsigned failed = failed_conditions(c)) return failed;
-    EXPECT_LT(c.s, c.m + c.n);
+    const std::int64_t i_min = c.i_min();
+    const std::int64_t i_max = c.i_max();
     if (c.traceback) c.lo_buf[c.lo_staged++] = static_cast<std::uint32_t>(c.lo);
-    // Lane t pairs a[lo - 1 + t] with b[s - lo - 1 - t]; b's window holds
-    // base b_end - 1 first.
-    std::vector<std::uint8_t> base_a(w), base_b(w);
-    for (std::size_t t = 0; t < w; ++t) {
-      const std::int64_t i = c.lo - 1 + static_cast<std::int64_t>(t);
-      const std::int64_t j = c.s - c.lo - 1 - static_cast<std::int64_t>(t);
-      base_a[t] = c.a[static_cast<std::size_t>(i - c.a_first)];
-      base_b[t] = c.b[static_cast<std::size_t>(c.b_end() - 1 - j)];
+
+    const bool peel_i0 = i_min == 0;
+    const std::int64_t ilo = peel_i0 ? 1 : i_min;
+    const bool peel_j0 = i_max == c.s && c.s > 0 && i_max >= ilo;
+    const std::int64_t ihi = peel_j0 ? c.s - 1 : i_max;
+    const std::int64_t len = std::max<std::int64_t>(ihi - ilo + 1, 0);
+    const std::int64_t ka = ilo - c.lo;
+    // Lane t pairs a[ilo - 1 + t] with b[s - ilo - 1 - t].
+    std::vector<std::uint8_t> base_a, base_b;
+    for (std::int64_t t = 0; t < len; ++t) {
+      base_a.push_back(c.a_code(ilo - 1 + t));
+      base_b.push_back(c.b_code(c.s - ilo - 1 - t));
     }
     align::Score* const h_cur = ((c.s & 1) ? c.h1 : c.h0).data() + 1;
     align::Score* const h_prev = ((c.s & 1) ? c.h0 : c.h1).data() + 1;
@@ -323,100 +209,170 @@ unsigned step_reference(RunCase& c) {
     align::Score* const out_d = c.dv.data() + 1;
     const std::int64_t shift1 = c.lo - c.lo1;
     const std::int64_t shift2 = c.lo - c.lo2;
-    simd::DiagSpan d{};
-    d.up_h = h_prev + shift1 - 1;
-    d.up_i = out_i + shift1 - 1;
-    d.left_h = h_prev + shift1;
-    d.left_d = out_d + shift1;
-    d.diag_h = h_cur + shift2 - 1;
-    d.base_a = base_a.data();
-    d.base_b = base_b.data();
-    d.out_h = h_cur;
-    d.out_i = out_i;
-    d.out_d = out_d;
-    d.bt_row = c.traceback
-                   ? c.rows.data() + static_cast<std::size_t>(c.steps *
-                                                              c.row_bytes)
-                   : nullptr;
-    d.bt_bytes = c.row_bytes;
-    d.bt_first = 0;
-    d.len = c.w;
-    d.descending = shift1 == 0;
-    d.match = sc.match;
-    d.mismatch = sc.mismatch;
-    d.gap_extend = sc.gap_extend;
-    d.open_ext = sc.open_extend();
-    simd::diag_update(d, simd::Isa::kPortable);
-    const bool down = align::adaptive_move_down(c.lo, c.s, c.m, c.n, c.w,
-                                                h_cur[0], h_cur[w - 1]);
+    std::uint8_t* const row =
+        c.traceback ? c.rows.data() + c.steps * c.row_bytes : nullptr;
+    if (len > 0 || row != nullptr) {
+      simd::DiagSpan d{};
+      if (len > 0) {
+        d.up_h = h_prev + ka + shift1 - 1;
+        d.up_i = out_i + ka + shift1 - 1;
+        d.left_h = h_prev + ka + shift1;
+        d.left_d = out_d + ka + shift1;
+        d.diag_h = h_cur + ka + shift2 - 1;
+        d.base_a = base_a.data();
+        d.base_b = base_b.data();
+        d.out_h = h_cur + ka;
+        d.out_i = out_i + ka;
+        d.out_d = out_d + ka;
+        d.bt_first = ka;
+        d.len = len;
+      }
+      d.bt_row = row;
+      d.bt_bytes = c.row_bytes;
+      d.descending = shift1 == 0;
+      d.match = sc.match;
+      d.mismatch = sc.mismatch;
+      d.gap_extend = sc.gap_extend;
+      d.open_ext = sc.open_extend();
+      simd::diag_update(d);
+    }
+    if (peel_i0) {
+      const align::Score h =
+          c.s == 0 ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(c.s));
+      h_cur[0] = h;
+      out_i[0] = align::kNegInf;
+      out_d[0] = c.s == 0 ? align::kNegInf : h;
+    }
+    if (peel_j0) {
+      const align::Score h = -sc.gap_cost(static_cast<std::uint64_t>(c.s));
+      h_cur[c.s - c.lo] = h;
+      out_i[c.s - c.lo] = h;
+      out_d[c.s - c.lo] = align::kNegInf;
+    }
+    const std::int64_t below = std::min(i_min - c.lo, c.w);
+    const std::int64_t above = std::max<std::int64_t>(i_max - c.lo + 1, 0);
+    for (align::Score* band : {h_cur, out_i, out_d}) {
+      std::fill(band, band + below, align::kNegInf);
+      std::fill(band + above, band + c.w, align::kNegInf);
+    }
+
+    if (c.s == c.m + c.n) {
+      ++c.s;
+      ++c.steps;
+      return 1u << kPairEnd;
+    }
+    const bool empty = i_min > i_max;
+    const bool down = align::adaptive_move_down(
+        c.lo, c.s, c.m, c.n, c.w, empty ? align::kNegInf : h_cur[i_min - c.lo],
+        empty ? align::kNegInf : h_cur[i_max - c.lo]);
     c.lo2 = c.lo1;
     c.lo1 = c.lo;
     c.lo += down ? 1 : 0;
   }
 }
 
-/// A random steady-looking band state aimed at stopping on `target`: that
-/// condition fails at the start (kLoZero, kJZero and the window starts,
-/// which only a start state can fail) or within a few anti-diagonals, and
-/// every other one holds for hundreds.
+/// A random band state aimed at stopping on `target`. The sequences are
+/// shorter than the band, about as long or far longer, and the run starts
+/// at the pair's start, near it, anywhere, or (aimed at the pair end) near
+/// its end, so that runs sweep and stop on edge anti-diagonals: peels,
+/// out-of-band slots, odd first slots and partial blocks. The aimed-at
+/// window runs out within a few bases (or, one time in four, starts past
+/// the first base the start needs), the rows or the lo buffer within a
+/// few anti-diagonals; every other exit holds to the pair's end.
 RunCase random_run(std::int64_t w, bool traceback, Exit target,
                    Xoshiro256& rng) {
-  constexpr std::int64_t kFar = 400;
-  auto slack = [&] { return static_cast<std::int64_t>(rng.below(12)); };
+  constexpr std::int64_t kFar = 300;
+  auto below = [&](std::int64_t k) {
+    return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(k)));
+  };
+  auto length = [&]() -> std::int64_t {
+    switch (below(4)) {
+      case 0: return 1 + below(3);
+      case 1: return 1 + below(w);
+      case 2: return w + below(w);
+      default: return 2 * kFar + below(kFar);
+    }
+  };
   RunCase c;
   c.w = w;
   c.traceback = traceback;
   for (auto* band : {&c.h0, &c.h1, &c.iv, &c.dv}) {
     band->assign(static_cast<std::size_t>(w) + 2, align::kNegInf);
     for (std::int64_t k = 1; k <= w; ++k) {
+      // Small scores make ties common; one slot in eight is out of band.
       (*band)[static_cast<std::size_t>(k)] =
           rng.below(8) == 0 ? align::kNegInf
                             : static_cast<align::Score>(rng.below(41)) - 20;
     }
   }
-  c.lo = target == kLoZero ? 0 : 2 + static_cast<std::int64_t>(rng.below(50));
-  c.lo1 = std::max<std::int64_t>(c.lo - static_cast<std::int64_t>(rng.below(2)),
-                                 0);
-  c.lo2 = std::max<std::int64_t>(
-      c.lo1 - static_cast<std::int64_t>(rng.below(2)), 0);
-  const std::int64_t bottom = c.lo + w - 1;
-  c.s = target == kJZero ? bottom : bottom + 1 + slack();
-  c.m = bottom + (target == kBottom ? slack() : kFar);
-  c.n = c.s - c.lo + (target == kTop ? slack() : kFar);
-  // Windows around the bases the start reads: a[lo - 1, lo + w - 2] and
-  // b[s - lo - w, s - lo - 1].
-  c.a_first = c.lo - 1 - slack() + (target == kAFirst ? slack() + 1 : 0);
-  const std::int64_t a_end = bottom + (target == kAEnd ? slack() : kFar);
-  c.b_first = c.s - bottom - 1 - slack() + (target == kBFirst ? slack() + 1 : 0);
-  const std::int64_t b_end = c.s - c.lo + (target == kBEnd ? slack() : kFar);
-  for (auto [codes, first, end] :
-       {std::tuple{&c.a, c.a_first, a_end}, std::tuple{&c.b, c.b_first, b_end}}) {
-    codes->resize(static_cast<std::size_t>(end - first));
-    for (auto& code : *codes) code = static_cast<std::uint8_t>(rng.below(4));
+  // Every exit but the pair end needs a pair that outlasts it.
+  const bool long_pair = target != kPairEnd;
+  c.m = long_pair && target != kWindowB ? 2 * kFar + below(kFar) : length();
+  c.n = long_pair && target != kWindowA ? 2 * kFar + below(kFar) : length();
+  switch (below(4)) {
+    case 0: c.s = 0; break;
+    case 1: c.s = below(w + 2); break;
+    case 2: c.s = below(c.m + c.n + 1); break;
+    default: c.s = c.m + c.n - below(w + 2); break;
   }
+  c.s = std::clamp<std::int64_t>(c.s, 0, c.m + c.n - (long_pair ? kFar : 0));
+  // The origins steering can reach: the band keeps a row with j <= n and
+  // never passes row m or anti-diagonal s.
+  const std::int64_t lo_min = std::max<std::int64_t>(0, c.s - c.n - (w - 1));
+  const std::int64_t lo_max = std::min(c.s, c.m);
+  c.lo = lo_min + below(lo_max - lo_min + 1);
+  c.lo1 = std::max<std::int64_t>(c.lo - below(2), 0);
+  c.lo2 = std::max<std::int64_t>(c.lo1 - below(2), 0);
+
+  // Windows from at or before the first base the start reads to the end of
+  // the sequence, or a few bases past the start's last one.
+  auto window = [&](std::int64_t first, std::int64_t last,
+                    std::int64_t length, bool aimed, std::int64_t* win_first,
+                    std::int64_t* win_end, std::vector<std::uint8_t>* codes) {
+    *win_first = std::max<std::int64_t>(first - below(4), 0);
+    *win_end = length;
+    if (aimed && below(4) == 0 && first <= last) {
+      *win_first = first + 1 + below(3);
+    } else if (aimed) {
+      *win_end = std::min(length, std::max(first, last + 1) + below(12));
+    }
+    *win_end = std::max(*win_end, *win_first);
+    codes->resize(static_cast<std::size_t>(*win_end - *win_first +
+                                           2 * RunCase::kPad));
+    for (auto& code : *codes) code = static_cast<std::uint8_t>(rng.below(4));
+  };
+  const std::int64_t i_min = c.i_min();
+  const std::int64_t i_max = c.i_max();
+  window(std::max<std::int64_t>(i_min - 1, 0), i_max - 1, c.m,
+         target == kWindowA, &c.a_first, &c.a_end, &c.a);
+  window(std::max<std::int64_t>(c.s - i_max - 1, 0), c.s - i_min - 1, c.n,
+         target == kWindowB, &c.b_first, &c.b_end, &c.b);
+
+  // Room for every anti-diagonal left, and a canary as large, so a run that
+  // wrote past rows_left would hit the canary, not the heap.
+  const std::int64_t diagonals = c.m + c.n + 1 - c.s;
   c.row_bytes = static_cast<std::int64_t>(
       align8(align::bt_bytes(static_cast<std::uint64_t>(w))));
-  c.rows_left = target == kRows ? slack() : 2 * kFar;
-  // A run lasts at most 2 * kFar + 1 anti-diagonals: kFar moves down and
-  // kFar right reach the far limits. So a run that wrote past rows_left
-  // would hit the canary, not the heap.
-  c.canary_bytes = static_cast<std::size_t>(4 * kFar * c.row_bytes);
+  c.rows_left = target == kRows ? below(12) : diagonals;
+  c.canary_bytes = static_cast<std::size_t>(diagonals * c.row_bytes);
   c.rows.assign(static_cast<std::size_t>(c.rows_left * c.row_bytes) +
                     c.canary_bytes,
                 0xA5);
-  c.lo_buf.assign(target == kLoBuf ? 128 : 4 * kFar, 0xFFFFFFFFu);
+  const std::int64_t capacity =
+      target == kLoBuf ? 128 : diagonals + 8 + below(8);
+  c.lo_buf.assign(static_cast<std::size_t>(capacity), 0xFFFFFFFFu);
   c.lo_staged = static_cast<std::uint32_t>(
-      target == kLoBuf ? 127 - slack() : static_cast<std::int64_t>(rng.below(8)));
+      target == kLoBuf ? capacity - below(12) : below(8));
   return c;
 }
 
 // Every vector band run the build carries against per-anti-diagonal steps
-// of the portable sweep, from random band states at widths with and without
-// remainder lanes and with an odd pad nibble, score-only and with
-// traceback. The step count, the steering state, the four band arrays
+// of the portable sweep, from random band states at widths from 2 up, with
+// and without remainder lanes and with an odd pad nibble, score-only and
+// with traceback. The step count, the steering state, the four band arrays
 // (sentinels included), the staged lo values and every row byte up to and
-// including the canary after the last row must match, and each exit of the
-// steady list must stop some run on its own.
+// including the canary after the last row must match, and each exit must
+// stop some run on its own.
 class BandRunTest : public ::testing::TestWithParam<simd::Isa> {};
 
 TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
@@ -424,11 +380,11 @@ TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
   if (isa > simd::auto_isa()) {
     GTEST_SKIP() << simd::isa_name(isa) << " is not in this build or CPU";
   }
-  Xoshiro256 rng(20261018);
-  for (const std::int64_t w : {9, 16, 17, 127, 128}) {
+  Xoshiro256 rng(20261019);
+  for (const std::int64_t w : {2, 3, 9, 16, 17, 31, 128}) {
     for (const bool traceback : {false, true}) {
       int sole[kExits] = {};
-      for (int trial = 0; trial < 12 * kExits; ++trial) {
+      for (int trial = 0; trial < 16 * kExits; ++trial) {
         const Exit target = static_cast<Exit>(trial % kExits);
         if (!traceback && (target == kRows || target == kLoBuf)) continue;
         RunCase want = random_run(w, traceback, target, rng);
@@ -442,10 +398,11 @@ TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
         got.lo2 = run.lo2;
         got.lo_staged = run.lo_staged;
 
-        const std::string tag = std::string(traceback ? "bt" : "score-only") +
-                                " w=" + std::to_string(w) + " trial " +
-                                std::to_string(trial) + " aimed at " +
-                                kExitNames[target];
+        const std::string tag =
+            std::string(traceback ? "bt" : "score-only") + " w=" +
+            std::to_string(w) + " trial " + std::to_string(trial) +
+            " aimed at " + kExitNames[target] + " (m=" +
+            std::to_string(want.m) + " n=" + std::to_string(want.n) + ")";
         ASSERT_EQ(got.steps, want.steps) << tag;
         ASSERT_EQ(got.s, want.s) << tag;
         ASSERT_EQ(got.lo, want.lo) << tag;
@@ -605,12 +562,16 @@ TEST(KernelFastPathTest, LongPairsPaperBand) {
   }
 }
 
-/// The whole BT scratch region (every pool's lo words and rows) after one
-/// NwDpuProgram launch of `pairs` under `path`, on a bank whose scratch
-/// region held 0xA5 before the launch, as a reused bank holds stale bytes.
-std::vector<std::uint8_t> bt_region_after_launch(
+/// The bank a launch leaves: the readback region (every pair's result,
+/// cycle stamps included, and CIGAR runs) followed by the whole BT scratch
+/// region (every pool's lo words and rows), after one NwDpuProgram launch of
+/// `pairs` under `path` with `isa` as its vector sweep, on a bank whose
+/// scratch region held 0xA5 before the launch, as a reused bank holds stale
+/// bytes.
+std::vector<std::uint8_t> bank_after_launch(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    std::int64_t band, int pools, SimPath path) {
+    std::int64_t band, bool traceback, int pools, SimPath path,
+    simd::Isa isa) {
   std::vector<std::string_view> seqs;
   DpuBatchInput batch;
   for (std::uint32_t p = 0; p < pairs.size(); ++p) {
@@ -620,6 +581,7 @@ std::vector<std::uint8_t> bt_region_after_launch(
   }
   AlignConfig align;
   align.band_width = band;
+  align.traceback = traceback;
   PoolConfig pool_config;
   pool_config.pools = pools;
   const MramImage image = build_mram_image(batch, SeqPool::build(seqs),
@@ -633,11 +595,46 @@ std::vector<std::uint8_t> bt_region_after_launch(
   dpu.mram().write(0, image.bytes);
   dpu.mram().write(header.bt_scratch_off,
                    std::vector<std::uint8_t>(scratch_bytes, 0xA5));
-  NwDpuProgram program(pool_config, KernelVariant::kAsm, path);
+  NwDpuProgram program(pool_config, KernelVariant::kAsm, path, nullptr, isa);
   dpu.launch(program, pool_config.pools, pool_config.tasklets_per_pool);
-  std::vector<std::uint8_t> region(scratch_bytes);
-  dpu.mram().read(header.bt_scratch_off, region);
-  return region;
+  std::vector<std::uint8_t> bank(image.readback_bytes + scratch_bytes);
+  dpu.mram().read(image.result_off,
+                  std::span(bank).first(image.readback_bytes));
+  dpu.mram().read(header.bt_scratch_off,
+                  std::span(bank).subspan(image.readback_bytes));
+  return bank;
+}
+
+/// The first byte at which `got` differs from `want`, or want.size().
+std::size_t first_difference(const std::vector<std::uint8_t>& got,
+                             const std::vector<std::uint8_t>& want) {
+  const auto [diff, _] = std::mismatch(want.begin(), want.end(), got.begin());
+  return static_cast<std::size_t>(diff - want.begin());
+}
+
+/// The bank after the dense path and after kAuto on every vector ISA equals
+/// the scalar reference's, byte for byte.
+void expect_banks_agree(
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    std::int64_t band, bool traceback, int pools, const std::string& tag) {
+  const auto scalar = bank_after_launch(pairs, band, traceback, pools,
+                                        SimPath::kScalar, simd::auto_isa());
+  if (traceback) {
+    ASSERT_NE(scalar, std::vector<std::uint8_t>(scalar.size(), 0xA5)) << tag;
+  }
+  std::vector<std::pair<SimPath, simd::Isa>> runs = {
+      {SimPath::kDense, simd::Isa::kPortable}};
+  for (const simd::Isa isa : vector_isas()) {
+    runs.emplace_back(SimPath::kAuto, isa);
+  }
+  for (const auto& [path, isa] : runs) {
+    const auto got =
+        bank_after_launch(pairs, band, traceback, pools, path, isa);
+    ASSERT_EQ(got.size(), scalar.size()) << tag;
+    EXPECT_EQ(first_difference(got, scalar), got.size())
+        << tag << " " << sim_path_name(path) << "/" << simd::isa_name(isa)
+        << ": first differing byte";
+  }
 }
 
 // The bank bytes agree too, not only the outputs, on a dirty bank: the fast
@@ -665,24 +662,49 @@ TEST(KernelFastPathTest, BtScratchBytesAgreeOnDirtyBank) {
   for (const std::int64_t band : {9, 127, 128}) {
     for (const auto& [pairs, pools] :
          {std::pair{&spread, 6}, std::pair{&long_then_short, 1}}) {
-      const std::string tag = "w=" + std::to_string(band) +
-                              " pools=" + std::to_string(pools);
-      const auto scalar =
-          bt_region_after_launch(*pairs, band, pools, SimPath::kScalar);
-      ASSERT_NE(scalar, std::vector<std::uint8_t>(scalar.size(), 0xA5)) << tag;
-      for (const SimPath path : {SimPath::kDense, SimPath::kAuto}) {
-        const auto got = bt_region_after_launch(*pairs, band, pools, path);
-        ASSERT_EQ(got.size(), scalar.size()) << tag;
-        std::size_t first_diff = got.size();
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          if (got[i] != scalar[i]) {
-            first_diff = i;
-            break;
-          }
-        }
-        EXPECT_EQ(first_diff, got.size())
-            << tag << " " << sim_path_name(path) << ": first differing byte";
-      }
+      expect_banks_agree(*pairs, band, /*traceback=*/true, pools,
+                         "w=" + std::to_string(band) +
+                             " pools=" + std::to_string(pools));
+    }
+  }
+}
+
+// Pairs whose band is never wholly interior, so every anti-diagonal peels a
+// boundary cell or holds out-of-band slots: the shorter side is at most
+// w - 2 (a band of w rows then always crosses i = 0 or m, or j = 0 or n).
+// 1 bp pairs, pairs shorter than the band on both sides, m much shorter than
+// n and much longer, at odd and even widths. Their outputs agree across the
+// paths, and the bank a launch leaves agrees on every vector ISA, with
+// traceback and score-only.
+TEST(KernelFastPathTest, BandNeverInteriorAgreesOnEveryIsa) {
+  Xoshiro256 rng(23);
+  data::ErrorModel errors;
+  errors.error_rate = 0.15;
+  for (const std::int64_t band : {2, 3, 17, 32, 33, 127, 128}) {
+    const auto size = [](std::int64_t bases) {
+      return static_cast<std::size_t>(std::max<std::int64_t>(bases, 1));
+    };
+    const std::string shorter = data::random_dna(size(band - 2), rng);
+    const std::string quarter = data::random_dna(size(1 + band / 4), rng);
+    const std::string longer = data::random_dna(size(10 * band + 40), rng);
+    const std::vector<std::pair<std::string, std::string>> pairs = {
+        {"A", "A"},
+        {"A", "C"},
+        {"G", data::random_dna(size(band / 2 + 3), rng)},
+        {data::random_dna(size(band / 2 + 3), rng), "T"},
+        {shorter, data::mutate(shorter, errors, rng)},
+        {quarter, longer},
+        {longer, quarter},
+    };
+    for (const bool traceback : {true, false}) {
+      PimAlignerConfig config;
+      config.nr_ranks = 1;
+      config.align.band_width = band;
+      config.align.traceback = traceback;
+      const std::string tag = "never interior w=" + std::to_string(band) +
+                              (traceback ? "" : " score-only");
+      expect_paths_agree(pairs, config, tag.c_str());
+      expect_banks_agree(pairs, band, traceback, /*pools=*/3, tag);
     }
   }
 }

@@ -3,12 +3,12 @@
 // simulated DPU kernel end-to-end. These are not paper tables — they are
 // the performance regression harness for the library itself.
 //
-// The custom main() additionally times the simulator's SimPath variants
-// (scalar reference vs dense vs auto, the widest vector sweep the CPU runs)
-// at the paper's band width on a 10 kb pair and on one DPU launch of 1 kb
-// S1000 pairs, whose band crosses the matrix's edges on 13% of its
-// anti-diagonals, and writes the cells/s comparison, with the ISA auto ran,
-// to BENCH_kernel.json.
+// The custom main() additionally times the simulator's two SimPaths (the
+// scalar reference and auto, band runs in the widest copy of the band sweep
+// the CPU runs) at the paper's band width on a 10 kb pair and on one DPU
+// launch of 1 kb S1000 pairs, whose band crosses the matrix's edges on 13% of
+// its anti-diagonals, and writes the cells/s comparison, with the ISA auto
+// ran, to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -184,10 +184,8 @@ void BM_DpuKernelPath(benchmark::State& state) {
 }
 BENCHMARK(BM_DpuKernelPath)
     ->Args({static_cast<int>(core::SimPath::kScalar), 0})
-    ->Args({static_cast<int>(core::SimPath::kDense), 0})
     ->Args({static_cast<int>(core::SimPath::kAuto), 0})
     ->Args({static_cast<int>(core::SimPath::kScalar), 1})
-    ->Args({static_cast<int>(core::SimPath::kDense), 1})
     ->Args({static_cast<int>(core::SimPath::kAuto), 1});
 
 // ---------------------------------------------------------------------------
@@ -198,16 +196,15 @@ struct PathTiming {
   double cells_per_second = 0.0;
 };
 
-/// Best-of-`reps` seconds that `run(path)` reports under scalar, dense and
-/// auto, and the cells/s they give for `cells`. The repetitions go
-/// round-robin over the three paths, so a change of host speed state in the
-/// middle of a run hits every path alike and the same-run ratios between
-/// paths hold.
+/// Best-of-`reps` seconds that `run(path)` reports under scalar and auto,
+/// and the cells/s they give for `cells`. The repetitions alternate between
+/// the two paths, so a change of host speed state in the middle of a run
+/// hits both alike and the same-run ratio between them holds.
 template <typename Run>
-std::array<PathTiming, 3> time_round_robin(double cells, int reps, Run run) {
-  constexpr core::SimPath kPaths[] = {
-      core::SimPath::kScalar, core::SimPath::kDense, core::SimPath::kAuto};
-  std::array<PathTiming, 3> timings;
+std::array<PathTiming, 2> time_round_robin(double cells, int reps, Run run) {
+  constexpr core::SimPath kPaths[] = {core::SimPath::kScalar,
+                                      core::SimPath::kAuto};
+  std::array<PathTiming, 2> timings;
   for (PathTiming& timing : timings) timing.seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t p = 0; p < timings.size(); ++p) {
@@ -228,7 +225,7 @@ double since(std::chrono::steady_clock::time_point start) {
 }
 
 /// The full aligner run of `pairs` under each path.
-std::array<PathTiming, 3> time_paths(const std::vector<core::PairInput>& pairs,
+std::array<PathTiming, 2> time_paths(const std::vector<core::PairInput>& pairs,
                                      core::PimAlignerConfig config,
                                      double cells, int reps) {
   return time_round_robin(cells, reps, [&](core::SimPath path) {
@@ -247,7 +244,7 @@ std::array<PathTiming, 3> time_paths(const std::vector<core::PairInput>& pairs,
 /// once, the program launched per repetition). A DPU aligns its pairs on
 /// one thread, so 1 kb pairs time the kernel without the engine's per-call
 /// setup or its fan-out over workers.
-std::array<PathTiming, 3> time_launch_paths(
+std::array<PathTiming, 2> time_launch_paths(
     const std::vector<std::pair<std::string, std::string>>& pairs,
     std::int64_t band, bool traceback, double cells, int reps) {
   std::vector<std::string_view> seqs;
@@ -277,8 +274,8 @@ std::array<PathTiming, 3> time_launch_paths(
 }
 
 void write_json_block(std::ofstream& os, const char* name,
-                      const std::array<PathTiming, 3>& timings) {
-  const auto& [scalar, dense, fast] = timings;
+                      const std::array<PathTiming, 2>& timings) {
+  const auto& [scalar, fast] = timings;
   auto entry = [&](const char* key, const PathTiming& t, const char* tail) {
     os << "    \"" << key << "\": { \"seconds\": " << t.seconds
        << ", \"cells_per_second\": " << t.cells_per_second
@@ -286,10 +283,7 @@ void write_json_block(std::ofstream& os, const char* name,
   };
   os << "  \"" << name << "\": {\n";
   entry("scalar", scalar, ",");
-  entry("dense", dense, ",");
   entry("auto", fast, ",");
-  os << "    \"speedup_dense_vs_scalar\": "
-     << dense.cells_per_second / scalar.cells_per_second << ",\n";
   os << "    \"speedup_auto_vs_scalar\": "
      << fast.cells_per_second / scalar.cells_per_second << "\n  }";
 }

@@ -32,7 +32,11 @@ int main(int argc, char** argv) {
 
   const core::PairOutput& result = results.at(0);
   if (!result.ok) {
-    std::cout << "alignment failed: the band never reached the end corner\n";
+    std::cout << "alignment failed: "
+              << (result.status == core::PairStatus::kUnreachable
+                      ? "the band never reached the end corner"
+                      : core::pair_status_name(result.status))
+              << "\n";
     return 1;
   }
 

@@ -53,9 +53,10 @@
 # get-or-create lookup, which would silently read 0 after a rename.
 #
 # Each preset also checks the symbols of every compiled copy of the per-ISA
-# sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA): an object
-# must define its entry point, vector_band_run<N>, and no other global or
-# weak symbol. An inline helper the TU called out of line would be a weak
+# sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA; every build
+# has at least the portable one, so finding none fails): an object must
+# define its entry point, vector_band_run<N>, and no other global or weak
+# symbol. An inline helper the TU called out of line would be a weak
 # symbol (in the Debug asan build, say), and the linker could hand its
 # AVX-512 copy to a caller on a CPU without AVX-512. The one compiler-
 # emitted weak datum allowed is DW.ref.__gxx_personality_v0, the hidden
@@ -136,7 +137,10 @@ for preset in "${PRESETS[@]}"; do
   cmake --build --preset "$preset" -j "$JOBS"
   echo "=== [$preset] sweep TU symbols"
   SWEEP_OBJS=$(find "$BUILD_DIR" -name 'kernel_simd_sweep.cpp.o' | sort)
-  [ -n "$SWEEP_OBJS" ] || echo "no vector sweep objects (not an x86 build)"
+  if [ -z "$SWEEP_OBJS" ]; then
+    echo "no band sweep objects in $BUILD_DIR (the portable one is missing)"
+    exit 1
+  fi
   for obj in $SWEEP_OBJS; do
     GLOBALS=$(nm -C --defined-only "$obj" | awk '$2 ~ /^[A-Zu]$/')
     ENTRY=' pimnw::core::simd::vector_band_run<[0-9]+>\('

@@ -77,7 +77,7 @@ std::span<Score> alloc_band(DpuContext& ctx, std::int64_t w) {
 /// Sliding 2-bit-packed window over a sequence stored in MRAM.
 /// Monotonically advancing; refills itself (and charges the DMA) on demand.
 /// Every refill also decodes the loaded bytes into a host-side cache, one
-/// code byte per base, that the fast path reads its lanes from. A reversed
+/// code byte per base, that the band runs read their lanes from. A reversed
 /// window keeps that cache back to front, so lanes walking down the
 /// sequence read it ascending.
 class SeqWindow {
@@ -160,14 +160,6 @@ class SeqWindow {
     return static_cast<std::uint8_t>((byte >> (2 * (rel % 4))) & 0x3);
   }
 
-  /// Cached code of base `index` (must be inside the ensured range). Lane t
-  /// of a sweep reads base index + t, or index - t in a reversed window.
-  const std::uint8_t* decoded(std::int64_t index) const {
-    PIMNW_DCHECK(index >= win_start_ && index < win_start_ + win_loaded_);
-    const std::int64_t rel = index - win_start_;
-    return cache_ + (reversed_ ? win_loaded_ - 1 - rel : rel);
-  }
-
   /// The whole cache and the bases it holds, for a band run.
   simd::Window decoded_range() const {
     return {cache_, win_start_, win_start_ + win_loaded_};
@@ -208,9 +200,9 @@ struct PoolBuffers {
   SeqWindow win_a;
   SeqWindow win_b;
   // One nibble-packed BT row, staged for its DMA: every row of the scalar
-  // reference and the fast path's chunk-straddling rows (a one-row band run
-  // under a vector sweep). Zeroed at launch; only the fast path writes its
-  // pad nibble and 8-byte rounding, as zeros.
+  // reference and the fast path's chunk-straddling rows (a one-row band
+  // run). Zeroed at launch; only a band run writes its pad nibble and 8-byte
+  // rounding, as zeros.
   std::uint64_t bt_row_addr = 0;
   std::uint64_t lo_buf_addr = 0;    // staged window origins
   std::span<std::uint32_t> lo_buf;
@@ -263,21 +255,15 @@ class PairAligner {
         cost_(cost),
         tasklets_(tasklets),
         pool_index_(pool_index),
-        fast_path_(sim_path != SimPath::kScalar),
-        band_runs_(sim_path == SimPath::kAuto &&
-                   vector_isa != simd::Isa::kPortable),
+        band_runs_(sim_path == SimPath::kAuto),
         isa_(vector_isa) {}
 
   void align(const PairEntry& pair, PairWriter& out);
 
  private:
   void compute_band(std::int64_t m, std::int64_t n);
-  std::int64_t sweep_runs(std::int64_t m, std::int64_t n,
-                          upmem::Mram::RowCursor* bank_rows,
-                          std::uint64_t rows_off);
-  std::int64_t sweep_diagonals(std::int64_t m, std::int64_t n,
-                               upmem::Mram::RowCursor* bank_rows,
-                               std::uint64_t rows_off);
+  std::int64_t sweep_runs(std::int64_t m, std::int64_t n);
+  std::int64_t sweep_diagonals(std::int64_t m, std::int64_t n);
   void ensure_windows(std::int64_t s, std::int64_t i_min, std::int64_t i_max);
   void flush_lo(std::uint64_t bytes);
   void compute_diag_scalar(std::int64_t s, std::int64_t lo,
@@ -285,10 +271,6 @@ class PairAligner {
                            std::int64_t i_min, std::int64_t i_max,
                            std::span<Score> h_cur, std::span<Score> h_prev,
                            std::uint8_t* bt_row);
-  void compute_diag_fast(std::int64_t s, std::int64_t lo, std::int64_t shift1,
-                         std::int64_t shift2, std::int64_t i_min,
-                         std::int64_t i_max, std::span<Score> h_cur,
-                         std::span<Score> h_prev, std::uint8_t* bt_row);
   dna::Cigar traceback(std::int64_t m, std::int64_t n);
 
   // BT scratch addresses for this pool and pair.
@@ -308,9 +290,8 @@ class PairAligner {
   const KernelCost& cost_;
   int tasklets_;
   int pool_index_;
-  bool fast_path_;
-  bool band_runs_;  // every anti-diagonal in simd::band_run
-  simd::Isa isa_;   // the band runs' vector sweep
+  bool band_runs_;  // every anti-diagonal in simd::band_run, else scalar
+  simd::Isa isa_;   // the band runs' copy of the sweep
 
   // Band state after compute_band().
   bool traceback_on_ = false;
@@ -353,22 +334,13 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   const std::int64_t w = batch_.header.band_width;
   const std::uint64_t diags = static_cast<std::uint64_t>(m + n + 1);
   const std::uint64_t row_bytes = bt_row_bytes(w);
-  const std::uint64_t rows_off = rows_area(m + n + 1);
-  // The fast path writes each BT row in place in the bank, through a cursor
-  // that checks the DMA shape of all the pair's row writes once.
-  std::optional<upmem::Mram::RowCursor> bank_rows;
-  if (traceback_on_ && fast_path_) {
-    bank_rows.emplace(ctx_.mram.row_cursor(rows_off, row_bytes, diags));
-  }
 
   std::fill(buf_.h[0].begin(), buf_.h[0].end(), kNegInf);
   std::fill(buf_.h[1].begin(), buf_.h[1].end(), kNegInf);
   std::fill(buf_.iv.begin(), buf_.iv.end(), kNegInf);
   std::fill(buf_.dv.begin(), buf_.dv.end(), kNegInf);
 
-  upmem::Mram::RowCursor* const rows = bank_rows ? &*bank_rows : nullptr;
-  const std::int64_t lo = band_runs_ ? sweep_runs(m, n, rows, rows_off)
-                                     : sweep_diagonals(m, n, rows, rows_off);
+  const std::int64_t lo = band_runs_ ? sweep_runs(m, n) : sweep_diagonals(m, n);
   PIMNW_DCHECK(buf_.sentinels_intact());
 
   // Charge the fixed work of all m+n+1 anti-diagonals at once: w cells split
@@ -423,18 +395,23 @@ void PairAligner::flush_lo(std::uint64_t bytes) {
   lo_staged_ = 0;
 }
 
-// Under a vector sweep every anti-diagonal runs inside the sweep TU
+// The fast path: every anti-diagonal runs inside the sweep TU
 // (simd::band_run), a run per call. Between runs this loop does what a run
 // leaves out: it flushes a full lo buffer and refills the windows, charging
-// both as the per-anti-diagonal loop does, and it points the next run at
+// both as the scalar reference's loop does, and it points the next run at
 // the bank rows left in the row's chunk, or at the WRAM staging row, for a
-// run of one row, when the row straddles two chunks. Returns the final
-// window origin.
-std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n,
-                                     upmem::Mram::RowCursor* bank_rows,
-                                     std::uint64_t rows_off) {
+// run of one row, when the row straddles two chunks. The runs write each BT
+// row in place in the bank, through a cursor that checks the DMA shape of
+// all the pair's row writes once. Returns the final window origin.
+std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n) {
   const std::int64_t w = batch_.header.band_width;
   const std::uint64_t row_bytes = bt_row_bytes(w);
+  const std::uint64_t rows_off = rows_area(m + n + 1);
+  std::optional<upmem::Mram::RowCursor> bank_rows;
+  if (traceback_on_) {
+    bank_rows.emplace(ctx_.mram.row_cursor(
+        rows_off, row_bytes, static_cast<std::uint64_t>(m + n + 1)));
+  }
   const align::Scoring& sc = batch_.scoring;
   simd::BandRun run{};
   run.m = m;
@@ -484,13 +461,12 @@ std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n,
   return run.lo;
 }
 
-// The scalar reference and the dense path, one anti-diagonal at a time.
-// Returns the final window origin.
-std::int64_t PairAligner::sweep_diagonals(std::int64_t m, std::int64_t n,
-                                          upmem::Mram::RowCursor* bank_rows,
-                                          std::uint64_t rows_off) {
+// The scalar reference's loop, one anti-diagonal at a time, each BT row
+// staged in WRAM and written to MRAM. Returns the final window origin.
+std::int64_t PairAligner::sweep_diagonals(std::int64_t m, std::int64_t n) {
   const std::int64_t w = batch_.header.band_width;
   const std::uint64_t row_bytes = bt_row_bytes(w);
+  const std::uint64_t rows_off = rows_area(m + n + 1);
   std::uint8_t* const wram_row = ctx_.wram.raw(buf_.bt_row_addr, row_bytes);
   std::int64_t lo = 0;
   std::int64_t lo1 = 0;
@@ -511,31 +487,12 @@ std::int64_t PairAligner::sweep_diagonals(std::int64_t m, std::int64_t n,
     std::span<Score> h_cur = buf_.h[static_cast<std::size_t>(s & 1)];
     std::span<Score> h_prev = buf_.h[static_cast<std::size_t>((s ^ 1) & 1)];
 
-    // This anti-diagonal's BT row: in the bank, or staged in WRAM when the
-    // row straddles a chunk boundary (and always on the scalar path).
-    std::span<std::uint8_t> in_bank;
-    std::uint8_t* bt_row = nullptr;
-    if (traceback_on_) {
-      if (bank_rows != nullptr) {
-        in_bank = bank_rows->row(static_cast<std::uint64_t>(s));
-      }
-      bt_row = in_bank.empty() ? wram_row : in_bank.data();
-    }
+    compute_diag_scalar(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
+                        traceback_on_ ? wram_row : nullptr);
 
-    // Functional update of the anti-diagonal. Both paths produce bit-identical
-    // band state and BT rows; the split only changes host wall-clock, never
-    // the PoolCost charges (DESIGN.md "Simulator fast path").
-    if (fast_path_) {
-      compute_diag_fast(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
-                        bt_row);
-    } else {
-      compute_diag_scalar(s, lo, shift1, shift2, i_min, i_max, h_cur, h_prev,
-                          bt_row);
-    }
-
-    // A staged row goes to MRAM now. Every row's DMA is charged with the
+    // The staged row goes to MRAM now. Every row's DMA is charged with the
     // pair's other per-anti-diagonal work after the loop.
-    if (traceback_on_ && in_bank.empty()) {
+    if (traceback_on_) {
       write_row_chunked(ctx_, buf_.bt_row_addr,
                         rows_off + static_cast<std::uint64_t>(s) * row_bytes,
                         row_bytes);
@@ -667,114 +624,6 @@ void PairAligner::compute_diag_scalar(std::int64_t s, std::int64_t lo,
     buf_.dv[static_cast<std::size_t>(k)] = new_d;
     i_carry = old_i;
     h2_carry = old_h2;
-  }
-}
-
-// Cycle-exact fast path of the dense loop (a band run does the same inside
-// the vector TU). Same update as compute_diag_scalar, restructured: the
-// in-band check is hoisted (only k in [i_min-lo, i_max-lo] is visited), the
-// i==0 / j==0 boundary cells are peeled, the bases come from the windows'
-// decoded caches (refreshed once per refill, not per anti-diagonal), and
-// the interior run is handed to the branchless portable sweep, which
-// updates the WRAM band arrays in place and stores its BT codes as packed
-// nibbles straight into the row. The equivalence argument, per input:
-//   h_up     = H_prev[k+shift1-1]   (h_prev is not written here)
-//   i_up     = I_prev[k+shift1-1]   (iv in place)
-//   h_left   = H_prev[k+shift1]
-//   d_left   = D_prev[k+shift1]     (dv in place)
-//   h_diag   = H_prev2[k+shift2-1]  (h_cur in place)
-// The scalar loop resolves the in-place reads with carries; here the walk
-// direction does (simd::DiagSpan). With shift1 == 0 (so shift2 <= 1) every
-// in-place read is at slot k or k-1, and lanes walk descending; with
-// shift1 == 1 (so shift2 >= 1) at k or k+1, and lanes walk ascending. Either
-// way a slot is read before it is overwritten. Reads one slot past a band
-// edge hit the arrays' kNegInf sentinels, as the reference's range checks
-// would. The peeled cells and the out-of-band slots overwrite slots the
-// sweep may read as neighbours, so they are written after it; out-of-band
-// slots get kNegInf exactly as the reference writes them. The sweep runs on
-// every anti-diagonal, an empty one too, because it writes the whole BT row
-// (DiagSpan) and a bank row may hold an earlier pair's bytes: out-of-band
-// and peeled cells, the pad nibble of an odd band and the 8-byte rounding
-// all read 0, as in the reference.
-void PairAligner::compute_diag_fast(std::int64_t s, std::int64_t lo,
-                                    std::int64_t shift1, std::int64_t shift2,
-                                    std::int64_t i_min, std::int64_t i_max,
-                                    std::span<Score> h_cur,
-                                    std::span<Score> h_prev,
-                                    std::uint8_t* bt_row) {
-  const std::int64_t w = batch_.header.band_width;
-  const align::Scoring& sc = batch_.scoring;
-  Score* const out_h = h_cur.data();
-  Score* const out_i = buf_.iv.data();
-  Score* const out_d = buf_.dv.data();
-  PIMNW_DCHECK(shift2 - shift1 == 0 || shift2 - shift1 == 1);
-
-  // Interior rows [ilo, ihi]: the band minus the peeled boundary cells.
-  const bool peel_i0 = i_min == 0;  // only while lo == 0, at k == 0
-  const std::int64_t ilo = peel_i0 ? 1 : i_min;
-  // s > 0 keeps the j == 0 cell (i == s) distinct from the origin cell.
-  const bool peel_j0 = i_max == s && s > 0 && i_max >= ilo;
-  const std::int64_t ihi = peel_j0 ? s - 1 : i_max;
-  const std::int64_t len = ihi - ilo + 1;
-  const std::int64_t ka = ilo - lo;
-
-  const auto bt_bytes = static_cast<std::int64_t>(bt_row_bytes(w));
-  if (len > 0) {
-    simd::DiagSpan span{};
-    span.up_h = h_prev.data() + ka + shift1 - 1;
-    span.up_i = out_i + ka + shift1 - 1;
-    span.left_h = h_prev.data() + ka + shift1;
-    span.left_d = out_d + ka + shift1;
-    span.diag_h = out_h + ka + shift2 - 1;
-    // Lane t pairs a[ilo-1+t] with b[s-ilo-1-t]; b's cache is reversed, so
-    // both walk their caches ascending.
-    span.base_a = buf_.win_a.decoded(ilo - 1);
-    span.base_b = buf_.win_b.decoded(s - ilo - 1);
-    span.out_h = out_h + ka;
-    span.out_i = out_i + ka;
-    span.out_d = out_d + ka;
-    span.bt_row = bt_row;
-    span.bt_bytes = bt_bytes;
-    span.bt_first = ka;
-    span.len = len;
-    span.descending = shift1 == 0;
-    span.match = sc.match;
-    span.mismatch = sc.mismatch;
-    span.gap_extend = sc.gap_extend;
-    span.open_ext = sc.open_extend();
-    simd::diag_update(span);
-  } else if (bt_row != nullptr) {
-    // No interior cells: the sweep only zeroes the row.
-    simd::DiagSpan span{};
-    span.bt_row = bt_row;
-    span.bt_bytes = bt_bytes;
-    simd::diag_update(span);
-  }
-
-  if (peel_i0) {
-    const std::size_t k = static_cast<std::size_t>(-lo);
-    const Score h = (s == 0) ? 0 : -sc.gap_cost(static_cast<std::uint64_t>(s));
-    out_h[k] = h;
-    out_i[k] = kNegInf;
-    out_d[k] = (s == 0) ? kNegInf : h;
-  }
-  if (peel_j0) {
-    const std::size_t k = static_cast<std::size_t>(s - lo);
-    const Score h = -sc.gap_cost(static_cast<std::uint64_t>(s));
-    out_h[k] = h;
-    out_i[k] = h;
-    out_d[k] = kNegInf;
-  }
-
-  // Out-of-band slots [0, i_min-lo) and (i_max-lo, w); an empty diagonal
-  // (i_min > i_max) makes the two ranges cover the whole band.
-  const std::size_t below = static_cast<std::size_t>(std::min(i_min - lo, w));
-  const std::size_t above =
-      static_cast<std::size_t>(std::max<std::int64_t>(i_max - lo + 1, 0));
-  const std::size_t ws = static_cast<std::size_t>(w);
-  for (Score* band : {out_h, out_i, out_d}) {
-    std::fill(band, band + below, kNegInf);
-    std::fill(band + above, band + ws, kNegInf);
   }
 }
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 
 #include "core/engine.hpp"
 #include "core/load_balance.hpp"
 #include "core/mram_layout.hpp"
 #include "core/pim_kernel.hpp"
+#include "dna/alphabet.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
@@ -32,26 +34,39 @@ void verify_against_reference(const PairOutput& output, std::string_view a,
   }
 }
 
-/// Admission check: a pair whose lone-pair MRAM image already exceeds the
-/// bank can never be aligned by any batch composition, so its output is
-/// PairStatus::kOversized instead of build_mram_image aborting the whole
-/// run: a service front door cannot crash on one bad request. Genuinely
-/// oversized *batches* (too many pairs per DPU) still fail the batch-level
-/// check.
-bool admit_pair(const PimKernel& kernel, const PimAlignerConfig& config,
-                std::size_t index, std::size_t len_a, std::size_t len_b) {
+bool all_acgt(std::string_view seq) {
+  return dna::first_non_acgt(seq) == std::string_view::npos;
+}
+
+/// Admission check: the status a pair resolves with before dispatch, or
+/// PairStatus::kOk to dispatch it, so that one bad pair never aborts the
+/// whole run and a service front door cannot crash on one bad request.
+///  * kInvalidInput: `acgt` is false, a base of the pair lies outside
+///    A/C/G/T, which the 2-bit code cannot hold.
+///  * kOversized: the pair's lone-pair MRAM image already exceeds the bank,
+///    so no batch composition can align it. Genuinely oversized *batches*
+///    (too many pairs per DPU) still fail the batch-level check.
+PairStatus admit_pair(const PimKernel& kernel, const PimAlignerConfig& config,
+                      std::size_t index, std::size_t len_a, std::size_t len_b,
+                      bool acgt) {
+  // Rate-limited: a service run fed a bad workload can reject thousands of
+  // pairs per second, and one WARN each would drown the log.
+  if (!acgt) {
+    PIMNW_WARN_RATELIMITED(
+        /*rate_per_second=*/5.0, /*burst=*/10.0,
+        "rejecting pair with a non-ACGT base: pair=" << index);
+    return PairStatus::kInvalidInput;
+  }
   if (kernel.pair_admissible(len_a, len_b, config.align, config.pool) &&
       single_pair_image_bytes(len_a, len_b, kernel, config.align,
                               config.pool) <= upmem::kMramBytes) {
-    return true;
+    return PairStatus::kOk;
   }
-  // Rate-limited: a service run fed a bad workload can reject thousands of
-  // pairs per second, and one WARN each would drown the log.
   PIMNW_WARN_RATELIMITED(
       /*rate_per_second=*/5.0, /*burst=*/10.0,
       "rejecting oversized pair: pair=" << index << " len_a=" << len_a
                                         << " len_b=" << len_b);
-  return false;
+  return PairStatus::kOversized;
 }
 
 }  // namespace
@@ -107,9 +122,13 @@ RunReport PimAligner::run_batches(const RunSpec& spec,
 
   if (config_.verify && out != nullptr && spec.pair_of) {
     for (std::size_t p = 0; p < out->size(); ++p) {
-      // Pairs rejected at admission (oversized) were never dispatched; the
-      // reference would happily align them, so there is nothing to compare.
-      if ((*out)[p].status == PairStatus::kOversized) continue;
+      // Pairs rejected at admission were never dispatched; there is nothing
+      // to compare.
+      const PairStatus status = (*out)[p].status;
+      if (status == PairStatus::kOversized ||
+          status == PairStatus::kInvalidInput) {
+        continue;
+      }
       const PairInput pair = spec.pair_of(static_cast<std::uint32_t>(p));
       verify_against_reference((*out)[p], pair.a, pair.b,
                                kernel_for(config_), config_.align);
@@ -129,12 +148,12 @@ RunReport PimAligner::align_pairs(std::span<const PairInput> pairs,
   accepted.reserve(pairs.size());
   std::uint64_t rejected = 0;
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    if (!admit_pair(kernel, config_, p, pairs[p].a.size(),
-                    pairs[p].b.size())) {
+    const PairStatus status =
+        admit_pair(kernel, config_, p, pairs[p].a.size(), pairs[p].b.size(),
+                   all_acgt(pairs[p].a) && all_acgt(pairs[p].b));
+    if (status != PairStatus::kOk) {
       ++rejected;
-      if (out != nullptr) {
-        (*out)[p].status = PairStatus::kOversized;
-      }
+      if (out != nullptr) (*out)[p].status = status;
       continue;
     }
     accepted.push_back(static_cast<std::uint32_t>(p));
@@ -178,13 +197,13 @@ RunReport PimAligner::align_sets(
     std::span<const std::vector<std::string>> sets,
     std::vector<std::vector<PairOutput>>* out) {
   // Flatten: global id per pair, remembering where it came from. Each pair
-  // is admitted on its own, as align_pairs does; a rejected one stays out of
-  // its set's workload and DPU plan.
+  // is admitted on its own, as align_pairs does, from one scan of each
+  // sequence; a rejected one stays out of its set's workload and DPU plan.
   struct FlatPair {
     std::uint32_t set;
     std::string_view a;
     std::string_view b;
-    bool admitted;
+    PairStatus admission;  // kOk: dispatched
   };
   const PimKernel& kernel = kernel_for(config_);
   std::vector<FlatPair> flat;
@@ -194,13 +213,16 @@ RunReport PimAligner::align_sets(
   for (std::size_t s = 0; s < sets.size(); ++s) {
     set_first_pair[s] = flat.size();
     const auto& set = sets[s];
+    std::vector<bool> acgt(set.size());
+    for (std::size_t i = 0; i < set.size(); ++i) acgt[i] = all_acgt(set[i]);
     for (std::size_t i = 0; i < set.size(); ++i) {
       for (std::size_t j = i + 1; j < set.size(); ++j) {
-        const bool admitted = admit_pair(kernel, config_, flat.size(),
-                                         set[i].size(), set[j].size());
+        const PairStatus admission =
+            admit_pair(kernel, config_, flat.size(), set[i].size(),
+                       set[j].size(), acgt[i] && acgt[j]);
         flat.push_back({static_cast<std::uint32_t>(s), set[i], set[j],
-                        admitted});
-        if (!admitted) {
+                        admission});
+        if (admission != PairStatus::kOk) {
           ++rejected;
           continue;
         }
@@ -220,7 +242,9 @@ RunReport PimAligner::align_sets(
   }
   std::vector<PairOutput> flat_out(flat.size());
   for (std::size_t p = 0; p < flat.size(); ++p) {
-    if (!flat[p].admitted) flat_out[p].status = PairStatus::kOversized;
+    if (flat[p].admission != PairStatus::kOk) {
+      flat_out[p].status = flat[p].admission;
+    }
   }
 
   // Batch granularity: whole sets, several per DPU of a rank, LPT over the
@@ -253,7 +277,7 @@ RunReport PimAligner::align_sets(
     std::size_t id = set_first_pair[s];
     for (std::size_t i = 0; i < set.size(); ++i) {
       for (std::size_t j = i + 1; j < set.size(); ++j, ++id) {
-        if (!flat[id].admitted) continue;
+        if (flat[id].admission != PairStatus::kOk) continue;
         plan.batch.pairs.push_back({interner.intern(set[i]),
                                     interner.intern(set[j]),
                                     static_cast<std::uint32_t>(id)});

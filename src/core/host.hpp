@@ -49,8 +49,9 @@ struct RunReport {
   double load_imbalance = 0.0;
   std::uint64_t batches = 0;
   std::uint64_t total_pairs = 0;
-  /// Pairs rejected before dispatch because their lone-pair MRAM image
-  /// exceeds the 64 MB bank (PairStatus::kOversized); not in total_pairs.
+  /// Pairs rejected before dispatch, because a base lies outside A/C/G/T
+  /// (PairStatus::kInvalidInput) or the lone-pair MRAM image exceeds the
+  /// 64 MB bank (PairStatus::kOversized); not in total_pairs.
   std::uint64_t rejected_pairs = 0;
   std::uint64_t bytes_to_dpus = 0;
   /// Portion of bytes_to_dpus that was one-time broadcast traffic (the
@@ -69,7 +70,10 @@ class PimAligner {
   const PimAlignerConfig& config() const { return config_; }
 
   /// Align each (a, b) pair. When `out` is non-null it receives one
-  /// PairOutput per input pair (same order).
+  /// PairOutput per input pair (same order). A pair with a base outside
+  /// A/C/G/T resolves PairStatus::kInvalidInput and one whose lone-pair
+  /// image exceeds the bank PairStatus::kOversized, without being
+  /// dispatched; the other pairs still align.
   RunReport align_pairs(std::span<const PairInput> pairs,
                         std::vector<PairOutput>* out);
 
@@ -78,8 +82,8 @@ class PimAligner {
   /// bases cross the bus once per set instead of once per pair.
   /// `out[s]` receives the set's pair results, enumerated row-major
   /// ((0,1),(0,2),...,(1,2),...). Each pair is admitted as align_pairs
-  /// admits it: one whose lone-pair image exceeds the bank resolves
-  /// PairStatus::kOversized, and the rest of its set still aligns.
+  /// admits it (kInvalidInput, kOversized), and the rest of its set still
+  /// aligns.
   RunReport align_sets(std::span<const std::vector<std::string>> sets,
                        std::vector<std::vector<PairOutput>>* out);
 

@@ -1,13 +1,27 @@
-// The vector band sweep, written once over GCC vector types and templated on
-// its lane count N. Like minimap2's KSW2 the build compiles this one source
-// once per ISA, with the ISA's flags and PIMNW_SWEEP_LANES, and each copy
-// exports one function, vector_band_run<N>: a run of anti-diagonals (N = 8:
-// AVX2; N = 16: AVX-512 F/BW/VL). All else has internal linkage and calls no
-// out-of-line inline function (align::adaptive_move_down is always inlined,
-// and no std:: helper is called), so the linker cannot hand one ISA's copy of
-// a function to another ISA's caller. scripts/verify.sh checks each object's
-// symbols for that.
+// The band sweep, written once over GCC vector types and templated on its
+// lane count N. Like minimap2's KSW2 the build compiles this one source once
+// per ISA, with the ISA's flags and PIMNW_SWEEP_LANES, and each copy exports
+// one function, vector_band_run<N>: a run of anti-diagonals (N = 4: the
+// portable copy, built without ISA flags over 16-byte vectors, SSE2 on any
+// x86-64 and NEON on AArch64; N = 8: AVX2; N = 16: AVX-512 F/BW/VL). All else
+// has internal linkage and calls no out-of-line inline function
+// (align::adaptive_move_down is always inlined, and no std:: helper is
+// called), so the linker cannot hand one ISA's copy of a function to another
+// ISA's caller. scripts/verify.sh checks each object's symbols for that.
+//
+// The sweep updates the band in place; its walk direction makes that safe.
+// Slot k reads H and I of the previous anti-diagonal at k + shift1 - 1, H
+// and D at k + shift1, and H of the one before at k + shift2 - 1, where
+// shift1 = lo - lo1 and shift2 = lo - lo2. With shift1 == 0 (so shift2 <= 1)
+// every read of an array the sweep writes is at slot k or k - 1, so blocks
+// go descending; with shift1 == 1 (so shift2 >= 1) at k or k + 1, so they go
+// ascending. A block loads all its inputs before it stores, so every slot is
+// read before the lane that owns it is written, as the scalar reference's
+// carries read it. Reads one slot past a band edge land on the kNegInf
+// sentinel kept at each end of each array.
+#if PIMNW_SWEEP_LANES != 4
 #include <immintrin.h>
+#endif
 
 #include "align/adaptive_steering.hpp"
 #include "core/kernel_simd.hpp"
@@ -19,7 +33,8 @@ using align::Score;
 
 /// The ISA's N epi32 lanes (comparisons yield -1/0 masks of the same type),
 /// its lane mask M, and the steps GCC 12 would scalarize, one intrinsic
-/// each: bases(p) widens p[0, N); top_bits(v) has bit b = bit 7 of byte b;
+/// each in the ISA copies and lane by lane in the portable one: bases(p)
+/// widens p[0, N); top_bits(v) has bit b = bit 7 of byte b;
 /// lanes(from, to) keeps lanes [from, to) (either bound may lie outside
 /// [0, N]); load and store touch only the kept lanes (a load reads 0 in the
 /// others and faults on none of them); keep zeroes the other lanes.
@@ -54,7 +69,7 @@ struct Ops<16> {
   }
   static V keep(V v, M m) { return V(_mm512_maskz_mov_epi32(m, __m512i(v))); }
 };
-#else
+#elif PIMNW_SWEEP_LANES == 8
 template <>
 struct Ops<8> {
   typedef Score V __attribute__((vector_size(32)));
@@ -81,6 +96,49 @@ struct Ops<8> {
   }
   static V keep(V v, M m) { return v & m; }
 };
+#else
+template <>
+struct Ops<4> {
+  typedef Score V __attribute__((vector_size(16)));
+  typedef V M;  // -1 in the kept lanes
+  static V bases(const std::uint8_t* p) {
+    typedef std::uint8_t B __attribute__((vector_size(4)));
+    B b;
+    __builtin_memcpy(&b, p, sizeof b);
+    return __builtin_convertvector(b, V);
+  }
+  // One multiply per lane: it moves bits 7, 15, 23 and 31 of the lane to
+  // bits 28-31 of the product, and no two of its partial products share a
+  // bit, so nothing carries into them.
+  static std::uint64_t top_bits(V v) {
+    std::uint64_t bits = 0;
+    for (int u = 0; u < 4; ++u) {
+      const std::uint32_t top = static_cast<std::uint32_t>(v[u]) & 0x80808080u;
+      bits |= static_cast<std::uint64_t>((top * 0x00204081u) >> 28) << (4 * u);
+    }
+    return bits;
+  }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    const V lane = {0, 1, 2, 3};
+    auto clamp = [](std::int64_t c) -> Score {
+      return static_cast<Score>(c < -1 ? -1 : c > 4 ? 4 : c);
+    };
+    return (lane >= clamp(from)) & (lane < clamp(to));
+  }
+  static V load(const Score* p, M m) {
+    V v = {};
+    for (int u = 0; u < 4; ++u) {
+      if (m[u]) v[u] = p[u];
+    }
+    return v;
+  }
+  static void store(Score* p, M m, V v) {
+    for (int u = 0; u < 4; ++u) {
+      if (m[u]) p[u] = v[u];
+    }
+  }
+  static V keep(V v, M m) { return v & m; }
+};
 #endif
 
 std::int64_t min(std::int64_t a, std::int64_t b) { return a < b ? a : b; }
@@ -94,10 +152,10 @@ std::int64_t max(std::int64_t a, std::int64_t b) { return a > b ? a : b; }
 /// it won 9 of the 10 pairs.
 constexpr std::int64_t kPrefetchRows = 4;
 
-/// BandRun's loop: per anti-diagonal, compute_band's per-anti-diagonal loop
-/// (core/dpu_kernel.cpp) with compute_diag_fast folded in. The interior
-/// slots [ka, kb) are swept in blocks of N lanes, in the walk order of
-/// simd::DiagSpan. Blocks start on an even slot, so each stores N/2 whole
+/// BandRun's loop: per anti-diagonal, what the scalar reference's
+/// per-anti-diagonal loop (core/dpu_kernel.cpp) does. The interior slots
+/// [ka, kb) are swept in blocks of N lanes, in the walk order the file's
+/// head sets out. Blocks start on an even slot, so each stores N/2 whole
 /// BT bytes; a block that is not wholly interior (the first when ka is odd,
 /// the last when kb - ka is not a multiple of N) loads, stores and packs
 /// only its interior lanes.
@@ -171,9 +229,9 @@ std::int64_t run(BandRun& state) {
     const Score* const h_prev = r.h[(s & 1) ^ 1];
     const std::int64_t shift1 = lo - lo1;
     const std::int64_t shift2 = lo - lo2;
-    // Slot k's inputs (DiagSpan, at lane k of the whole band) and bases:
-    // slot k pairs a[lo - 1 + k] with b[s - lo - 1 - k]; b's window is
-    // reversed, so both walk their codes ascending.
+    // Slot k's inputs, at lane k of the whole band, and bases: slot k pairs
+    // a[lo - 1 + k] with b[s - lo - 1 - k]; b's window is reversed, so both
+    // walk their codes ascending.
     const Score* const up_h = h_prev + shift1 - 1;
     const Score* const up_i = iv + shift1 - 1;
     const Score* const left_h = h_prev + shift1;

@@ -14,8 +14,6 @@ const char* sim_path_name(SimPath path) {
   switch (path) {
     case SimPath::kAuto:
       return "auto";
-    case SimPath::kDense:
-      return "dense";
     case SimPath::kScalar:
       return "scalar";
   }

@@ -30,13 +30,11 @@ const char* kernel_variant_name(KernelVariant variant);
 /// kernel_fastpath_test), because the cost model charges per unit of work,
 /// not per host instruction (DESIGN.md "Simulator fast path").
 enum class SimPath {
-  /// Fast path with the widest vector sweep the build carries and the CPU
-  /// runs: AVX-512 (16 lanes), else AVX2 (8), else the portable loop,
-  /// chosen once per process (simd::auto_isa()). Its BT rows go straight
-  /// into the bank. Default.
+  /// Fast path: band runs in the widest copy of the band sweep the build
+  /// carries and the CPU runs: AVX-512 (16 lanes), else AVX2 (8), else the
+  /// portable copy (4), chosen once per process (simd::auto_isa()). Its BT
+  /// rows go straight into the bank. Default.
   kAuto,
-  /// Fast path restricted to the portable dense loop (no intrinsics).
-  kDense,
   /// The original branchy per-cell reference loop — the kernel spec.
   kScalar,
 };

@@ -32,6 +32,7 @@ enum class PairStatus : std::uint8_t {
   kDeadlineExceeded = 3,  // service: deadline passed before dispatch
   kQueueFull = 4,       // service: rejected by backpressure at submit
   kShutdown = 5,        // service: stopped before the pair was accepted
+  kInvalidInput = 6,    // a base outside A/C/G/T; rejected before dispatch
 };
 
 inline const char* pair_status_name(PairStatus status) {
@@ -48,6 +49,8 @@ inline const char* pair_status_name(PairStatus status) {
       return "queue_full";
     case PairStatus::kShutdown:
       return "shutdown";
+    case PairStatus::kInvalidInput:
+      return "invalid_input";
   }
   return "?";
 }

@@ -51,11 +51,17 @@ std::size_t resolve_ambiguous(std::string& seq, Xoshiro256& rng) {
   return substituted;
 }
 
-void require_acgt(std::string_view seq) {
+std::size_t first_non_acgt(std::string_view seq) {
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    PIMNW_CHECK_MSG(is_acgt(seq[i]), "non-ACGT base '" << seq[i]
-                                                       << "' at position " << i);
+    if (!is_acgt(seq[i])) return i;
   }
+  return std::string_view::npos;
+}
+
+void require_acgt(std::string_view seq) {
+  const std::size_t i = first_non_acgt(seq);
+  PIMNW_CHECK_MSG(i == std::string_view::npos,
+                  "non-ACGT base '" << seq[i] << "' at position " << i);
 }
 
 }  // namespace pimnw::dna

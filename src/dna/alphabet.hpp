@@ -43,6 +43,10 @@ inline Code complement(Code code) { return static_cast<Code>(3 - code); }
 /// the paper's policy. Uppercases the rest. Returns the number substituted.
 std::size_t resolve_ambiguous(std::string& seq, Xoshiro256& rng);
 
+/// Position of the first character of `seq` that is not A/C/G/T (either
+/// case), or std::string_view::npos when there is none. One pass, no throw.
+std::size_t first_non_acgt(std::string_view seq);
+
 /// Validate that every character of `seq` is A/C/G/T; throws CheckError
 /// naming the first offending position otherwise.
 void require_acgt(std::string_view seq);

@@ -163,11 +163,6 @@ Mram::RowCursor Mram::row_cursor(std::uint64_t base, std::uint64_t row_bytes,
   return RowCursor(*this, base, row_bytes, rows);
 }
 
-std::span<std::uint8_t> Mram::RowCursor::row(std::uint64_t r) {
-  const std::span<std::uint8_t> rows = rows_from(r);
-  return rows.empty() ? rows : rows.first(row_bytes_);
-}
-
 std::span<std::uint8_t> Mram::RowCursor::rows_from(std::uint64_t r) {
   PIMNW_CHECK_MSG(r < rows_, "row " << r << " outside a cursor of " << rows_);
   const std::uint64_t addr = base_ + r * row_bytes_;

@@ -21,11 +21,10 @@
 //
 // A row cursor (row_cursor()) lets a DPU kernel that streams equally sized
 // rows to the bank, one DMA chain per row (the BT rows of §4.2.2), write
-// each row in place: it checks the whole region once, with check_dma's
-// rules, and then hands out each row's bytes inside its chunk. The modeled
-// DMA is still charged by the kernel, row by row. rows_from() hands out
-// every whole row left in a row's chunk at once, for a writer that fills
-// consecutive rows in one pass.
+// its rows in place: it checks the whole region once, with check_dma's
+// rules, and then rows_from() hands out every whole row left in a row's
+// chunk at once, for a writer that fills consecutive rows in one pass. The
+// modeled DMA is still charged by the kernel, row by row.
 //
 // Every access is bounds-checked
 // against the architectural 64 MB, and DMA-shaped accesses additionally
@@ -67,14 +66,10 @@ class Mram {
   /// Writable rows of a region row_cursor() checked.
   class RowCursor {
    public:
-    /// Row `r`'s bytes, in place in its chunk (materialised as write()
-    /// would), or an empty span when the row straddles a chunk boundary: the
-    /// caller then stages the row and writes it with write().
-    std::span<std::uint8_t> row(std::uint64_t r);
-
     /// Rows r, r + 1, ... in place, as one span: every whole row of the
-    /// cursor left in row `r`'s chunk (materialised as row() does), or an
-    /// empty span when row `r` straddles a chunk boundary.
+    /// cursor left in row `r`'s chunk (materialised as write() would), or an
+    /// empty span when row `r` straddles a chunk boundary: the caller then
+    /// stages that row and writes it with write().
     std::span<std::uint8_t> rows_from(std::uint64_t r);
 
    private:

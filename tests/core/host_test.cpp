@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "align/banded_adaptive.hpp"
 #include "core/host.hpp"
@@ -153,6 +155,93 @@ TEST(AlignSetsTest, OversizedPairResolvesAlone) {
     }
   }
   for (const PairOutput& output : outputs[0]) EXPECT_TRUE(output.ok);
+}
+
+/// Expects `got` to hold `want`'s outputs, field for field.
+void expect_same_output(const PairOutput& got, const PairOutput& want,
+                        const std::string& tag) {
+  EXPECT_EQ(got.status, want.status) << tag;
+  EXPECT_EQ(got.ok, want.ok) << tag;
+  EXPECT_EQ(got.score, want.score) << tag;
+  EXPECT_EQ(got.cigar.to_string(), want.cigar.to_string()) << tag;
+  EXPECT_EQ(got.dpu_pool_cycles, want.dpu_pool_cycles) << tag;
+  EXPECT_EQ(got.dpu_dma_bytes, want.dpu_dma_bytes) << tag;
+}
+
+TEST(AlignSetsTest, NonAcgtReadResolvesItsPairs) {
+  // A read with an N: each of its pairs resolves kInvalidInput before
+  // dispatch, and every other pair, in its set and in the other set, aligns
+  // as it does in a call without the read.
+  const std::vector<std::string> clean_set = {"ACGTACGTAC", "ACGTACGAAC",
+                                              "ACGAACGTAC"};
+  const std::vector<std::vector<std::string>> sets = {
+      clean_set,
+      {"ACGTACGTAC", "ACNTACGTAC", "ACGTACCTAC", "ACGAACGTAC"},
+  };
+  const std::vector<std::vector<std::string>> without = {
+      clean_set,
+      {"ACGTACGTAC", "ACGTACCTAC", "ACGAACGTAC"},
+  };
+  PimAlignerConfig config;
+  config.nr_ranks = 1;
+  config.verify = true;
+  std::vector<std::vector<PairOutput>> got;
+  std::vector<std::vector<PairOutput>> want;
+  RunReport report;
+  ASSERT_NO_THROW(report = PimAligner(config).align_sets(sets, &got));
+  const RunReport clean = PimAligner(config).align_sets(without, &want);
+
+  EXPECT_EQ(report.rejected_pairs, 3u);
+  EXPECT_EQ(report.total_pairs, clean.total_pairs);
+  ASSERT_EQ(got.size(), 2u);
+  ASSERT_EQ(got[1].size(), 6u);
+  // Set 1's pairs: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); read 1 has the N.
+  for (const std::size_t p : {0u, 3u, 4u}) {
+    EXPECT_EQ(got[1][p].status, PairStatus::kInvalidInput) << "pair " << p;
+    EXPECT_FALSE(got[1][p].ok) << "pair " << p;
+  }
+  const std::size_t kept[] = {1, 2, 5};
+  for (std::size_t p = 0; p < 3; ++p) {
+    expect_same_output(got[1][kept[p]], want[1][p],
+                       "set 1 pair " + std::to_string(kept[p]));
+    expect_same_output(got[0][p], want[0][p],
+                       "set 0 pair " + std::to_string(p));
+  }
+}
+
+TEST(AdmissionTest, NonAcgtPairResolvesAlone) {
+  // A pair with an N in either sequence, in either case, resolves
+  // kInvalidInput before dispatch (verify mode skips it), and the valid
+  // pairs' outputs equal those of a call without it.
+  const data::PairDataset dataset =
+      data::generate_synthetic(data::s1000_config(6, 37));
+  std::vector<PairInput> valid;
+  for (const auto& [a, b] : dataset.pairs) valid.push_back({a, b});
+  std::vector<PairInput> mixed = valid;
+  mixed.insert(mixed.begin() + 2, {"ACGTNNGT", "ACGTACGA"});
+  mixed.push_back({"ACGTACGA", "ACGTACGn"});
+  PimAlignerConfig config;
+  config.nr_ranks = 1;
+  config.verify = true;
+  std::vector<PairOutput> got;
+  std::vector<PairOutput> want;
+  RunReport report;
+  ASSERT_NO_THROW(report = PimAligner(config).align_pairs(mixed, &got));
+  const RunReport clean = PimAligner(config).align_pairs(valid, &want);
+
+  EXPECT_EQ(report.rejected_pairs, 2u);
+  EXPECT_EQ(report.total_pairs, clean.total_pairs);
+  ASSERT_EQ(got.size(), mixed.size());
+  for (const std::size_t p : {std::size_t{2}, mixed.size() - 1}) {
+    EXPECT_EQ(got[p].status, PairStatus::kInvalidInput) << "pair " << p;
+    EXPECT_FALSE(got[p].ok) << "pair " << p;
+  }
+  got.erase(got.end() - 1);
+  got.erase(got.begin() + 2);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    expect_same_output(got[p], want[p], "pair " + std::to_string(p));
+  }
 }
 
 TEST(VerifyModeTest, PassesOnCorrectResults) {

@@ -344,6 +344,30 @@ TEST(ServiceOversized, StatusFlowsThroughService) {
   service.stop();
 }
 
+TEST(ServiceInvalidInput, StatusFlowsThroughService) {
+  // A pair with an N must come back as kInvalidInput while its batch-mate
+  // aligns, through the full service → dispatcher → PimBackend →
+  // align_pairs path: the coalescer keeps serving.
+  const PimAlignerConfig config = small_pim_config();
+  PimBackend pim({config});
+  Dispatcher dispatcher({.policy = RoutePolicy::kSingle,
+                         .single = BackendKind::kPim},
+                        {&pim});
+  ServiceConfig service_config;
+  service_config.max_batch_pairs = 8;
+  service_config.max_linger_seconds = 1e-3;
+  AlignService service(&dispatcher, service_config);
+  std::future<ServiceResult> good = service.submit({"ACGT", "ACGT"});
+  std::future<ServiceResult> invalid =
+      service.submit({"ACGTNNGT", "ACGTACGA"});
+  const ServiceResult bad = invalid.get();
+  EXPECT_FALSE(bad.output.ok);
+  EXPECT_EQ(bad.output.status, PairStatus::kInvalidInput);
+  EXPECT_GT(bad.batch_id, 0u);  // dispatched, rejected inside the backend
+  EXPECT_TRUE(good.get().output.ok);
+  service.stop();
+}
+
 TEST(ServiceCalibration, SaveLoadRoundTrip) {
   CpuBackend cpu{CpuBackend::Config{}};
   WfaBackend wfa{WfaBackend::Config{}};

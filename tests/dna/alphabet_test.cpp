@@ -85,5 +85,13 @@ TEST(AlphabetTest, RequireAcgtAcceptsEmpty) {
   EXPECT_NO_THROW(require_acgt(""));
 }
 
+TEST(AlphabetTest, FirstNonAcgtFindsTheFirstOffender) {
+  EXPECT_EQ(first_non_acgt(""), std::string_view::npos);
+  EXPECT_EQ(first_non_acgt("ACGTacgt"), std::string_view::npos);
+  EXPECT_EQ(first_non_acgt("ACnTN"), 2u);
+  EXPECT_EQ(first_non_acgt("N"), 0u);
+  EXPECT_EQ(first_non_acgt(std::string("ACG\0T", 5)), 3u);
+}
+
 }  // namespace
 }  // namespace pimnw::dna

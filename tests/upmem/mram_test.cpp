@@ -186,29 +186,6 @@ TEST(MramTest, RowCursorChecksTheWholeRegionOnce) {
   EXPECT_EQ(mram.footprint(), 0u);
 }
 
-TEST(MramTest, RowCursorWritesInPlaceAndSkipsStraddlingRows) {
-  Mram mram;
-  const std::uint64_t chunk = 64 * 1024;  // kChunkBytes
-  // Rows of 48 bytes from 40 bytes below a chunk boundary: row 0 straddles
-  // it, row 1 lies inside the next chunk.
-  Mram::RowCursor rows = mram.row_cursor(3 * chunk - 40, 48, 4);
-  EXPECT_TRUE(rows.row(0).empty());
-  EXPECT_EQ(mram.footprint(), 0u);
-  EXPECT_THROW(rows.row(4), CheckError);
-
-  const std::span<std::uint8_t> row = rows.row(1);
-  ASSERT_EQ(row.size(), 48u);
-  EXPECT_EQ(mram.footprint(), chunk);  // the row's chunk, materialised
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    row[i] = static_cast<std::uint8_t>(i + 1);
-  }
-  std::vector<std::uint8_t> back(48);
-  mram.read(3 * chunk + 8, back);
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    ASSERT_EQ(back[i], i + 1) << "byte " << i;
-  }
-}
-
 TEST(MramTest, RowsFromStopsAtChunkEnd) {
   Mram mram;
   const std::uint64_t chunk = 64 * 1024;  // kChunkBytes
@@ -229,7 +206,6 @@ TEST(MramTest, RowsFromStopsAtChunkEnd) {
   EXPECT_EQ(cursor.rows_from(1000).size(), 366u * 48);
   EXPECT_EQ(cursor.rows_from(1365).size(), 48u);
   EXPECT_EQ(cursor.rows_from(1).data(), from1.data());
-  EXPECT_EQ(cursor.row(1000).data(), from1.data() + 999 * 48);
   for (std::size_t i = 0; i < from1.size(); ++i) {
     from1[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }

@@ -53,15 +53,18 @@
 # get-or-create lookup, which would silently read 0 after a rename.
 #
 # Each preset also checks the symbols of every compiled copy of the per-ISA
-# sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA; every build
-# has at least the portable one, so finding none fails): an object must
-# define its entry point, vector_band_run<N>, and no other global or weak
-# symbol. An inline helper the TU called out of line would be a weak
-# symbol (in the Debug asan build, say), and the linker could hand its
-# AVX-512 copy to a caller on a CPU without AVX-512. The one compiler-
-# emitted weak datum allowed is DW.ref.__gxx_personality_v0, the hidden
-# pointer to the C++ personality routine that the sanitizers' unwind
-# cleanups reference; it carries no ISA code.
+# sweep TU (src/core/kernel_simd_sweep.cpp, one object per ISA, in
+# pimnw_sweep_<isa>.dir; every build has at least the portable one, so
+# finding none fails): an object must define its two entry points,
+# vector_band_run<N, int> and vector_band_run<N, short> (the 32-bit and the
+# 16-bit lanes; N = 4, 8 or 16 for the portable, AVX2 and AVX-512 copy),
+# and no other global or weak symbol. An inline helper the TU called out of
+# line would be a weak symbol (in the Debug asan build, say), and the
+# linker could hand its AVX-512 copy to a caller on a CPU without AVX-512.
+# The one compiler-emitted weak datum allowed is
+# DW.ref.__gxx_personality_v0, the hidden pointer to the C++ personality
+# routine that the sanitizers' unwind cleanups reference; it carries no ISA
+# code.
 #
 # The default preset also smoke-runs a command-line error: quickstart
 # --bogus 1 must exit 2 and name the flag (util::Cli prints the error and
@@ -142,16 +145,27 @@ for preset in "${PRESETS[@]}"; do
     exit 1
   fi
   for obj in $SWEEP_OBJS; do
+    case "$obj" in
+      */pimnw_sweep_portable.dir/*) LANES=4 ;;
+      */pimnw_sweep_avx2.dir/*) LANES=8 ;;
+      */pimnw_sweep_avx512.dir/*) LANES=16 ;;
+      *) echo "$obj is no known copy of the band sweep"; exit 1 ;;
+    esac
     GLOBALS=$(nm -C --defined-only "$obj" | awk '$2 ~ /^[A-Zu]$/')
-    ENTRY=' pimnw::core::simd::vector_band_run<[0-9]+>\('
-    if ! grep -q -E "$ENTRY" <<<"$GLOBALS"; then
-      echo "$obj does not define its entry point vector_band_run<N>"
-      exit 1
-    fi
-    EXTRA=$(grep -v -E "$ENTRY| DW\.ref\.__gxx_personality_v0\$" \
-        <<<"$GLOBALS" || true)
+    EXTRA=$GLOBALS
+    for LANE in int short; do
+      ENTRY=" pimnw::core::simd::vector_band_run<$LANES, $LANE>"
+      ENTRY+="(pimnw::core::simd::BandRun<$LANE>&)"
+      if ! grep -q -F -- "$ENTRY" <<<"$GLOBALS"; then
+        echo "$obj does not define its entry point" \
+            "vector_band_run<$LANES, $LANE>"
+        exit 1
+      fi
+      EXTRA=$(grep -v -F -- "$ENTRY" <<<"$EXTRA" || true)
+    done
+    EXTRA=$(grep -v -E ' DW\.ref\.__gxx_personality_v0$' <<<"$EXTRA" || true)
     if [ -n "$EXTRA" ]; then
-      echo "$obj defines global or weak symbols beyond its entry point:"
+      echo "$obj defines global or weak symbols beyond its entry points:"
       echo "$EXTRA"
       exit 1
     fi

@@ -7,6 +7,7 @@
 
 #include "core/load_balance.hpp"
 #include "core/wfa_kernel.hpp"
+#include "dna/alphabet.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -20,6 +21,21 @@ namespace {
 /// wall time, and the simulator *is* the host cost of those backends.
 /// Dispatcher::calibrate corrects it per backend through cost_scale().
 constexpr double kSimCellsPerSecond = 400e6;
+
+/// The host backends' admission, as PimAligner's: a pair with a base outside
+/// A/C/G/T (either case) resolves PairStatus::kInvalidInput on its own, so
+/// the Dispatcher answers one input the same through every backend and the
+/// pairs beside it still align.
+bool acgt_pair(const PairInput& pair) {
+  return dna::first_non_acgt(pair.a) == std::string_view::npos &&
+         dna::first_non_acgt(pair.b) == std::string_view::npos;
+}
+
+PairOutput invalid_input() {
+  PairOutput output;
+  output.status = PairStatus::kInvalidInput;
+  return output;
+}
 
 /// Fold one run's RunReport into an accumulated one: additive fields sum,
 /// ratio fields combine as batch-weighted means, makespans add (submissions
@@ -333,6 +349,7 @@ double CpuBackend::estimate_seconds(std::size_t len_a,
 }
 
 PairOutput CpuBackend::align_one(const PairInput& pair) const {
+  if (!acgt_pair(pair)) return invalid_input();
   align::AlignResult result =
       baseline::ksw2_align(pair.a, pair.b, config_.scoring, config_.options);
   PairOutput output;
@@ -365,6 +382,7 @@ double WfaBackend::estimate_seconds(std::size_t len_a,
 }
 
 PairOutput WfaBackend::align_one(const PairInput& pair) const {
+  if (!acgt_pair(pair)) return invalid_input();
   PairOutput output;
   if (config_.traceback) {
     std::optional<align::AlignResult> result =

@@ -197,6 +197,10 @@ struct PoolBuffers {
   std::span<Score> h[2];  // anti-diagonal H arrays, parity-rotated
   std::span<Score> iv;    // I on the previous anti-diagonal (in-place)
   std::span<Score> dv;    // D on the previous anti-diagonal (in-place)
+  // What 16-bit band runs sweep in their place: host copies in
+  // KernelScratch (H even, H odd, I, D), each between simd::kBandPad slots
+  // of kNegInf16. They model nothing; the WRAM arrays above stay allocated.
+  std::int16_t* narrow[4] = {};
   SeqWindow win_a;
   SeqWindow win_b;
   // One nibble-packed BT row, staged for its DMA: every row of the scalar
@@ -217,6 +221,11 @@ struct PoolBuffers {
     h[1] = alloc_band(ctx, w);
     iv = alloc_band(ctx, w);
     dv = alloc_band(ctx, w);
+    for (std::size_t j = 0; j < 4; ++j) {
+      narrow[j] = scratch.narrow_bands.data() +
+                  j * static_cast<std::size_t>(w + 2 * simd::kBandPad) +
+                  simd::kBandPad;
+    }
     const std::uint64_t win_bytes = SeqWindow::wram_bytes(w);
     win_a.init(&ctx, &pool, ctx.wram.alloc(win_bytes), w + kWinSlackBases,
                scratch.cache_a.data() + simd::kWindowPad, /*reversed=*/false);
@@ -231,16 +240,49 @@ struct PoolBuffers {
     tb_lo = ctx.wram.view<std::uint32_t>(tb_lo_addr, kTbLoCache);
   }
 
-  /// The eight sentinel slots still hold kNegInf.
-  bool sentinels_intact() const {
+  /// The eight sentinel slots still hold kNegInf and, after a pair swept
+  /// the 16-bit arrays (`swept_narrow`), their pads kNegInf16.
+  bool sentinels_intact(bool swept_narrow) const {
     for (const std::span<Score> band : {h[0], h[1], iv, dv}) {
       if (band.data()[-1] != kNegInf || band.data()[band.size()] != kNegInf) {
+        return false;
+      }
+    }
+    if (!swept_narrow) return true;
+    const std::int64_t w = static_cast<std::int64_t>(h[0].size());
+    auto sentinel = [](std::int16_t v) { return v == simd::kNegInf16; };
+    for (const std::int16_t* band : narrow) {
+      if (!std::all_of(band - simd::kBandPad, band, sentinel) ||
+          !std::all_of(band + w, band + w + simd::kBandPad, sentinel)) {
         return false;
       }
     }
     return true;
   }
 };
+
+/// Re-anchor a 16-bit band between runs (DESIGN.md §7). The anchor is the
+/// real H at the top in-band row of the last anti-diagonal swept; when it
+/// lies more than kRebaseSlack from 0, it is taken off every real value
+/// (those above kNegInf16) and added to the offset, while values derived
+/// from the sentinel keep theirs. Every run so starts from an anchor within
+/// kRebaseSlack of 0, as simd::narrow_lanes' bound assumes.
+void rebase(simd::BandRun<std::int16_t>& run) {
+  const std::int64_t s = run.s - 1;
+  if (s < 0) return;
+  const auto [i_min, i_max] = band_rows(s, run.lo1, run.m, run.n, run.w);
+  if (i_min > i_max) return;  // the band left the matrix: nothing is real
+  const std::int16_t anchor = run.h[s & 1][i_min - run.lo1];
+  if (anchor >= -simd::kRebaseSlack && anchor <= simd::kRebaseSlack) return;
+  for (std::int16_t* band : {run.h[0], run.h[1], run.iv, run.dv}) {
+    for (std::int64_t k = 0; k < run.w; ++k) {
+      if (band[k] > simd::kNegInf16) {
+        band[k] = static_cast<std::int16_t>(band[k] - anchor);
+      }
+    }
+  }
+  run.offset += anchor;
+}
 
 /// State of one alignment in progress (per pool).
 class PairAligner {
@@ -256,12 +298,15 @@ class PairAligner {
         tasklets_(tasklets),
         pool_index_(pool_index),
         band_runs_(sim_path == SimPath::kAuto),
+        narrow_(band_runs_ && simd::narrow_lanes(batch.header.band_width,
+                                                 batch.scoring)),
         isa_(vector_isa) {}
 
   void align(const PairEntry& pair, PairWriter& out);
 
  private:
   void compute_band(std::int64_t m, std::int64_t n);
+  template <typename Lane>
   std::int64_t sweep_runs(std::int64_t m, std::int64_t n);
   std::int64_t sweep_diagonals(std::int64_t m, std::int64_t n);
   void ensure_windows(std::int64_t s, std::int64_t i_min, std::int64_t i_max);
@@ -291,6 +336,7 @@ class PairAligner {
   int tasklets_;
   int pool_index_;
   bool band_runs_;  // every anti-diagonal in simd::band_run, else scalar
+  bool narrow_;     // band runs sweep 16-bit lanes (simd::narrow_lanes)
   simd::Isa isa_;   // the band runs' copy of the sweep
 
   // Band state after compute_band().
@@ -298,6 +344,7 @@ class PairAligner {
   std::int64_t final_lo_ = 0;
   Score final_score_ = kNegInf;
   bool reached_ = false;
+  std::int64_t offset_ = 0;  // 16-bit band value + offset_ = score
 
   // Staged lo values.
   std::uint32_t lo_staged_ = 0;   // entries in lo_buf
@@ -335,13 +382,22 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
   const std::uint64_t diags = static_cast<std::uint64_t>(m + n + 1);
   const std::uint64_t row_bytes = bt_row_bytes(w);
 
-  std::fill(buf_.h[0].begin(), buf_.h[0].end(), kNegInf);
-  std::fill(buf_.h[1].begin(), buf_.h[1].end(), kNegInf);
-  std::fill(buf_.iv.begin(), buf_.iv.end(), kNegInf);
-  std::fill(buf_.dv.begin(), buf_.dv.end(), kNegInf);
-
-  const std::int64_t lo = band_runs_ ? sweep_runs(m, n) : sweep_diagonals(m, n);
-  PIMNW_DCHECK(buf_.sentinels_intact());
+  std::int64_t lo;
+  if (narrow_) {
+    // Pads included: a pair never sees another's values past a band edge.
+    for (std::int16_t* band : buf_.narrow) {
+      std::fill(band - simd::kBandPad, band + w + simd::kBandPad,
+                simd::kNegInf16);
+    }
+    lo = sweep_runs<std::int16_t>(m, n);
+  } else {
+    std::fill(buf_.h[0].begin(), buf_.h[0].end(), kNegInf);
+    std::fill(buf_.h[1].begin(), buf_.h[1].end(), kNegInf);
+    std::fill(buf_.iv.begin(), buf_.iv.end(), kNegInf);
+    std::fill(buf_.dv.begin(), buf_.dv.end(), kNegInf);
+    lo = band_runs_ ? sweep_runs<Score>(m, n) : sweep_diagonals(m, n);
+  }
+  PIMNW_DCHECK(buf_.sentinels_intact(narrow_));
 
   // Charge the fixed work of all m+n+1 anti-diagonals at once: w cells split
   // across the pool's tasklets, the pool barrier, the master's bookkeeping
@@ -372,9 +428,14 @@ void PairAligner::compute_band(std::int64_t m, std::int64_t n) {
     reached_ = false;
     return;
   }
-  final_score_ =
-      buf_.h[static_cast<std::size_t>((m + n) & 1)]
-            [static_cast<std::size_t>(k_final)];
+  const std::size_t parity = static_cast<std::size_t>((m + n) & 1);
+  if (narrow_) {
+    const std::int16_t h = buf_.narrow[parity][k_final];
+    final_score_ = h > simd::kNegInf16 ? static_cast<Score>(h + offset_)
+                                       : kNegInf;
+  } else {
+    final_score_ = buf_.h[parity][static_cast<std::size_t>(k_final)];
+  }
   reached_ = final_score_ > kNegInf / 2;
 }
 
@@ -396,14 +457,19 @@ void PairAligner::flush_lo(std::uint64_t bytes) {
 }
 
 // The fast path: every anti-diagonal runs inside the sweep TU
-// (simd::band_run), a run per call. Between runs this loop does what a run
+// (simd::band_run), a run per call, over the WRAM band arrays (32-bit
+// lanes) or their 16-bit host copies. Between runs this loop does what a run
 // leaves out: it flushes a full lo buffer and refills the windows, charging
-// both as the scalar reference's loop does, and it points the next run at
-// the bank rows left in the row's chunk, or at the WRAM staging row, for a
-// run of one row, when the row straddles two chunks. The runs write each BT
-// row in place in the bank, through a cursor that checks the DMA shape of
-// all the pair's row writes once. Returns the final window origin.
+// both as the scalar reference's loop does; it points the next run at the
+// bank rows left in the row's chunk, or at the WRAM staging row, for a run
+// of one row, when the row straddles two chunks; and it rebases a 16-bit
+// band, whose runs stop after simd::kNarrowRunSteps anti-diagonals so that
+// it can. The runs write each BT row in place in the bank, through a cursor
+// that checks the DMA shape of all the pair's row writes once. Returns the
+// final window origin and leaves the band's offset in offset_.
+template <typename Lane>
 std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n) {
+  constexpr bool kNarrow = sizeof(Lane) == 2;
   const std::int64_t w = batch_.header.band_width;
   const std::uint64_t row_bytes = bt_row_bytes(w);
   const std::uint64_t rows_off = rows_area(m + n + 1);
@@ -413,14 +479,23 @@ std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n) {
         rows_off, row_bytes, static_cast<std::uint64_t>(m + n + 1)));
   }
   const align::Scoring& sc = batch_.scoring;
-  simd::BandRun run{};
+  simd::BandRun<Lane> run{};
   run.m = m;
   run.n = n;
   run.w = w;
-  run.h[0] = buf_.h[0].data();
-  run.h[1] = buf_.h[1].data();
-  run.iv = buf_.iv.data();
-  run.dv = buf_.dv.data();
+  if constexpr (kNarrow) {
+    run.h[0] = buf_.narrow[0];
+    run.h[1] = buf_.narrow[1];
+    run.iv = buf_.narrow[2];
+    run.dv = buf_.narrow[3];
+    run.max_steps = simd::kNarrowRunSteps;
+  } else {
+    run.h[0] = buf_.h[0].data();
+    run.h[1] = buf_.h[1].data();
+    run.iv = buf_.iv.data();
+    run.dv = buf_.dv.data();
+    run.max_steps = m + n + 1;
+  }
   run.traceback = traceback_on_;
   run.bt_bytes = static_cast<std::int64_t>(row_bytes);
   run.lo_buf = buf_.lo_buf.data();
@@ -447,6 +522,7 @@ std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n) {
           staged_row ? 1 : static_cast<std::int64_t>(rows.size() / row_bytes);
       run.lo_staged = lo_staged_;
     }
+    if constexpr (kNarrow) rebase(run);
     const std::int64_t s = run.s;
     // The refill and flush above leave s's work to the run.
     PIMNW_CHECK_MSG(simd::band_run(run, isa_) > 0,
@@ -458,6 +534,7 @@ std::int64_t PairAligner::sweep_runs(std::int64_t m, std::int64_t n) {
                         row_bytes);
     }
   }
+  offset_ = run.offset;
   return run.lo;
 }
 
@@ -682,12 +759,15 @@ dna::Cigar PairAligner::traceback(std::int64_t m, std::int64_t n) {
 
 void KernelScratch::prepare(std::int64_t band_width) {
   // Sized only: the window caches are re-decoded by the refill attach()
-  // forces at the start of every pair, so stale content of a reused arena is
-  // never read.
+  // forces at the start of every pair, and a pair that sweeps the 16-bit
+  // band arrays fills them, pads included, first, so stale content of a
+  // reused arena is never read.
   const std::size_t bytes =
       SeqWindow::cache_bases(band_width) + 2 * simd::kWindowPad;
   cache_a.resize(bytes);
   cache_b.resize(bytes);
+  narrow_bands.resize(
+      4 * static_cast<std::size_t>(band_width + 2 * simd::kBandPad));
 }
 
 void NwDpuProgram::run(DpuContext& ctx) {

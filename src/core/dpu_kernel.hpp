@@ -36,19 +36,24 @@ namespace pimnw::core {
 
 /// Host-side fast-path scratch (DESIGN.md "Simulator fast path"): one
 /// decoded byte cache per sequence window, between two simd::kWindowPad
-/// pads that a band run's masked lanes may read. It models no DPU state, so
-/// one instance can be shared by every pool of a launch (pairs align strictly
-/// one at a time) and reused across launches — the execution engine keeps
-/// one per worker thread instead of reallocating the two window caches per
-/// DPU launch. Safe to reuse because attach() forces a window refill, and
-/// so a re-decode, at the start of every pair. (BT rows need no host
-/// buffer: the sweep stores them packed, straight into the bank.)
+/// pads that a band run's masked lanes may read, and the four band arrays
+/// of 16-bit band runs. It models no DPU state, so one instance can be
+/// shared by every pool of a launch (pairs align strictly one at a time) and
+/// reused across launches — the execution engine keeps one per worker thread
+/// instead of reallocating it per DPU launch. Safe to reuse because attach()
+/// forces a window refill, and so a re-decode, at the start of every pair,
+/// and a pair fills the 16-bit arrays before it sweeps them. (BT rows need
+/// no host buffer: the sweep stores them packed, straight into the bank.)
 struct KernelScratch {
   /// a's window decoded at its last refill, one code byte per base.
   std::vector<std::uint8_t> cache_a;
   /// b's window likewise, stored back to front so anti-diagonal lanes
   /// read it ascending.
   std::vector<std::uint8_t> cache_b;
+  /// H of the even and the odd anti-diagonals, I and D, as 16-bit band runs
+  /// keep them (simd::narrow_lanes): w slots each, between simd::kBandPad
+  /// slots of simd::kNegInf16.
+  std::vector<std::int16_t> narrow_bands;
 
   /// Size for `band_width`.
   void prepare(std::int64_t band_width);

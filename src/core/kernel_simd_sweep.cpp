@@ -1,7 +1,10 @@
 // The band sweep, written once over GCC vector types and templated on its
-// lane count N. Like minimap2's KSW2 the build compiles this one source once
-// per ISA, with the ISA's flags and PIMNW_SWEEP_LANES, and each copy exports
-// one function, vector_band_run<N>: a run of anti-diagonals (N = 4: the
+// lane type. Like minimap2's KSW2 the build compiles this one source once
+// per ISA, with the ISA's flags and PIMNW_SWEEP_LANES (N, the copy's 32-bit
+// lanes per vector), and each copy exports two functions,
+// vector_band_run<N, Lane>: a run of anti-diagonals over 32-bit lanes
+// (Lane = std::int32_t, N per vector) or over 16-bit lanes (std::int16_t,
+// 2N per vector), both instantiations of the one body `run` (N = 4: the
 // portable copy, built without ISA flags over 16-byte vectors, SSE2 on any
 // x86-64 and NEON on AArch64; N = 8: AVX2; N = 16: AVX-512 F/BW/VL). All else
 // has internal linkage and calls no out-of-line inline function
@@ -17,8 +20,15 @@
 // go descending; with shift1 == 1 (so shift2 >= 1) at k or k + 1, so they go
 // ascending. A block loads all its inputs before it stores, so every slot is
 // read before the lane that owns it is written, as the scalar reference's
-// carries read it. Reads one slot past a band edge land on the kNegInf
-// sentinel kept at each end of each array.
+// carries read it. Reads one slot past a band edge land on the sentinel
+// kept at each end of each array.
+//
+// 16-bit lanes hold each score less the band's offset (BandRun::offset);
+// narrow_lanes admits them only where no value can wrap and every real one
+// stays above every value derived from kNegInf16, so each compare, and with
+// it each BT code and steering decision, is the 32-bit sweep's (DESIGN.md
+// §7). The only score the run computes itself, a peeled boundary cell's
+// gap cost, is narrowed from 64 bits after the offset is taken off.
 #if PIMNW_SWEEP_LANES != 4
 #include <immintrin.h>
 #endif
@@ -31,29 +41,43 @@ namespace {
 
 using align::Score;
 
-/// The ISA's N epi32 lanes (comparisons yield -1/0 masks of the same type),
-/// its lane mask M, and the steps GCC 12 would scalarize, one intrinsic
-/// each in the ISA copies and lane by lane in the portable one: bases(p)
-/// widens p[0, N); top_bits(v) has bit b = bit 7 of byte b;
-/// lanes(from, to) keeps lanes [from, to) (either bound may lie outside
-/// [0, N]); load and store touch only the kept lanes (a load reads 0 in the
-/// others and faults on none of them); keep zeroes the other lanes.
-template <int N>
+/// The ISA's vector of N `Lane` lanes (comparisons yield -1/0 masks of the
+/// same type), its lane mask M, and the steps GCC 12 would scalarize, one
+/// or a few intrinsics each in the ISA copies and lane by lane in the
+/// portable one: bases(p) widens p[0, N); lanes(from, to) keeps lanes
+/// [from, to) (either bound may lie outside [0, N]); load reads at least
+/// the kept lanes and store writes only them; keep zeroes the other lanes;
+/// pack(codes) packs each lane's code bits (code_bit) two lanes per byte,
+/// slot 2j's code in byte j's low nibble, into N / 2 bytes. The 32-bit
+/// loads and stores touch only the kept lanes, since the WRAM band arrays
+/// carry one sentinel slot past each edge and nothing more. The 16-bit band
+/// arrays carry kBandPad slots on either side, so there the AVX2 and
+/// portable copies load whole vectors and blend their stores.
+template <typename Lane>
 struct Ops;
+
+/// Code bit c (align::bt layout) of a lane's BT code, as a block builds it:
+/// 32-bit lanes put it at bit 7 of the lane's byte c, so that gathering the
+/// top bit of every byte yields the packed row; 16-bit lanes hold the code
+/// itself, and a 32-bit read of lanes 2j and 2j + 1, x | x >> 12, has the
+/// packed byte j in its low byte.
+template <typename Lane>
+constexpr Lane code_bit(int c) {
+  return static_cast<Lane>(sizeof(Lane) == 4 ? 0x80u << (8 * c) : 1u << c);
+}
 
 #if PIMNW_SWEEP_LANES == 16
 template <>
-struct Ops<16> {
+struct Ops<std::int32_t> {
+  static constexpr int N = 16;
   typedef Score V __attribute__((vector_size(64)));
   typedef __mmask16 M;
+  typedef std::uint64_t Packed;
   // The all-lanes mask form: GCC 12's unmasked _mm512_cvtepu8_epi32 trips
   // -Wuninitialized on its undefined pass-through operand.
   static V bases(const std::uint8_t* p) {
     return V(_mm512_maskz_cvtepu8_epi32(
         0xFFFF, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
-  }
-  static std::uint64_t top_bits(V v) {
-    return _mm512_movepi8_mask(__m512i(v));
   }
   static M lanes(std::int64_t from, std::int64_t to) {
     auto below = [](std::int64_t c) -> unsigned {
@@ -68,18 +92,49 @@ struct Ops<16> {
     _mm512_mask_storeu_epi32(p, m, __m512i(v));
   }
   static V keep(V v, M m) { return V(_mm512_maskz_mov_epi32(m, __m512i(v))); }
+  static Packed pack(V codes) { return _mm512_movepi8_mask(__m512i(codes)); }
+};
+
+template <>
+struct Ops<std::int16_t> {
+  static constexpr int N = 32;
+  typedef std::int16_t V __attribute__((vector_size(64)));
+  typedef __mmask32 M;
+  typedef __m128i Packed;
+  static V bases(const std::uint8_t* p) {
+    return V(_mm512_maskz_cvtepu8_epi16(
+        0xFFFFFFFFu, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))));
+  }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    auto below = [](std::int64_t c) -> std::uint32_t {
+      return c <= 0 ? 0u : c >= 32 ? 0xFFFFFFFFu : (1u << c) - 1;
+    };
+    return static_cast<M>(below(to) & ~below(from));
+  }
+  static V load(const std::int16_t* p, M m) {
+    return V(_mm512_maskz_loadu_epi16(m, p));
+  }
+  static void store(std::int16_t* p, M m, V v) {
+    _mm512_mask_storeu_epi16(p, m, __m512i(v));
+  }
+  static V keep(V v, M m) { return V(_mm512_maskz_mov_epi16(m, __m512i(v))); }
+  // vpmovdb in its all-lanes mask form, for the same reason as bases.
+  static Packed pack(V codes) {
+    typedef std::uint32_t U __attribute__((vector_size(64)));
+    const U pairs = U(codes) | (U(codes) >> 12);
+    return _mm512_maskz_cvtepi32_epi8(0xFFFF, __m512i(pairs));
+  }
 };
 #elif PIMNW_SWEEP_LANES == 8
 template <>
-struct Ops<8> {
+struct Ops<std::int32_t> {
+  static constexpr int N = 8;
   typedef Score V __attribute__((vector_size(32)));
   typedef V M;  // -1 in the kept lanes
+  typedef std::uint64_t Packed;
   static V bases(const std::uint8_t* p) {
     return V(_mm256_cvtepu8_epi32(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
-  }
-  static std::uint64_t top_bits(V v) {
-    return static_cast<std::uint32_t>(_mm256_movemask_epi8(__m256i(v)));
   }
   static M lanes(std::int64_t from, std::int64_t to) {
     const V lane = {0, 1, 2, 3, 4, 5, 6, 7};
@@ -95,28 +150,69 @@ struct Ops<8> {
     _mm256_maskstore_epi32(p, __m256i(m), __m256i(v));
   }
   static V keep(V v, M m) { return v & m; }
+  static Packed pack(V codes) {
+    return static_cast<std::uint32_t>(_mm256_movemask_epi8(__m256i(codes)));
+  }
+};
+
+template <>
+struct Ops<std::int16_t> {
+  static constexpr int N = 16;
+  typedef std::int16_t V __attribute__((vector_size(32)));
+  typedef V M;  // -1 in the kept lanes
+  typedef std::uint64_t Packed;
+  static V bases(const std::uint8_t* p) {
+    return V(_mm256_cvtepu8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+  }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    const V lane = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+    auto clamp = [](std::int64_t c) -> std::int16_t {
+      return static_cast<std::int16_t>(c < -1 ? -1 : c > 16 ? 16 : c);
+    };
+    return (lane >= clamp(from)) & (lane < clamp(to));
+  }
+  static V load(const std::int16_t* p, M) {
+    V v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static void store(std::int16_t* p, M m, V v) {
+    V old;
+    __builtin_memcpy(&old, p, sizeof old);
+    old = (v & m) | (old & ~m);
+    __builtin_memcpy(p, &old, sizeof old);
+  }
+  static V keep(V v, M m) { return v & m; }
+  // Byte 0 of each 32-bit lane pair to the low 4 bytes of its 128-bit half,
+  // then the two halves' low dwords side by side.
+  static Packed pack(V codes) {
+    const __m256i x = __m256i(codes);
+    const __m256i pairs = _mm256_or_si256(x, _mm256_srli_epi32(x, 12));
+    const __m256i low_bytes = _mm256_shuffle_epi8(
+        pairs, _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1,
+                                -1, -1, -1, -1, 0, 4, 8, 12, -1, -1, -1, -1,
+                                -1, -1, -1, -1, -1, -1, -1, -1));
+    const __m256i joined = _mm256_permutevar8x32_epi32(
+        low_bytes, _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0));
+    Packed packed;
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(&packed),
+                     _mm256_castsi256_si128(joined));
+    return packed;
+  }
 };
 #else
 template <>
-struct Ops<4> {
+struct Ops<std::int32_t> {
+  static constexpr int N = 4;
   typedef Score V __attribute__((vector_size(16)));
   typedef V M;  // -1 in the kept lanes
+  typedef std::uint64_t Packed;
   static V bases(const std::uint8_t* p) {
     typedef std::uint8_t B __attribute__((vector_size(4)));
     B b;
     __builtin_memcpy(&b, p, sizeof b);
     return __builtin_convertvector(b, V);
-  }
-  // One multiply per lane: it moves bits 7, 15, 23 and 31 of the lane to
-  // bits 28-31 of the product, and no two of its partial products share a
-  // bit, so nothing carries into them.
-  static std::uint64_t top_bits(V v) {
-    std::uint64_t bits = 0;
-    for (int u = 0; u < 4; ++u) {
-      const std::uint32_t top = static_cast<std::uint32_t>(v[u]) & 0x80808080u;
-      bits |= static_cast<std::uint64_t>((top * 0x00204081u) >> 28) << (4 * u);
-    }
-    return bits;
   }
   static M lanes(std::int64_t from, std::int64_t to) {
     const V lane = {0, 1, 2, 3};
@@ -138,6 +234,60 @@ struct Ops<4> {
     }
   }
   static V keep(V v, M m) { return v & m; }
+  // One multiply per lane: it moves bits 7, 15, 23 and 31 of the lane to
+  // bits 28-31 of the product, and no two of its partial products share a
+  // bit, so nothing carries into them.
+  static Packed pack(V codes) {
+    Packed bits = 0;
+    for (int u = 0; u < 4; ++u) {
+      const std::uint32_t top =
+          static_cast<std::uint32_t>(codes[u]) & 0x80808080u;
+      bits |= static_cast<Packed>((top * 0x00204081u) >> 28) << (4 * u);
+    }
+    return bits;
+  }
+};
+
+template <>
+struct Ops<std::int16_t> {
+  static constexpr int N = 8;
+  typedef std::int16_t V __attribute__((vector_size(16)));
+  typedef V M;  // -1 in the kept lanes
+  typedef std::uint32_t Packed;
+  static V bases(const std::uint8_t* p) {
+    typedef std::uint8_t B __attribute__((vector_size(8)));
+    B b;
+    __builtin_memcpy(&b, p, sizeof b);
+    return __builtin_convertvector(b, V);
+  }
+  static M lanes(std::int64_t from, std::int64_t to) {
+    const V lane = {0, 1, 2, 3, 4, 5, 6, 7};
+    auto clamp = [](std::int64_t c) -> std::int16_t {
+      return static_cast<std::int16_t>(c < -1 ? -1 : c > 8 ? 8 : c);
+    };
+    return (lane >= clamp(from)) & (lane < clamp(to));
+  }
+  static V load(const std::int16_t* p, M) {
+    V v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+  }
+  static void store(std::int16_t* p, M m, V v) {
+    V old;
+    __builtin_memcpy(&old, p, sizeof old);
+    old = (v & m) | (old & ~m);
+    __builtin_memcpy(p, &old, sizeof old);
+  }
+  static V keep(V v, M m) { return v & m; }
+  static Packed pack(V codes) {
+    typedef std::uint32_t U __attribute__((vector_size(16)));
+    typedef std::uint8_t B __attribute__((vector_size(4)));
+    const U x = U(codes);
+    const B bytes = __builtin_convertvector(x | (x >> 12), B);
+    Packed packed;
+    __builtin_memcpy(&packed, &bytes, sizeof packed);
+    return packed;
+  }
 };
 #endif
 
@@ -157,27 +307,30 @@ constexpr std::int64_t kPrefetchRows = 4;
 /// [ka, kb) are swept in blocks of N lanes, in the walk order the file's
 /// head sets out. Blocks start on an even slot, so each stores N/2 whole
 /// BT bytes; a block that is not wholly interior (the first when ka is odd,
-/// the last when kb - ka is not a multiple of N) loads, stores and packs
-/// only its interior lanes.
-template <int N, bool kTraceback>
-std::int64_t run(BandRun& state) {
-  using O = Ops<N>;
+/// the last when kb - ka is not a multiple of N) stores and packs only its
+/// interior lanes.
+template <typename Lane, bool kTraceback>
+std::int64_t run(BandRun<Lane>& state) {
+  using O = Ops<Lane>;
   using V = typename O::V;
   using M = typename O::M;
+  constexpr int N = O::N;
   // A BT byte store may alias any memory but a local whose address never
   // escapes, so the loop reads a private copy: its pointers stay in
   // registers.
-  const BandRun r = state;
-  const V open_ext = V{} + r.open_ext;
-  const V gap_extend = V{} + r.gap_extend;
-  const V match = V{} + r.match;
-  const V neg_mismatch = V{} - r.mismatch;
-  const V neg_inf = V{} + align::kNegInf;
+  const BandRun<Lane> r = state;
+  const V open_ext = V{} + static_cast<Lane>(r.open_ext);
+  const V gap_extend = V{} + static_cast<Lane>(r.gap_extend);
+  const V match = V{} + static_cast<Lane>(r.match);
+  const V neg_mismatch = V{} - static_cast<Lane>(r.mismatch);
+  const V neg_inf = V{} + kLaneNegInf<Lane>;
   const std::int64_t m = r.m;
   const std::int64_t n = r.n;
   const std::int64_t w = r.w;
-  Score* const iv = r.iv;
-  Score* const dv = r.dv;
+  const std::int64_t step_limit =
+      kTraceback ? min(r.max_steps, r.rows_left) : r.max_steps;
+  Lane* const iv = r.iv;
+  Lane* const dv = r.dv;
   std::int64_t s = r.s;
   std::int64_t lo = r.lo;
   std::int64_t lo1 = r.lo1;
@@ -210,10 +363,8 @@ std::int64_t run(BandRun& state) {
          (a_first >= r.a.first && a_last < r.a.end)) &&
         ((!interior && b_last < b_first) ||
          (b_first >= r.b.first && b_last < r.b.end));
-    if (!windows_hold) return false;
-    if (kTraceback && (staged == r.lo_capacity || steps == r.rows_left)) {
-      return false;
-    }
+    if (!windows_hold || steps >= step_limit) return false;
+    if (kTraceback && staged == r.lo_capacity) return false;
 
     // The interior rows [ilo, ihi]: the band's rows minus the peeled
     // boundary cells, at slots [ka, kb).
@@ -225,18 +376,18 @@ std::int64_t run(BandRun& state) {
     const std::int64_t ka = interior ? 0 : ilo - lo;
     const std::int64_t kb = interior ? w : ihi - lo + 1;
 
-    Score* const h_cur = r.h[s & 1];
-    const Score* const h_prev = r.h[(s & 1) ^ 1];
+    Lane* const h_cur = r.h[s & 1];
+    const Lane* const h_prev = r.h[(s & 1) ^ 1];
     const std::int64_t shift1 = lo - lo1;
     const std::int64_t shift2 = lo - lo2;
     // Slot k's inputs, at lane k of the whole band, and bases: slot k pairs
     // a[lo - 1 + k] with b[s - lo - 1 - k]; b's window is reversed, so both
     // walk their codes ascending.
-    const Score* const up_h = h_prev + shift1 - 1;
-    const Score* const up_i = iv + shift1 - 1;
-    const Score* const left_h = h_prev + shift1;
-    const Score* const left_d = dv + shift1;
-    const Score* const diag_h = h_cur + shift2 - 1;
+    const Lane* const up_h = h_prev + shift1 - 1;
+    const Lane* const up_i = iv + shift1 - 1;
+    const Lane* const left_h = h_prev + shift1;
+    const Lane* const left_d = dv + shift1;
+    const Lane* const diag_h = h_cur + shift2 - 1;
     const std::uint8_t* const base_a = r.a.codes + (lo - 1 - r.a.first);
     const std::uint8_t* const base_b = r.b.codes + (r.b.end - s + lo);
 
@@ -265,13 +416,13 @@ std::int64_t run(BandRun& state) {
     // is loaded before any output is stored.
     auto block = [&](std::int64_t k, bool masked, M mask)
                      __attribute__((always_inline)) {
-      auto in = [&](const Score* p) __attribute__((always_inline)) {
+      auto in = [&](const Lane* p) __attribute__((always_inline)) {
         if (masked) return O::load(p + k, mask);
         V v;
         __builtin_memcpy(&v, p + k, sizeof v);
         return v;
       };
-      auto out = [&](Score* p, V v) __attribute__((always_inline)) {
+      auto out = [&](Lane* p, V v) __attribute__((always_inline)) {
         if (masked) return O::store(p + k, mask, v);
         __builtin_memcpy(p + k, &v, sizeof v);
       };
@@ -291,25 +442,28 @@ std::int64_t run(BandRun& state) {
       out(dv, new_d);
       if constexpr (kTraceback) {
         // The scalar reference's tie-breaks: the diagonal, then I, wins a
-        // tie, and opening wins over extending. Code bit c of a lane goes to
-        // bit 7 of the lane's byte c, so the top bits hold lane u's code in
-        // bits 4u..4u+3: the packed row. Bits 0-1 are the origin (a diagonal
-        // mismatch or D; a gap), 2-3 the opens. A lane outside the interior
-        // packs 0.
+        // tie, and opening wins over extending. Bits 0-1 of the code are the
+        // origin (a diagonal mismatch or D; a gap), 2-3 the opens, at
+        // code_bit's places; packing them yields lane u's code at nibble u:
+        // the packed row. A lane outside the interior packs 0.
         const V diag_best = h_diag >= gap_best;
         const V origin_lo = ~(diag_best ? equal : new_i >= new_d);
-        V bits = (origin_lo & 0x80) | (~diag_best & 0x8000) |
-                 ((i_opn >= i_ext) & 0x800000) | ((d_opn >= d_ext) & INT32_MIN);
+        V bits = (origin_lo & code_bit<Lane>(0)) |
+                 (~diag_best & code_bit<Lane>(1)) |
+                 ((i_opn >= i_ext) & code_bit<Lane>(2)) |
+                 ((d_opn >= d_ext) & code_bit<Lane>(3));
         if (masked) bits = O::keep(bits, mask);
-        const std::uint64_t packed = O::top_bits(bits);
+        const typename O::Packed packed = O::pack(bits);
         std::uint8_t* const dst = row + k / 2;
         // A last block may reach past the row; its bytes there pack 0.
         const std::int64_t room = r.bt_bytes - k / 2;
         if (!masked || room >= N / 2) {
           __builtin_memcpy(dst, &packed, N / 2);
         } else {
+          const auto* const bytes =
+              reinterpret_cast<const std::uint8_t*>(&packed);
           for (std::int64_t byte = 0; byte < room; ++byte) {
-            dst[byte] = static_cast<std::uint8_t>(packed >> (8 * byte));
+            dst[byte] = bytes[byte];
           }
         }
       }
@@ -341,25 +495,28 @@ std::int64_t run(BandRun& state) {
     if (!interior) {
       // The peeled cells and the out-of-band slots overwrite slots the
       // sweep may read as neighbours, so they come after it. A peeled cell
-      // ends a gap of s bases: Scoring::gap_cost(s), negated.
+      // ends a gap of s bases: Scoring::gap_cost(s), negated, less the
+      // offset.
       auto gap = [&](std::int64_t len) {
-        return static_cast<Score>(-(r.open_ext + (len - 1) * r.gap_extend));
+        const std::int64_t score =
+            len == 0 ? 0 : -(r.open_ext + (len - 1) * r.gap_extend);
+        return static_cast<Lane>(score - r.offset);
       };
       if (peel_i0) {
-        const Score h = s == 0 ? 0 : gap(s);
+        const Lane h = gap(s);
         h_cur[0] = h;
-        iv[0] = align::kNegInf;
-        dv[0] = s == 0 ? align::kNegInf : h;
+        iv[0] = kLaneNegInf<Lane>;
+        dv[0] = s == 0 ? kLaneNegInf<Lane> : h;
       }
       if (peel_j0) {
-        const Score h = gap(s);
+        const Lane h = gap(s);
         h_cur[s - lo] = h;
         iv[s - lo] = h;
-        dv[s - lo] = align::kNegInf;
+        dv[s - lo] = kLaneNegInf<Lane>;
       }
       // Out-of-band slots [0, below) and [above, w); an empty anti-diagonal
       // (i_min > i_max) makes the two cover the whole band.
-      auto fill = [&](Score* band, std::int64_t from, std::int64_t to)
+      auto fill = [&](Lane* band, std::int64_t from, std::int64_t to)
                       __attribute__((always_inline)) {
         std::int64_t k = from;
         for (; k + N <= to; k += N) {
@@ -385,6 +542,8 @@ std::int64_t run(BandRun& state) {
     ++s;
 
     if (s > m + n) return false;  // the pair's last anti-diagonal: no steering
+    // Both lane types compare like the scores they hold, so steering reads
+    // them as they are.
     const bool empty = i_min > i_max;
     const bool down = align::adaptive_move_down(
         lo, s - 1, m, n, w, empty ? align::kNegInf : h_cur[i_min - lo],
@@ -410,10 +569,13 @@ std::int64_t run(BandRun& state) {
 
 }  // namespace
 
-template <int N>
-std::int64_t vector_band_run(BandRun& r) {
-  return r.traceback ? run<N, true>(r) : run<N, false>(r);
+template <int N, typename Lane>
+std::int64_t vector_band_run(BandRun<Lane>& r) {
+  return r.traceback ? run<Lane, true>(r) : run<Lane, false>(r);
 }
-template std::int64_t vector_band_run<PIMNW_SWEEP_LANES>(BandRun& r);
+template std::int64_t vector_band_run<PIMNW_SWEEP_LANES>(
+    BandRun<std::int32_t>& r);
+template std::int64_t vector_band_run<PIMNW_SWEEP_LANES>(
+    BandRun<std::int16_t>& r);
 
 }  // namespace pimnw::core::simd

@@ -138,6 +138,42 @@ TEST(BackendAgreement, AllBackendsMatchFullDpOnRandomPairs) {
   }
 }
 
+// One admission policy across the Dispatcher's backends: through kSingle to
+// each kind, a pair with an N resolves kInvalidInput on its own (the CPU
+// backend threw for the whole call, WFA aligned the N as a mismatch), and
+// the valid pair beside it aligns exactly as in a call without it.
+TEST(BackendAdmission, NonAcgtPairResolvesInvalidInputOnEveryKind) {
+  const std::vector<PairInput> mixed = {{"ACGTACGTAC", "ACGTACGAAC"},
+                                        {"ACGTNNGTAC", "ACGTACGAAC"}};
+  const std::vector<PairInput> valid_only = {mixed[0]};
+  PimAlignerConfig pim_config;
+  pim_config.nr_ranks = 1;
+  PimBackend pim({pim_config});
+  CpuBackend cpu({});
+  WfaBackend wfa({});
+  for (AlignerBackend* backend :
+       std::vector<AlignerBackend*>{&pim, &cpu, &wfa}) {
+    const char* const kind = backend_kind_name(backend->kind());
+    Dispatcher dispatcher(
+        {.policy = RoutePolicy::kSingle, .single = backend->kind()},
+        {backend});
+    std::vector<PairOutput> got;
+    std::vector<PairOutput> alone;
+    (void)dispatcher.align(mixed, &got);
+    (void)dispatcher.align(valid_only, &alone);
+    ASSERT_EQ(got.size(), 2u) << kind;
+    ASSERT_EQ(alone.size(), 1u) << kind;
+    EXPECT_EQ(got[1].status, PairStatus::kInvalidInput) << kind;
+    EXPECT_FALSE(got[1].ok) << kind;
+    EXPECT_EQ(got[0].status, PairStatus::kOk) << kind;
+    EXPECT_EQ(got[0].status, alone[0].status) << kind;
+    EXPECT_EQ(got[0].ok, alone[0].ok) << kind;
+    EXPECT_EQ(got[0].score, alone[0].score) << kind;
+    EXPECT_EQ(got[0].cigar.to_string(), alone[0].cigar.to_string()) << kind;
+    EXPECT_EQ(got[0].cells, alone[0].cells) << kind;
+  }
+}
+
 TEST(DispatchRouting, ThresholdSplitsByLongerSequence) {
   const TestPairs shorts = make_pairs(6, 80, 0.05, 1);
   const TestPairs longs = make_pairs(4, 300, 0.05, 2);
@@ -318,21 +354,34 @@ TEST(BackendTicketsTest, OverlappingSubmitsResolveIndependently) {
   EXPECT_EQ(empty.measured_seconds, 0.0);
 }
 
+/// CpuBackend whose kernel throws CheckError on one input, as a kernel that
+/// fails on a pair would (a non-ACGT base no longer does: admission resolves
+/// it kInvalidInput before the kernel runs).
+class PoisonedCpuBackend final : public CpuBackend {
+ public:
+  using CpuBackend::CpuBackend;
+
+ protected:
+  PairOutput align_one(const PairInput& pair) const override {
+    PIMNW_CHECK_MSG(pair.a != "poison", "poisoned pair");
+    return CpuBackend::align_one(pair);
+  }
+};
+
 // A pair that throws fails its own ticket only, on the shape the table
 // benches run the CPU baseline in: CpuBackend on a one-worker pool whose
 // waiting caller helps it, so the caller may run the throwing pair itself
-// while it waits for the other ticket. ksw2_align rejects a non-ACGT base
-// with CheckError (Ksw2Test.RejectsNonAcgt).
+// while it waits for the other ticket.
 TEST(BackendTicketsTest, PairErrorSurfacesAtItsOwnTicket) {
   const TestPairs t = make_pairs(8, 120, 0.05, 12);
   std::vector<PairInput> poisoned(t.pairs.begin(), t.pairs.begin() + 4);
-  poisoned.insert(poisoned.begin() + 2, PairInput{"ACGN", "ACGT"});
+  poisoned.insert(poisoned.begin() + 2, PairInput{"poison", "ACGT"});
   const std::span<const PairInput> clean(t.pairs.data() + 4, 4);
 
   ThreadPool workers(1);
   const CpuBackend::Config config;
   {
-    CpuBackend cpu(config, &workers);
+    PoisonedCpuBackend cpu(config, &workers);
     const AlignerBackend::Ticket a = cpu.submit(poisoned);
     const AlignerBackend::Ticket b = cpu.submit(clean);
     const std::vector<PairOutput> out = cpu.wait(b);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -76,10 +77,14 @@ std::vector<simd::Isa> supported_isas() {
   return isas;
 }
 
+template <typename Lane>
+struct LaneBands;
+
 // A pair's band between anti-diagonals as compute_band keeps it for a band
 // run: the four band arrays between kNegInf sentinels, two decoded windows
 // (b's reversed) between simd::kWindowPad junk bytes, the rows a run may
-// write followed by a canary, the lo staging buffer and the steering state.
+// write followed by a canary, the lo staging buffer, the most anti-diagonals
+// the run may sweep and the steering state.
 struct RunCase {
   static constexpr std::int64_t kPad = simd::kWindowPad;
   std::int64_t m = 0, n = 0, w = 0;
@@ -92,6 +97,7 @@ struct RunCase {
   std::int64_t row_bytes = 0, rows_left = 0;
   std::vector<std::uint32_t> lo_buf;  // its size is the capacity
   std::uint32_t lo_staged = 0;
+  std::int64_t max_steps = 0;
   std::int64_t s = 0, lo = 0, lo1 = 0, lo2 = 0;
   std::int64_t steps = 0;
 
@@ -107,16 +113,19 @@ struct RunCase {
   std::int64_t i_min() const { return std::max({lo, s - n, std::int64_t{0}}); }
   std::int64_t i_max() const { return std::min({lo + w - 1, m, s}); }
 
-  simd::BandRun state() {
+  // The run over `bands`, this case's band in Lane lanes.
+  template <typename Lane>
+  simd::BandRun<Lane> state(LaneBands<Lane>& bands) {
     const align::Scoring sc = align::default_scoring();
-    simd::BandRun r{};
+    simd::BandRun<Lane> r{};
     r.m = m;
     r.n = n;
     r.w = w;
-    r.h[0] = h0.data() + 1;
-    r.h[1] = h1.data() + 1;
-    r.iv = iv.data() + 1;
-    r.dv = dv.data() + 1;
+    r.h[0] = bands.slot0(0);
+    r.h[1] = bands.slot0(1);
+    r.iv = bands.slot0(2);
+    r.dv = bands.slot0(3);
+    r.offset = bands.offset;
     r.a = {a.data() + kPad, a_first, a_end};
     r.b = {b.data() + kPad, b_first, b_end};
     r.traceback = traceback;
@@ -125,6 +134,7 @@ struct RunCase {
     r.rows_left = rows_left;
     r.lo_buf = lo_buf.data();
     r.lo_capacity = static_cast<std::uint32_t>(lo_buf.size());
+    r.max_steps = max_steps;
     r.match = sc.match;
     r.mismatch = sc.mismatch;
     r.gap_extend = sc.gap_extend;
@@ -138,19 +148,77 @@ struct RunCase {
   }
 };
 
+/// A RunCase's four band arrays (H even, H odd, I, D) as a run over `Lane`
+/// lanes sees them: w slots between kPad slots of the lane's sentinel (the
+/// one sentinel slot of the WRAM arrays for 32-bit lanes, simd::kBandPad
+/// for 16-bit ones), each real value less `offset` and kNegInf mapped to
+/// the lane's sentinel. A value derived from the sentinel keeps its
+/// distance from it both ways, so back() recovers the 32-bit band exactly.
+template <typename Lane>
+struct LaneBands {
+  static constexpr bool kNarrow = sizeof(Lane) == 2;
+  static constexpr std::int64_t kPad = kNarrow ? simd::kBandPad : 1;
+  static constexpr Lane kSentinel = simd::kLaneNegInf<Lane>;
+  std::vector<Lane> arrays[4];
+  std::int64_t offset = 0;
+  std::int64_t w = 0;
+
+  LaneBands(const RunCase& c, std::int64_t band_offset)
+      : offset(band_offset), w(c.w) {
+    const std::vector<align::Score>* const bands[4] = {&c.h0, &c.h1, &c.iv,
+                                                       &c.dv};
+    for (int j = 0; j < 4; ++j) {
+      arrays[j].assign(static_cast<std::size_t>(w + 2 * kPad), kSentinel);
+      for (std::int64_t k = 0; k < w; ++k) {
+        const align::Score v = (*bands[j])[static_cast<std::size_t>(k + 1)];
+        arrays[j][static_cast<std::size_t>(kPad + k)] =
+            v == align::kNegInf ? kSentinel : static_cast<Lane>(v - offset);
+      }
+    }
+  }
+  Lane* slot0(int j) { return arrays[j].data() + kPad; }
+
+  // Write the band back into c's 32-bit arrays, sentinel slots included.
+  void back(RunCase* c) const {
+    std::vector<align::Score>* const bands[4] = {&c->h0, &c->h1, &c->iv,
+                                                 &c->dv};
+    for (int j = 0; j < 4; ++j) {
+      for (std::int64_t k = -1; k <= w; ++k) {
+        const std::int64_t v = arrays[j][static_cast<std::size_t>(kPad + k)];
+        const bool real = !kNarrow || v > simd::kNegInf16 / 2;
+        (*bands[j])[static_cast<std::size_t>(k + 1)] = static_cast<align::Score>(
+            real ? v + offset : align::kNegInf + (v - kSentinel));
+      }
+    }
+  }
+  // Every pad slot still holds the sentinel.
+  bool pads_intact() const {
+    for (const std::vector<Lane>& band : arrays) {
+      for (std::int64_t k = 0; k < kPad; ++k) {
+        if (band[static_cast<std::size_t>(k)] != kSentinel ||
+            band[static_cast<std::size_t>(kPad + w + k)] != kSentinel) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+};
+
 // Why a run stops: before an anti-diagonal that needs work between runs,
 // or after the pair's last.
 enum Exit {
   kWindowA,  // a refill: a base of a the cells read is not in a's window
   kWindowB,  // likewise for b
+  kSteps,    // max_steps anti-diagonals were swept: the R-stop
   kRows,     // row s is not among the rows left in the chunk
   kLoBuf,    // the lo buffer is full: a flush is due
   kPairEnd,  // anti-diagonal m + n was swept
   kExits
 };
 
-const char* const kExitNames[kExits] = {"window a", "window b", "rows",
-                                        "lo_buf", "pair end"};
+const char* const kExitNames[kExits] = {"window a", "window b", "steps",
+                                        "rows",     "lo_buf",   "pair end"};
 
 /// The conditions anti-diagonal c.s fails before it is swept, one bit per
 /// Exit. A window fails as SeqWindow::ensure refills: when the anti-
@@ -168,6 +236,7 @@ unsigned failed_conditions(const RunCase& c) {
              c.a_end),
       misses(std::max<std::int64_t>(c.s - i_max - 1, 0), c.s - i_min - 1,
              c.b_first, c.b_end),
+      c.steps >= c.max_steps,
       c.traceback && c.steps >= c.rows_left,
       c.traceback && c.lo_staged == c.lo_buf.size(),
       false,
@@ -283,9 +352,10 @@ unsigned step_reference(RunCase& c) {
 /// its end, so that runs sweep and stop on edge anti-diagonals: peels,
 /// out-of-band slots, odd first slots and partial blocks. The aimed-at
 /// window runs out within a few bases (or, one time in four, starts past
-/// the first base the start needs), the rows or the lo buffer within a
-/// few anti-diagonals; every other exit holds to the pair's end.
-RunCase random_run(std::int64_t w, bool traceback, Exit target,
+/// the first base the start needs), the step limit, the rows or the lo
+/// buffer within a few anti-diagonals; every other exit holds to the pair's
+/// end, but a 16-bit run's limit, simd::kNarrowRunSteps.
+RunCase random_run(std::int64_t w, bool traceback, bool narrow, Exit target,
                    Xoshiro256& rng) {
   constexpr std::int64_t kFar = 300;
   auto below = [&](std::int64_t k) {
@@ -369,45 +439,66 @@ RunCase random_run(std::int64_t w, bool traceback, Exit target,
   c.lo_buf.assign(static_cast<std::size_t>(capacity), 0xFFFFFFFFu);
   c.lo_staged = static_cast<std::uint32_t>(
       target == kLoBuf ? capacity - below(12) : below(8));
+  c.max_steps = target == kSteps ? below(12)
+                : narrow         ? simd::kNarrowRunSteps
+                                 : diagonals;
   return c;
 }
 
-// Every copy of the band sweep against step_reference's per-cell steps, from
-// random band states at widths from 2 up, with and without remainder lanes
-// and with an odd pad nibble, score-only and with traceback. The step count,
-// the steering state, the four band arrays (sentinels included), the staged
-// lo values and every row byte up to and including the canary after the
-// last row must match, and each exit must stop some run on its own.
-class BandRunTest : public ::testing::TestWithParam<simd::Isa> {};
-
-TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
-  const simd::Isa isa = GetParam();
-  if (isa > simd::auto_isa()) {
-    GTEST_SKIP() << simd::isa_name(isa) << " is not in this build or CPU";
-  }
-  Xoshiro256 rng(20261019);
+/// Every trial of BandRunTest for one lane type on `isa`. A 16-bit run
+/// starts from a band that lies within the bound simd::narrow_lanes proves:
+/// its real values (at most 40 apart, under the spread of a run's start at
+/// every width here) stored less a random offset, so that none lies more
+/// than simd::kRebaseSlack from 0, and it sweeps at most
+/// simd::kNarrowRunSteps anti-diagonals.
+template <typename Lane>
+void expect_runs_match_steps(simd::Isa isa, Xoshiro256& rng) {
+  constexpr bool kNarrow = LaneBands<Lane>::kNarrow;
+  const align::Scoring sc = align::default_scoring();
   for (const std::int64_t w : {2, 3, 9, 16, 17, 31, 128}) {
+    if (kNarrow) {
+      ASSERT_TRUE(simd::narrow_lanes(w, sc)) << "w=" << w;
+    }
     for (const bool traceback : {false, true}) {
       int sole[kExits] = {};
       for (int trial = 0; trial < 16 * kExits; ++trial) {
         const Exit target = static_cast<Exit>(trial % kExits);
         if (!traceback && (target == kRows || target == kLoBuf)) continue;
-        RunCase want = random_run(w, traceback, target, rng);
+        RunCase want = random_run(w, traceback, kNarrow, target, rng);
         RunCase got = want;
         const unsigned failed = step_reference(want);
-        simd::BandRun run = got.state();
+        constexpr std::int64_t kShift = simd::kRebaseSlack - 20;
+        LaneBands<Lane> bands(
+            got, kNarrow ? static_cast<std::int64_t>(rng.below(2 * kShift + 1)) -
+                               kShift
+                         : 0);
+        const std::string tag =
+            std::string(kNarrow ? "16-bit " : "32-bit ") +
+            (traceback ? "bt" : "score-only") + " w=" + std::to_string(w) +
+            " trial " + std::to_string(trial) + " aimed at " +
+            kExitNames[target] + " (m=" + std::to_string(want.m) +
+            " n=" + std::to_string(want.n) + ")";
+        if (kNarrow) {
+          for (const std::vector<Lane>& band : bands.arrays) {
+            for (const Lane v : band) {
+              ASSERT_TRUE(v == simd::kNegInf16 ||
+                          (v >= -simd::kRebaseSlack &&
+                           v <= simd::kRebaseSlack))
+                  << tag << ": a start outside the bound";
+            }
+          }
+        }
+        simd::BandRun<Lane> run = got.state(bands);
         got.steps = simd::band_run(run, isa);
         got.s = run.s;
         got.lo = run.lo;
         got.lo1 = run.lo1;
         got.lo2 = run.lo2;
         got.lo_staged = run.lo_staged;
+        ASSERT_EQ(run.offset, bands.offset) << tag;
+        ASSERT_TRUE(bands.pads_intact()) << tag;
+        bands.back(&got);
 
-        const std::string tag =
-            std::string(traceback ? "bt" : "score-only") + " w=" +
-            std::to_string(w) + " trial " + std::to_string(trial) +
-            " aimed at " + kExitNames[target] + " (m=" +
-            std::to_string(want.m) + " n=" + std::to_string(want.n) + ")";
         ASSERT_EQ(got.steps, want.steps) << tag;
         ASSERT_EQ(got.s, want.s) << tag;
         ASSERT_EQ(got.lo, want.lo) << tag;
@@ -435,10 +526,31 @@ TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
         if (!traceback && (e == kRows || e == kLoBuf)) continue;
         EXPECT_GT(sole[e], 0) << "no run stopped on " << kExitNames[e]
                               << " alone, w=" << w
-                              << (traceback ? " bt" : " score-only");
+                              << (traceback ? " bt" : " score-only")
+                              << (kNarrow ? " 16-bit" : " 32-bit");
       }
     }
   }
+}
+
+// Every copy of the band sweep, over 32-bit and over 16-bit lanes, against
+// step_reference's per-cell steps, from random band states at widths from 2
+// up, with and without remainder lanes and with an odd pad nibble,
+// score-only and with traceback. The step count, the steering state, the
+// four band arrays (sentinels included; a 16-bit band mapped back to scores,
+// its pads untouched), the staged lo values and every row byte up to and
+// including the canary after the last row must match, and each exit must
+// stop some run on its own.
+class BandRunTest : public ::testing::TestWithParam<simd::Isa> {};
+
+TEST_P(BandRunTest, MatchesPerDiagonalSteps) {
+  const simd::Isa isa = GetParam();
+  if (isa > simd::auto_isa()) {
+    GTEST_SKIP() << simd::isa_name(isa) << " is not in this build or CPU";
+  }
+  Xoshiro256 rng(20261019);
+  expect_runs_match_steps<std::int32_t>(isa, rng);
+  expect_runs_match_steps<std::int16_t>(isa, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(, BandRunTest,
@@ -575,8 +687,8 @@ TEST(KernelFastPathTest, LongPairsPaperBand) {
 /// bytes.
 std::vector<std::uint8_t> bank_after_launch(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    std::int64_t band, bool traceback, int pools, SimPath path,
-    simd::Isa isa) {
+    std::int64_t band, bool traceback, int pools, SimPath path, simd::Isa isa,
+    const align::Scoring& scoring) {
   std::vector<std::string_view> seqs;
   DpuBatchInput batch;
   for (std::uint32_t p = 0; p < pairs.size(); ++p) {
@@ -585,6 +697,7 @@ std::vector<std::uint8_t> bank_after_launch(
     batch.pairs.push_back({2 * p, 2 * p + 1, p});
   }
   AlignConfig align;
+  align.scoring = scoring;
   align.band_width = band;
   align.traceback = traceback;
   PoolConfig pool_config;
@@ -621,15 +734,17 @@ std::size_t first_difference(const std::vector<std::uint8_t>& got,
 /// scalar reference's, byte for byte.
 void expect_banks_agree(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    std::int64_t band, bool traceback, int pools, const std::string& tag) {
+    std::int64_t band, bool traceback, int pools, const std::string& tag,
+    const align::Scoring& scoring = align::default_scoring()) {
   const auto scalar = bank_after_launch(pairs, band, traceback, pools,
-                                        SimPath::kScalar, simd::auto_isa());
+                                        SimPath::kScalar, simd::auto_isa(),
+                                        scoring);
   if (traceback) {
     ASSERT_NE(scalar, std::vector<std::uint8_t>(scalar.size(), 0xA5)) << tag;
   }
   for (const simd::Isa isa : supported_isas()) {
     const auto got = bank_after_launch(pairs, band, traceback, pools,
-                                       SimPath::kAuto, isa);
+                                       SimPath::kAuto, isa, scoring);
     ASSERT_EQ(got.size(), scalar.size()) << tag;
     EXPECT_EQ(first_difference(got, scalar), got.size())
         << tag << " auto/" << simd::isa_name(isa)
@@ -707,6 +822,97 @@ TEST(KernelFastPathTest, BandNeverInteriorAgreesOnEveryIsa) {
       expect_banks_agree(pairs, band, traceback, /*pools=*/3, tag);
     }
   }
+}
+
+// Scores far outside the 16-bit range through 16-bit band runs, which
+// rebase the band between runs: an identical 30 kb pair (score 60000), a
+// 100 x 20000 pair (below -39000), unrelated 5 kb pairs (scores below
+// -2048, so their bands are rebased downwards) and 1-50 bp pairs (a run or
+// two from the pair's start). On
+// every copy of the sweep, with and without traceback, the outputs and the
+// dirty bank's readback and BT bytes equal the scalar reference's.
+TEST(KernelFastPathTest, NarrowLanesRebaseScoresPastSixteenBits) {
+  ASSERT_TRUE(simd::narrow_lanes(128, align::default_scoring()));
+  Xoshiro256 rng(26);
+  const std::string identical = data::random_dna(30000, rng);
+  const std::string shorter = data::random_dna(100, rng);
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {identical, identical}, {shorter, data::random_dna(20000, rng)}};
+  for (int p = 0; p < 3; ++p) {
+    pairs.emplace_back(data::random_dna(5000, rng),
+                       data::random_dna(5000, rng));
+  }
+  data::ErrorModel errors;
+  errors.error_rate = 0.2;
+  for (std::size_t length = 1; length <= 50; length += 7) {
+    const std::string a = data::random_dna(length, rng);
+    pairs.emplace_back(a, data::mutate(a, errors, rng));
+  }
+  for (const bool traceback : {true, false}) {
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.traceback = traceback;
+    const std::string tag = std::string("past 16 bits") +
+                            (traceback ? "" : " score-only");
+    const auto scalar = run_with_path(pairs, config, SimPath::kScalar);
+    ASSERT_EQ(scalar.size(), pairs.size());
+    EXPECT_EQ(scalar[0].score, 60000) << tag;
+    EXPECT_LT(scalar[1].score, -39000) << tag;
+    for (std::size_t p = 2; p < 5; ++p) {
+      EXPECT_LT(scalar[p].score, -2 * simd::kRebaseSlack)
+          << tag << " pair " << p;
+    }
+    expect_paths_agree(pairs, config, tag.c_str());
+    expect_banks_agree(pairs, 128, traceback, /*pools=*/2, tag);
+  }
+}
+
+// A (w, scoring) outside the 16-bit bound (gap_extend = 200: a spread of
+// 51260 at w = 128) runs the 32-bit instantiation of the same sweep, and it
+// agrees with the scalar reference on every copy.
+TEST(KernelFastPathTest, ScoringOutsideTheBoundSweepsThirtyTwoBitLanes) {
+  align::Scoring wide;
+  wide.gap_extend = 200;
+  ASSERT_FALSE(simd::narrow_lanes(128, wide));
+  Xoshiro256 rng(200);
+  data::ErrorModel errors;
+  errors.error_rate = 0.15;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int p = 0; p < 4; ++p) {
+    const std::string a = data::random_dna(300 + rng.below(1500), rng);
+    pairs.emplace_back(a, data::mutate(a, errors, rng));
+  }
+  pairs.emplace_back("A", "ACGTACGT");
+  for (const bool traceback : {true, false}) {
+    PimAlignerConfig config;
+    config.nr_ranks = 1;
+    config.align.scoring = wide;
+    config.align.traceback = traceback;
+    const std::string tag =
+        std::string("gap_extend 200") + (traceback ? "" : " score-only");
+    expect_paths_agree(pairs, config, tag.c_str());
+    expect_banks_agree(pairs, 128, traceback, /*pools=*/2, tag, wide);
+  }
+}
+
+// narrow_lanes follows the bound: under default scoring a run's lowest real
+// value, anchor - (spread + 3086) with spread = 6·(w - 1) + 6, must stay
+// above kNegInf16 + 2 from an anchor at -1024, which holds up to w = 2045
+// and not at 2046; a large penalty or a negative one sends any band to
+// 32-bit lanes.
+TEST(KernelFastPathTest, NarrowLanesFollowTheBound) {
+  const align::Scoring sc = align::default_scoring();
+  for (const std::int64_t w : {1, 2, 128, 384, 2045}) {
+    EXPECT_TRUE(simd::narrow_lanes(w, sc)) << "w=" << w;
+  }
+  EXPECT_FALSE(simd::narrow_lanes(2046, sc));
+  EXPECT_FALSE(simd::narrow_lanes(1 << 20, sc));
+  align::Scoring wide;
+  wide.gap_extend = 200;
+  EXPECT_FALSE(simd::narrow_lanes(2, wide));
+  align::Scoring negative;
+  negative.mismatch = -1;
+  EXPECT_FALSE(simd::narrow_lanes(128, negative));
 }
 
 // DbSession rounds — compact session pair entries, the database resident at
